@@ -32,6 +32,7 @@ from .system import all_systems, classify
 DEFAULT_CENSUS_BOUND = 1 << 24
 _ENV_BOUND = "MODULI_SYS_CENSUS_BOUND"
 _CHUNK = 1 << 16
+_PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
 
 CSV_HEADER = "m,n,p,q,raw,gl_order,orbits,formula,match"
 
@@ -137,7 +138,7 @@ def _census_bound(bound: int | None) -> int:
     return int(env) if env else DEFAULT_CENSUS_BOUND
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIR_COUNT_CACHE_SIZE)
 def _cc_pair_count(m: int, n: int, q: int, bound: int) -> int:
     """Number of (A, B) pairs over F_q whose controllability rank is n."""
     if n == 0:

@@ -21,18 +21,34 @@ from .errors import IndexOutOfRange, NonSquareSelection, SingularMatrix
 Scalar = Union[Fraction, int]
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(q: int) -> bool:
+    """Exact primality test for ``q < _MR_LIMIT``."""
     if q < 2:
         return False
-    if q < 4:
+    for b in _MR_BASES:
+        if q % b == 0:
+            return q == b
+    if q < _MR_BASES[-1] ** 2:
         return True
-    if q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -43,7 +59,11 @@ class Field:
     q: int | None = None
 
     def __post_init__(self) -> None:
-        if self.q is not None and not _is_prime(self.q):
+        if self.q is None:
+            return
+        if self.q >= _MR_LIMIT:
+            raise ValueError(f"field modulus {self.q} is too large; moduli below {_MR_LIMIT} are supported")
+        if not _is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
     @staticmethod
@@ -311,11 +331,17 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
 # -- elimination-based operations ---------------------------------------
 
 
-def rank(matrix: Matrix) -> int:
-    """Rank of the matrix (dimension of its column space)."""
+def pivot_columns(matrix: Matrix) -> tuple[int, ...]:
+    """Column rank profile: the (0-based) pivot columns of forward elimination.
+
+    Column ``c`` is a pivot exactly when it is not in the span of the
+    columns before it, so the number of pivots below ``k`` is the rank of
+    the leading ``k`` columns.
+    """
     f = matrix.field
     grid = matrix.to_rows()
     nrows, ncols = matrix.rows, matrix.cols
+    pivots = []
     r = 0
     for c in range(ncols):
         piv = None
@@ -336,10 +362,16 @@ def rank(matrix: Matrix) -> int:
                 row = grid[i]
                 for k in range(c, ncols):
                     row[k] = f.sub(row[k], f.mul(factor, prow[k]))
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return tuple(pivots)
+
+
+def rank(matrix: Matrix) -> int:
+    """Rank of the matrix (dimension of its column space)."""
+    return len(pivot_columns(matrix))
 
 
 def rref_with_pivots(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -76,6 +76,7 @@ def observability_weight(n: int) -> StabilityWeight:
 
 # -- invariant subspace dimensions ----------------------------------------
 
+_FACTOR_CACHE_SIZE = 2 ** 16  # entries; the oldest is dropped beyond this
 _FACTOR_CACHE: dict = {}
 
 
@@ -100,6 +101,8 @@ def _invariant_subspace_dims(op: Matrix) -> frozenset[int]:
     for deg, mult in degree_mults:
         dims = {x + t * deg for x in dims for t in range(mult + 1)}
     result = frozenset(dims)
+    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_SIZE:
+        del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]
     _FACTOR_CACHE[key] = result
     return result
 

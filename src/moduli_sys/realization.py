@@ -11,10 +11,15 @@ factors.
 
 Certification never extrapolates: if the window is too short to check a
 single shift, the outcome is the :class:`NotStabilized` value.
+
+``H_ij`` is the leading ``m j`` columns of ``H_(i, L+1-i)``, so every
+rank the certification needs is a prefix count of that matrix's pivot
+columns: one forward elimination per block-row count, not one per size.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -24,7 +29,7 @@ from .errors import (
     NotStabilizedError,
     ShapeMismatch,
 )
-from .linalg import Field, Matrix, inverse, rank, rref_with_pivots
+from .linalg import Field, Matrix, inverse, pivot_columns, rref_with_pivots
 from .system import LinearSystem, markov_parameters
 
 
@@ -133,16 +138,24 @@ def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStab
     available in the window; at least one shift must be checkable.
     Returns :class:`NotStabilized` (a value, not an error) when the
     window certifies nothing.
+
+    Each block-row count ``i`` the scan reaches costs one forward
+    elimination of ``H_(i, L+1-i)``; ``rank H_ij`` is then the number of
+    its pivot columns below ``m j``.  ``ranks`` lists exactly the sizes
+    the scan inspected, in the order of (i, j).
     """
     L = len(seq)
     if L < 2:
         raise ValueError("need at least two blocks to certify anything")
     cache: dict[tuple[int, int], int] = {}
+    profiles: dict[int, tuple[int, ...]] = {}
 
     def rk(i: int, j: int) -> int:
         key = (i, j)
         if key not in cache:
-            cache[key] = rank(hankel(seq, i, j))
+            if i not in profiles:
+                profiles[i] = pivot_columns(hankel(seq, i, L + 1 - i))
+            cache[key] = bisect_left(profiles[i], seq.m * j)
         return cache[key]
 
     for r in range(1, L - 1):

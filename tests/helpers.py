@@ -6,7 +6,8 @@ import itertools
 from fractions import Fraction
 from random import Random
 
-from moduli_sys.linalg import Field, Matrix
+from moduli_sys.linalg import Field, Matrix, rank
+from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
 from moduli_sys.system import LinearSystem, all_systems
 
 
@@ -109,3 +110,25 @@ def all_f2_matrices(max_rows: int = 3, max_cols: int = 3):
         for c in range(1, max_cols + 1):
             for bits in itertools.product((0, 1), repeat=r * c):
                 yield Matrix(field, r, c, bits)
+
+
+def reference_realizability_order(seq):
+    """The order certification scan with one elimination per inspected H_ij."""
+    L = len(seq)
+    if L < 2:
+        raise ValueError("need at least two blocks to certify anything")
+    cache = {}
+
+    def rk(i, j):
+        if (i, j) not in cache:
+            cache[(i, j)] = rank(hankel(seq, i, j))
+        return cache[(i, j)]
+
+    for r in range(1, L - 1):
+        for s in range(1, L - r):
+            base = rk(r, s)
+            if all(rk(r + 1, s + j) == base for j in range(1, L - r - s + 1)):
+                ranks = tuple(sorted((i, j, v) for (i, j), v in cache.items()))
+                return HankelRankProfile(r=r, s=s, order=base, ranks=ranks)
+    ranks = tuple(sorted((i, j, v) for (i, j), v in cache.items()))
+    return NotStabilized(window=L, ranks=ranks)

@@ -148,3 +148,30 @@ def test_outputs_deterministic_across_runs(tmp_path, capsys):
             _, out1, _ = run(capsys, [command, "--system", path])
             _, out2, _ = run(capsys, [command, "--system", path])
             assert out1 == out2
+
+
+def test_huge_modulus_fails_fast(tmp_path, capsys):
+    import subprocess
+    import sys
+
+    def system_file(name, q):
+        payload = {
+            "field": {"Fp": q}, "m": 1, "n": 1, "p": 1,
+            "A": ["2"], "B": ["1"], "C": ["3"],
+        }
+        return write_json(tmp_path / name, payload)
+
+    # a 25-digit prime: a fresh process answers well inside the timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "moduli_sys", "analyze", "--system", system_file("p.json", 10 ** 24 + 7)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "field: F1000000000000000000000007" in proc.stdout
+
+    code, _, err = run(capsys, ["analyze", "--system", system_file("big.json", 2 ** 89 - 1)])
+    assert code == 1
+    assert "INVALID_INPUT" in err and "too large" in err
+    code, _, err = run(capsys, ["analyze", "--system", system_file("comp.json", (10 ** 12 + 39) * (10 ** 12 + 61))])
+    assert code == 1
+    assert "must be prime" in err

@@ -139,3 +139,13 @@ def test_env_bound_override(monkeypatch):
         census_cc(1, 1, 1, 2)
     monkeypatch.delenv("MODULI_SYS_CENSUS_BOUND")
     assert census_cc(1, 1, 1, 2).match
+
+
+def test_pair_count_cache_is_bounded():
+    from moduli_sys import counting
+
+    info = counting._cc_pair_count.cache_info()
+    assert info.maxsize == counting._PAIR_COUNT_CACHE_SIZE == 1 << 16
+    for q in (2, 3):
+        census_cc(1, 1, 1, q)
+    assert 0 < counting._cc_pair_count.cache_info().currsize <= info.maxsize

@@ -17,6 +17,7 @@ from moduli_sys.linalg import (
     inverse,
     kernel_basis,
     minor_det,
+    pivot_columns,
     rank,
     rref_with_pivots,
     solve_right,
@@ -43,6 +44,24 @@ def test_prime_validation():
     with pytest.raises(ValueError):
         Field.prime(1)
     assert Field.prime(2).q == 2
+
+
+def test_primality_of_large_moduli():
+    import sympy
+
+    from moduli_sys.linalg import _is_prime
+
+    assert [q for q in range(5000) if _is_prime(q)] == list(sympy.primerange(5000))
+    # the smallest strong pseudoprimes to the first k prime bases, and a Carmichael number
+    for q in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461, 561):
+        assert not _is_prime(q), q
+    assert Field.prime(10 ** 24 + 7).q == 10 ** 24 + 7
+    assert Field.prime(2 ** 61 - 1).q == 2 ** 61 - 1
+    with pytest.raises(ValueError):
+        Field.prime((10 ** 12 + 39) * (10 ** 12 + 61))  # two primes, no small factor
+    with pytest.raises(ValueError, match="too large"):
+        Field.prime(2 ** 89 - 1)  # prime, but beyond the proven Miller-Rabin range
 
 
 def test_coercion():
@@ -126,6 +145,10 @@ def test_rank_against_oracles_exhaustive_f2():
         r = rank(m)
         assert r == span_rank_oracle(m)
         assert r == gauss_rank_oracle(m.to_rows(), 2)
+        # column rank profile: the pivots below k count the rank of the first k columns
+        piv = pivot_columns(m)
+        for k in range(m.cols + 1):
+            assert sum(c < k for c in piv) == span_rank_oracle(m.columns_at(range(k)))
 
 
 def test_kernel_against_enumeration_exhaustive_f2():
@@ -185,6 +208,15 @@ def test_rank_transpose_qq(m):
 @given(f5_matrices())
 def test_rank_transpose_f5(m):
     assert rank(m) == rank(m.transpose())
+
+
+@given(qq_matrices())
+def test_pivot_columns_are_the_independent_prefix_extensions(m):
+    # column c is a pivot exactly when it lies outside the span of the columns before it
+    piv = pivot_columns(m)
+    for c in range(m.cols):
+        outside = solve_right(m.columns_at(range(c)), m.column(c)) is None
+        assert (c in piv) == outside
 
 
 @given(qq_matrices())

@@ -145,3 +145,18 @@ def test_simple_iff_canonical_random_rationals():
         p = rng.randint(0, 2)
         s = random_system(QQ, m, n, p, rng, bound=2)
         assert is_simple(QuiverRep.of(s)) == classify(s).canonical
+
+
+def test_factor_cache_is_bounded(monkeypatch):
+    from moduli_sys import quiver
+
+    assert quiver._FACTOR_CACHE_SIZE == 2 ** 16
+    monkeypatch.setattr(quiver, "_FACTOR_CACHE_SIZE", 3)
+    monkeypatch.setattr(quiver, "_FACTOR_CACHE", {})
+    ops = [Matrix.from_rows(QQ, [[k, 0], [1, k]]) for k in range(6)]
+    first = [quiver._invariant_subspace_dims(op) for op in ops]
+    assert len(quiver._FACTOR_CACHE) == 3
+    # the three newest keys stay; evicted ones are recomputed to the same value
+    assert [(None, (1, -2 * k, k * k)) for k in range(3, 6)] == list(quiver._FACTOR_CACHE)
+    assert [quiver._invariant_subspace_dims(op) for op in ops] == first
+    assert len(quiver._FACTOR_CACHE) == 3

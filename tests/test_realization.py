@@ -199,3 +199,41 @@ def test_markov_sequence_json_roundtrip():
     s = random_system(F5, 2, 2, 1, rng)
     seq = MarkovSequence.from_system(s, 5)
     assert MarkovSequence.from_json(seq.to_json()) == seq
+
+
+def test_realizability_order_matches_reference_scan():
+    # the prefix-count certification against one elimination per inspected H_ij
+    from helpers import reference_realizability_order
+
+    rng = random.Random(26)
+    verdicts = {HankelRankProfile: 0, NotStabilized: 0}
+    random_windows = []
+
+    def check(seq):
+        got = realizability_order(seq)
+        assert got == reference_realizability_order(seq), seq
+        verdicts[type(got)] += 1
+        return got
+
+    for field in (QQ, F2, F5):
+        for m in (1, 2, 3):
+            for p in (1, 2, 3):
+                for n in range(5):
+                    require = rng.choice(("any", "canonical"))
+                    system = random_system(field, m, n, p, rng, require=require)
+                    exact = max(2 * n + 1, 2)
+                    for window in (exact, exact + rng.randint(1, 3)):
+                        check(MarkovSequence.from_system(system, window))
+                for window in (2, 3, 5):
+                    zero = Matrix.zeros(field, p, m)
+                    check(MarkovSequence(field, m, p, (zero,) * window))
+                for window in (2, 3, 4):
+                    blocks = tuple(
+                        Matrix(field, p, m, tuple(field.coerce(rng.randint(-3, 3)) for _ in range(p * m)))
+                        for _ in range(window)
+                    )
+                    random_windows.append(check(MarkovSequence(field, m, p, blocks)))
+    assert verdicts[HankelRankProfile] > 0 and verdicts[NotStabilized] > 0
+    # random short windows are mostly not realizable inside the window
+    unstable = sum(isinstance(v, NotStabilized) for v in random_windows)
+    assert unstable >= 2 * len(random_windows) // 3
