@@ -79,8 +79,9 @@ def cmd_analyze(args) -> int:
     }
     if cls.cc:
         code = kalman_code(system)
+        cell = multiindex_from_code(code)
         payload["kalman_code"] = code.to_json()
-        payload["schubert_cell"] = list(multiindex_from_code(code))
+        payload["schubert_cell"] = list(cell)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
         return 0
@@ -91,11 +92,10 @@ def cmd_analyze(args) -> int:
     print(f"cc={_bool(cls.cc)} co={_bool(cls.co)} canonical={_bool(cls.canonical)}")
     print(f"simple as quiver representation: {_bool(payload['simple'])}")
     if cls.cc:
-        code = kalman_code(system)
         print("kalman code (rows = powers 0..n-1, columns = inputs 1..m):")
         for line in code.ascii_art().splitlines():
             print(f"  {line}")
-        print(f"schubert cell I = {multiindex_from_code(code)}")
+        print(f"schubert cell I = {cell}")
     else:
         print("kalman code: undefined (system is not completely controllable)")
     return 0

@@ -6,19 +6,19 @@ observable) systems over ``F_q``:
     cc: q^(n(p+1)) * prod_{i=1..n} (q^(m+i-1) - 1) / (q^i - 1)
     co: q^(n(m+1)) * prod_{i=1..n} (q^(p+i-1) - 1) / (q^i - 1)
 
-The census is the referee: it enumerates every ``(A, B)`` pair (or
-``(A, C)`` for the dual count), tests the rank condition, multiplies by
-the free choices of the remaining matrix and divides by ``|GL_n(F_q)|``
-(stabilizers on the controllable locus are trivial, so that division is
-exact).  The enumeration kernel is batched integer arithmetic mod q via
-numpy; it is exact, and tests cross-check it against the scalar rank
-routine.
+The census is the referee: it enumerates every ``(A, B)`` pair (the
+dual count is the same census of the dual shape), tests the rank
+condition, multiplies by the free choices of the remaining matrix and
+divides by ``|GL_n(F_q)|`` (stabilizers on the controllable locus are
+trivial, so that division is exact).  The enumeration kernel is batched
+integer arithmetic mod q via numpy; it is exact, and tests cross-check
+it against the scalar rank routine.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,6 +33,8 @@ DEFAULT_CENSUS_BOUND = 1 << 24
 _ENV_BOUND = "MODULI_SYS_CENSUS_BOUND"
 _CHUNK = 1 << 16
 _PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
+# The int64 kernel needs n * (q - 1)^2 < 2^63 and a q-entry inverse table.
+_MAX_CENSUS_MODULUS = 1 << 20
 
 CSV_HEADER = "m,n,p,q,raw,gl_order,orbits,formula,match"
 
@@ -143,6 +145,8 @@ def _cc_pair_count(m: int, n: int, q: int, bound: int) -> int:
     """Number of (A, B) pairs over F_q whose controllability rank is n."""
     if n == 0:
         return 1
+    if m and q >= _MAX_CENSUS_MODULUS:
+        raise ValueError(f"census modulus {q} is too large; the census supports moduli below {_MAX_CENSUS_MODULUS}")
     states = q ** (n * (n + m))
     if states > bound:
         raise CensusTooLarge(f"{states} states exceed the bound {bound}")
@@ -231,49 +235,14 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
 
 
 def census_co(m: int, n: int, p: int, q: int, bound: int | None = None) -> CensusReport:
-    """Dual census: counts co orbits by dualizing each (A, C) pair.
+    """Dual census: co orbits of type (m, n, p) are cc orbits of type (p, n, m).
 
-    Observability of ``(A, C)`` is tested as controllability of the
-    transposed pair ``(A^T, C^T)``, i.e. through the duality that swaps
-    the two notions; ``B`` contributes ``q^(mn)`` free choices.
+    ``(A, C)`` is observable exactly when ``(A^T, C^T)`` is controllable,
+    and transposition is a bijection of the pair sets, so the count is
+    :func:`census_cc` of the dual shape, reported under the original
+    ``m`` and ``p``.
     """
-    Field.prime(q)  # validates primality
-    limit = _census_bound(bound)
-    glq = gl_order(n, q)
-    formula = count_co_formula(m, n, p, q)
-    if n == 0:
-        pairs = 1
-    else:
-        states = q ** (n * (n + p))
-        if states > limit:
-            raise CensusTooLarge(f"{states} states exceed the bound {limit}")
-        pairs = 0
-        for start in range(0, states, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, states), dtype=np.int64)
-            a, c = _digit_matrices(idx, q, [(n, n), (p, n)])
-            a_t = a.transpose(0, 2, 1)
-            c_t = c.transpose(0, 2, 1)
-            blocks = [c_t]
-            cur = c_t
-            for _ in range(1, n):
-                cur = np.matmul(a_t, cur) % q
-                blocks.append(cur)
-            obs_dual = np.concatenate(blocks, axis=2)
-            pairs += int((_batched_rank_modq(obs_dual, q) == n).sum())
-    raw = pairs * q ** (m * n)
-    if raw % glq:
-        raise ArithmeticError(
-            f"raw count {raw} not divisible by |GL_{n}(F_{q})| = {glq}"
-        )
-    orbits = raw // glq
-    return CensusReport(
-        m=m, n=n, p=p, q=q,
-        raw_cc_triples=raw,
-        gl_order=glq,
-        orbit_count=orbits,
-        formula_value=formula,
-        match=orbits == formula,
-    )
+    return replace(census_cc(p, n, m, q, bound=bound), m=m, p=p)
 
 
 def census_csv(reports) -> str:

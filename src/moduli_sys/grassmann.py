@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, NotInLocus, RankDeficient
+from .errors import DimensionMismatch, NotControllable, NotInLocus, RankDeficient
 from .kalman import MultiIndex, canonical_form, code_from_multiindex
 from .linalg import Field, Matrix, hstack, kernel_basis, rank, rref_with_pivots
 from .system import LinearSystem
@@ -234,14 +234,14 @@ def stratum_point(system: LinearSystem) -> InfiniteGrassmannPoint:
     long as ``[B C^T A]`` has full row rank; they get the raw relation
     plane of the representative at hand.
     """
-    from .system import classify
-
-    if system.n > 0 and classify(system).cc:
+    try:
         _, system = canonical_form(system)
+    except NotControllable:
+        pass
     L = hstack([system.B, system.C.transpose(), system.A])
-    if rank(L) < system.n:
-        raise RankDeficient(f"[B C^T A] has rank below n = {system.n}")
     relations = kernel_basis(L)
+    if relations.rows > system.m + system.p:
+        raise RankDeficient(f"[B C^T A] has rank below n = {system.n}")
     return InfiniteGrassmannPoint(point_from_matrix(relations), system.n)
 
 

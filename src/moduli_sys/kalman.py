@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidMultiIndex, NotControllable
-from .linalg import Matrix, inverse
+from .linalg import Matrix, hstack, inverse, pivot_columns
 from .system import LinearSystem, act
 
 
@@ -131,46 +131,40 @@ class KalmanCode:
 
 
 def _new_direction_walk(system: LinearSystem):
-    """Scan columns ``A^i B_j`` in lexicographic (i, j) order.
+    """Black boxes: the pivot columns of the Krylov matrix ``[B, AB, A^2 B, ...]``.
 
-    Returns the black box set and the original column vectors of the
-    black boxes, keyed by box.  Raises if fewer than ``n`` independent
-    columns show up (the system is not completely controllable).
+    A box ``(i, j)`` is black when its column ``A^i B_j`` is independent
+    of every column before it in lexicographic ``(i, j)`` order.  The
+    blocks are built lazily.  When box ``(i, j)`` is white, so is every
+    box ``(i', j)`` below it, so a block never holds more pivots than
+    the block before it and a new block needs only the columns that were
+    black in the last one.  With ``k`` of them, at least
+    ``ceil(missing / k)`` more blocks are needed: that many are appended
+    at once (``ceil(n/m)`` full blocks to start, all a generic system
+    needs) and the matrix is eliminated again.  Returns the black box
+    set and the original column vectors of the black boxes, keyed by
+    box.  Raises if a block adds no pivot before the count reaches
+    ``n`` (the system is not completely controllable).
     """
-    f = system.field
     n, m = system.n, system.m
-    black: set[tuple[int, int]] = set()
-    vectors: dict[tuple[int, int], list] = {}
-    basis: list[list] = []  # forward-eliminated copies, leading entries known
-
-    def try_add(vec: list) -> bool:
-        v = list(vec)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if v[lead] != 0:
-                factor = f.div(v[lead], b[lead])
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, b)]
-        if all(x == 0 for x in v):
-            return False
-        basis.append(v)
-        return True
-
-    block = system.B
-    for i in range(n):
-        for j in range(1, m + 1):
-            col = block.col_list(j - 1)
-            if try_add(col):
-                black.add((i, j))
-                vectors[(i, j)] = col
-                if len(black) == n:
-                    return black, vectors
-        if i + 1 < n:
-            block = system.A @ block
-    if len(black) < n:
-        raise NotControllable(
-            f"controllability rank is {len(black)} < n = {n}"
-        )
-    return black, vectors
+    krylov, blocks, boxes, pivots = system.B, [], [], ()
+    if n and m:
+        frontier, live = system.B, list(range(1, m + 1))
+        while len(pivots) < n and live:
+            for _ in range(-(-(n - len(pivots)) // len(live))):
+                if blocks:
+                    frontier = system.A @ frontier
+                blocks.append(frontier)
+                boxes += [(len(blocks) - 1, j) for j in live]
+            krylov = hstack(blocks)
+            pivots = pivot_columns(krylov)
+            first = len(boxes) - frontier.cols
+            newest = [c for c in pivots if c >= first]
+            live = [boxes[c][1] for c in newest]
+            frontier = frontier.columns_at([c - first for c in newest])
+    if len(pivots) < n:
+        raise NotControllable(f"controllability rank is {len(pivots)} < n = {n}")
+    return {boxes[c] for c in pivots}, {boxes[c]: krylov.col_list(c) for c in pivots}
 
 
 def kalman_code(system: LinearSystem) -> KalmanCode:

@@ -8,6 +8,13 @@ between threads.
 
 Zero-sized matrices (``0 x k`` and ``k x 0``) are legal everywhere and
 follow the usual conventions (empty products are 1, empty sums are 0).
+
+:func:`_eliminate` is the one Gaussian elimination routine: rank, the
+column rank profile, reduced echelon form, kernels, determinants,
+inverses and solving all call it, and so do the Kalman walk, basis
+completion and the Hankel rank profile through those.  The census keeps
+its own vectorized kernel (``counting._batched_rank_modq``) on purpose;
+tests cross-check it against :func:`rank`.
 """
 
 from __future__ import annotations
@@ -331,6 +338,47 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
 # -- elimination-based operations ---------------------------------------
 
 
+def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[list[int], int]:
+    """Gaussian elimination of a list of row lists, in place.
+
+    Sweeps the columns left to right and takes the first nonzero entry
+    at or below the current row as the pivot, then clears the entries
+    below it.  With ``reduced`` it also scales the pivot row to 1 and
+    clears the entries above, leaving the reduced row-echelon form.
+    Stops once every row holds a pivot.  Returns the (0-based) pivot
+    columns and the sign (+1 or -1) of the row swaps.
+    """
+    sub, mul = field.sub, field.mul
+    nrows = len(grid)
+    pivots: list[int] = []
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for piv in range(r, nrows):
+            if grid[piv][c] != 0:
+                break
+        else:
+            continue
+        if piv != r:
+            grid[r], grid[piv] = grid[piv], grid[r]
+            sign = -sign
+        prow = grid[r]
+        pivinv = field.inv(prow[c])
+        if reduced:
+            prow[c:] = [mul(pivinv, x) for x in prow[c:]]
+        for i in range(0 if reduced else r + 1, nrows):
+            row = grid[i]
+            v = row[c]
+            if i != r and v != 0:
+                factor = v if reduced else mul(v, pivinv)
+                for k in range(c, ncols):
+                    row[k] = sub(row[k], mul(factor, prow[k]))
+        pivots.append(c)
+    return pivots, sign
+
+
 def pivot_columns(matrix: Matrix) -> tuple[int, ...]:
     """Column rank profile: the (0-based) pivot columns of forward elimination.
 
@@ -338,34 +386,7 @@ def pivot_columns(matrix: Matrix) -> tuple[int, ...]:
     columns before it, so the number of pivots below ``k`` is the rank of
     the leading ``k`` columns.
     """
-    f = matrix.field
-    grid = matrix.to_rows()
-    nrows, ncols = matrix.rows, matrix.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if grid[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            grid[r], grid[piv] = grid[piv], grid[r]
-        pivinv = f.inv(grid[r][c])
-        prow = grid[r]
-        for i in range(r + 1, nrows):
-            v = grid[i][c]
-            if v != 0:
-                factor = f.mul(v, pivinv)
-                row = grid[i]
-                for k in range(c, ncols):
-                    row[k] = f.sub(row[k], f.mul(factor, prow[k]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    pivots, _ = _eliminate(matrix.field, matrix.to_rows(), matrix.cols, False)
     return tuple(pivots)
 
 
@@ -380,36 +401,10 @@ def rref_with_pivots(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     Row space is preserved; pivot entries are 1 and are the only nonzero
     entries in their columns.
     """
-    f = matrix.field
     grid = matrix.to_rows()
-    nrows, ncols = matrix.rows, matrix.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if grid[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            grid[r], grid[piv] = grid[piv], grid[r]
-        pivinv = f.inv(grid[r][c])
-        grid[r] = [f.mul(pivinv, x) for x in grid[r]]
-        prow = grid[r]
-        for i in range(nrows):
-            if i != r and grid[i][c] != 0:
-                factor = grid[i][c]
-                row = grid[i]
-                for k in range(c, ncols):
-                    row[k] = f.sub(row[k], f.mul(factor, prow[k]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    ent = tuple(f.coerce(x) for row in grid for x in row)
-    return Matrix(f, nrows, ncols, ent), tuple(pivots)
+    pivots, _ = _eliminate(matrix.field, grid, matrix.cols, True)
+    ent = tuple(x for row in grid for x in row)
+    return Matrix(matrix.field, matrix.rows, matrix.cols, ent), tuple(pivots)
 
 
 def kernel_basis(matrix: Matrix) -> Matrix:
@@ -446,28 +441,14 @@ def minor_det(matrix: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"{what} indices must be strictly increasing")
     f = matrix.field
-    n = len(row_idx)
     grid = [[matrix.entry(i, j) for j in col_idx] for i in row_idx]
-    det = f.one
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if grid[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return f.zero
-        if piv != c:
-            grid[c], grid[piv] = grid[piv], grid[c]
-            det = f.neg(det)
-        det = f.mul(det, grid[c][c])
-        pivinv = f.inv(grid[c][c])
-        for i in range(c + 1, n):
-            if grid[i][c] != 0:
-                factor = f.mul(grid[i][c], pivinv)
-                for k in range(c, n):
-                    grid[i][k] = f.sub(grid[i][k], f.mul(factor, grid[c][k]))
-    return det
+    pivots, sign = _eliminate(f, grid, len(col_idx), False)
+    if len(pivots) < len(row_idx):
+        return f.zero
+    out = f.one if sign > 0 else f.neg(f.one)
+    for r, c in enumerate(pivots):
+        out = f.mul(out, grid[r][c])
+    return out
 
 
 def det(matrix: Matrix) -> Scalar:

@@ -26,7 +26,7 @@ from typing import Iterator
 import sympy
 
 from .errors import NonzeroThetaAlpha, OracleTooLarge
-from .linalg import Field, Matrix, charpoly, inverse, kernel_basis, rank, rref_with_pivots, vstack
+from .linalg import Field, Matrix, charpoly, inverse, kernel_basis, pivot_columns, rank, rref_with_pivots, vstack
 from .system import LinearSystem, controllability_matrix, observability_matrix
 
 DEFAULT_SUBSPACE_LIMIT = 1 << 15
@@ -125,25 +125,16 @@ def _operator_blocks(a: Matrix, subspace_rows: Matrix) -> tuple[Matrix, Matrix]:
     """Restriction and quotient of ``a`` along an invariant subspace.
 
     ``subspace_rows`` holds a basis of an A-invariant subspace, one
-    vector per row.  Completes it to a basis of the whole space and
-    conjugates; the result is block upper triangular, giving the
-    restricted operator (top left) and the quotient operator (bottom
-    right).
+    vector per row.  Completes it greedily with standard basis vectors
+    to a basis of the whole space and conjugates; the result is block
+    upper triangular, giving the restricted operator (top left) and the
+    quotient operator (bottom right).
     """
     f = a.field
     n = a.rows
     d = subspace_rows.rows
-    basis = subspace_rows.to_rows()
-    taken = Matrix.from_rows(f, basis, cols=n)
-    for i in range(n):
-        if taken.rows == n:
-            break
-        candidate = [f.one if j == i else f.zero for j in range(n)]
-        trial = Matrix.from_rows(f, basis + [candidate], cols=n)
-        if rank(trial) == len(basis) + 1:
-            basis.append(candidate)
-            taken = trial
-    q_cols = Matrix.from_rows(f, basis, cols=n).transpose()
+    ext = vstack([subspace_rows, Matrix.identity(f, n)])
+    q_cols = ext.rows_at(pivot_columns(ext.transpose())).transpose()
     conj = inverse(q_cols) @ a @ q_cols
     lower_left = [conj.entry(i, j) for i in range(d, n) for j in range(d)]
     if any(x != 0 for x in lower_left):

@@ -6,6 +6,7 @@ import itertools
 from fractions import Fraction
 from random import Random
 
+from moduli_sys.errors import NotControllable
 from moduli_sys.linalg import Field, Matrix, rank
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
 from moduli_sys.system import LinearSystem, all_systems
@@ -132,3 +133,39 @@ def reference_realizability_order(seq):
                 return HankelRankProfile(r=r, s=s, order=base, ranks=ranks)
     ranks = tuple(sorted((i, j, v) for (i, j), v in cache.items()))
     return NotStabilized(window=L, ranks=ranks)
+
+
+def reference_new_direction_walk(system: LinearSystem):
+    """The Kalman walk column by column: reduce each ``A^i B_j`` against the basis so far."""
+    f = system.field
+    n, m = system.n, system.m
+    black: set[tuple[int, int]] = set()
+    vectors: dict[tuple[int, int], list] = {}
+    basis: list[list] = []  # forward-eliminated copies, leading entries known
+
+    def try_add(vec: list) -> bool:
+        v = list(vec)
+        for b in basis:
+            lead = next(i for i, x in enumerate(b) if x != 0)
+            if v[lead] != 0:
+                factor = f.div(v[lead], b[lead])
+                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, b)]
+        if all(x == 0 for x in v):
+            return False
+        basis.append(v)
+        return True
+
+    block = system.B
+    for i in range(n):
+        for j in range(1, m + 1):
+            col = block.col_list(j - 1)
+            if try_add(col):
+                black.add((i, j))
+                vectors[(i, j)] = col
+                if len(black) == n:
+                    return black, vectors
+        if i + 1 < n:
+            block = system.A @ block
+    if len(black) < n:
+        raise NotControllable(f"controllability rank is {len(black)} < n = {n}")
+    return black, vectors

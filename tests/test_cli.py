@@ -108,6 +108,15 @@ def test_census_cli(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+def test_census_cli_rejects_huge_modulus(monkeypatch, capsys):
+    # the state bound lets this cell through; the int64 kernel cannot take the modulus
+    monkeypatch.setenv("MODULI_SYS_CENSUS_BOUND", str(10 ** 20))
+    code, out, err = run(capsys, ["census", "--m", "1", "--p", "0", "--n-max", "1", "--q", "4294967311"])
+    assert code == 1
+    assert out == ""
+    assert "INVALID_INPUT" in err and "1048576" in err
+
+
 def test_realize_cli(tmp_path, capsys):
     seq = MarkovSequence.from_scalars(Field.rationals(), [1, 1, 2, 3, 5, 8])
     path = write_json(tmp_path / "fib.json", seq.to_json())

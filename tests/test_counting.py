@@ -20,6 +20,7 @@ from moduli_sys.counting import (
 )
 from moduli_sys.errors import CensusTooLarge
 from moduli_sys.linalg import Field, Matrix, rank
+from moduli_sys.system import all_systems, classify
 
 
 def test_gl_order():
@@ -103,6 +104,15 @@ def test_census_co_small_grid():
         assert report.orbit_count == census_cc(p, n, m, q).orbit_count
 
 
+def test_census_co_against_classify():
+    # independent of the cc census: count co triples one by one
+    for (m, n, p, q) in [(1, 2, 1, 2), (1, 2, 2, 2), (1, 2, 1, 3)]:
+        co_triples = sum(classify(s).co for s in all_systems(Field.prime(q), m, n, p))
+        assert co_triples % gl_order(n, q) == 0
+        orbits = co_triples // gl_order(n, q)
+        assert orbits == census_co(m, n, p, q).orbit_count == count_co_formula(m, n, p, q)
+
+
 def test_census_bound():
     with pytest.raises(CensusTooLarge):
         census_cc(2, 3, 0, 5, bound=10_000)
@@ -115,6 +125,19 @@ def test_census_mode_validation():
         census_cc(1, 1, 1, 2, mode="guess")
     with pytest.raises(ValueError):
         census_cc(1, 1, 1, 4)
+
+
+def test_census_modulus_cap():
+    from moduli_sys.counting import _MAX_CENSUS_MODULUS
+
+    for q in (1048583, 4294967311):  # primes above the cap
+        for census in (census_cc, census_co):
+            with pytest.raises(ValueError, match=str(_MAX_CENSUS_MODULUS)):
+                census(1, 1, 1, q, bound=10 ** 20)
+    assert census_cc(1, 0, 0, 1048573).match  # the largest prime below the cap
+    # cells that never reach the int64 kernel keep working above the cap
+    assert census_cc(1, 0, 0, 1048583).match
+    assert census_cc(0, 1, 0, 1048583, bound=10 ** 20).orbit_count == 0
 
 
 def test_series_identity():

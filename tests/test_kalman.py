@@ -6,9 +6,11 @@ import random
 import pytest
 
 from moduli_sys.errors import InvalidMultiIndex, NotControllable
+from moduli_sys.grassmann import system_from_cell
 from moduli_sys.kalman import (
     KalmanCode,
     MultiIndex,
+    _new_direction_walk,
     all_codes,
     canonical_form,
     code_from_multiindex,
@@ -18,7 +20,7 @@ from moduli_sys.kalman import (
 from moduli_sys.linalg import Field, Matrix, charpoly
 from moduli_sys.system import LinearSystem, act, markov_parameters, random_system
 
-from helpers import unimodular
+from helpers import reference_new_direction_walk, unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -243,3 +245,56 @@ def test_canonical_form_n0():
     assert g.rows == 0 and canon == s
     assert kalman_code(s).black == frozenset()
     assert list(multiindex_from_code(kalman_code(s))) == []
+
+
+# -- the Krylov-pivot walk against the column-by-column walk -----------------
+
+
+def assert_walk_matches_reference(system: LinearSystem):
+    """Same black boxes, same vectors and the same canonical form as the reference walk."""
+    try:
+        black, vectors = reference_new_direction_walk(system)
+    except NotControllable:
+        with pytest.raises(NotControllable):
+            _new_direction_walk(system)
+        with pytest.raises(NotControllable):
+            canonical_form(system)
+        return
+    assert _new_direction_walk(system) == (black, vectors)
+    code = KalmanCode(system.m, system.n, frozenset(black))
+    ordered = [vectors[box] for box in code.boxes_in_order()]
+    g = _inv(Matrix.from_cols(system.field, ordered, rows=system.n))
+    assert canonical_form(system) == (g, act(g, system))
+
+
+def test_walk_matches_reference_on_f2_sweep(f2_sweep):
+    for s, _ in f2_sweep:
+        assert_walk_matches_reference(s)
+
+
+def test_walk_matches_reference_on_every_code():
+    # system_from_cell realizes each code, so the non-generic ones (some
+    # column taller than ceil(n/m)) take the block-growing path
+    rng = random.Random(13)
+    for field in (F2, F3, QQ):
+        for m in range(1, 4):
+            for n in range(1, 5):
+                for code in all_codes(m, n):
+                    s = system_from_cell(multiindex_from_code(code), m, n, field)
+                    assert kalman_code(s) == code
+                    assert_walk_matches_reference(s)
+                    assert_walk_matches_reference(act(unimodular(field, n, rng), s))
+        # heights (5, 3) at (m, n) = (3, 8) need three eliminations: 6, 7, then 8 pivots
+        code = KalmanCode(3, 8, frozenset([(i, 1) for i in range(5)] + [(i, 2) for i in range(3)]))
+        s = act(unimodular(field, 8, rng), system_from_cell(multiindex_from_code(code), 3, 8, field))
+        assert kalman_code(s) == code
+        assert_walk_matches_reference(s)
+
+
+def test_walk_matches_reference_on_random_systems():
+    rng = random.Random(14)
+    for field in (QQ, F5):
+        for n in range(0, 11):
+            for _ in range(4):
+                m, p = rng.randint(1, 3), rng.randint(0, 2)
+                assert_walk_matches_reference(random_system(field, m, n, p, rng))

@@ -177,6 +177,12 @@ def test_det_against_leibniz():
         n = rng.randint(1, 4)
         m = mat(QQ, [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         assert det(m) == leibniz_det(m)
+    # the minor at rows {0, 1, 3}, columns {0, 2, 3} needs exactly one row swap
+    odd = [[0, 9, 2, 1], [1, 5, 0, 0], [3, 3, 3, 3], [0, 6, 4, 0]]
+    for field in (QQ, F5):
+        minor = leibniz_det(mat(field, [[0, 2, 1], [1, 0, 0], [0, 4, 0]]))
+        assert minor != field.neg(minor)
+        assert minor_det(mat(field, odd), [0, 1, 3], [0, 2, 3]) == minor
 
 
 # -- algebraic properties ----------------------------------------------------
