@@ -224,7 +224,8 @@ def build_parser() -> _Parser:
     p_census.add_argument("--n-min", type=int, default=0)
     p_census.add_argument("--q", required=True, help="comma-separated primes")
     p_census.add_argument("--bound", type=int, default=None,
-                          help="state-count bound (also via MODULI_SYS_CENSUS_BOUND)")
+                          help="bound on the states a cell enumerates, q^(nm) + min(n,m)*q^(n^2) "
+                               "(default: MODULI_SYS_CENSUS_BOUND, else 2^24)")
     p_census.set_defaults(func=cmd_census)
 
     p_realize = sub.add_parser("realize", help="realize a Markov sequence file")

@@ -6,13 +6,29 @@ observable) systems over ``F_q``:
     cc: q^(n(p+1)) * prod_{i=1..n} (q^(m+i-1) - 1) / (q^i - 1)
     co: q^(n(m+1)) * prod_{i=1..n} (q^(p+i-1) - 1) / (q^i - 1)
 
-The census is the referee: it enumerates every ``(A, B)`` pair (the
-dual count is the same census of the dual shape), tests the rank
-condition, multiplies by the free choices of the remaining matrix and
-divides by ``|GL_n(F_q)|`` (stabilizers on the controllable locus are
-trivial, so that division is exact).  The enumeration kernel is batched
-integer arithmetic mod q via numpy; it is exact, and tests cross-check
-it against the scalar rank routine.
+The census is the referee: it counts the controllable ``(A, B)`` pairs
+by enumeration (the dual count is the same census of the dual shape),
+multiplies by the free choices of the remaining matrix and divides by
+``|GL_n(F_q)|`` (stabilizers on the controllable locus are trivial, so
+that division is exact).
+
+Controllability of ``(A, B)`` is invariant under ``(A, B) -> (g A g^-1,
+g B h)`` for ``g`` in ``GL_n`` and ``h`` in ``GL_m``, and every ``B`` of
+rank ``r`` is ``g [I_r 0; 0 0] h`` for some such pair.  Conjugation by
+``g`` permutes the ``A``, and only the column space of ``B`` matters to
+the Krylov matrix, so
+
+    #cc pairs = sum_r #{B : rank B = r} * #{A : (A, E_r) cc},  E_r = [I_r; 0].
+
+The pair count makes two exhaustive passes and uses no closed formula:
+one over all ``q^(nm)`` matrices ``B`` for the histogram of their ranks,
+then one over all ``q^(n^2)`` matrices ``A`` for each ``r = 1..min(n, m)``,
+testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  That is
+``q^(nm) + min(n, m) q^(n^2)`` enumerated states, and the state bound
+applies to that number.  The enumeration kernel is batched integer
+arithmetic mod q via numpy; it is exact, and tests cross-check it
+against the scalar rank routine and against a full ``(A, B)``
+enumeration.
 """
 
 from __future__ import annotations
@@ -24,10 +40,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CensusTooLarge
+from .errors import CensusTooLarge, NotControllable
 from .kalman import canonical_form
 from .linalg import Field
-from .system import all_systems, classify
+from .system import all_systems
 
 DEFAULT_CENSUS_BOUND = 1 << 24
 _ENV_BOUND = "MODULI_SYS_CENSUS_BOUND"
@@ -140,6 +156,28 @@ def _census_bound(bound: int | None) -> int:
     return int(env) if env else DEFAULT_CENSUS_BOUND
 
 
+def _chunks(count: int):
+    """Enumeration indices ``0..count-1`` in int64 chunks."""
+    for start in range(0, count, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
+
+
+def _rank_histogram(batches, q: int, n: int) -> np.ndarray:
+    """How many matrices of each rank ``0..n`` the batches of ``n``-row matrices hold."""
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for mats in batches:
+        hist += np.bincount(_batched_rank_modq(mats, q), minlength=n + 1)
+    return hist
+
+
+def _krylov(a: np.ndarray, e: np.ndarray, q: int) -> np.ndarray:
+    """``[E, A E, ..., A^(n-1) E]`` mod q for a batch of ``A`` and one ``E``."""
+    blocks = [np.broadcast_to(e, (len(a),) + e.shape)]
+    for _ in range(1, a.shape[1]):
+        blocks.append(np.matmul(a, blocks[-1]) % q)
+    return np.concatenate(blocks, axis=2)
+
+
 @lru_cache(maxsize=_PAIR_COUNT_CACHE_SIZE)
 def _cc_pair_count(m: int, n: int, q: int, bound: int) -> int:
     """Number of (A, B) pairs over F_q whose controllability rank is n."""
@@ -147,21 +185,24 @@ def _cc_pair_count(m: int, n: int, q: int, bound: int) -> int:
         return 1
     if m and q >= _MAX_CENSUS_MODULUS:
         raise ValueError(f"census modulus {q} is too large; the census supports moduli below {_MAX_CENSUS_MODULUS}")
-    states = q ** (n * (n + m))
+    top = min(n, m)
+    states = q ** (n * m) + top * q ** (n * n)
     if states > bound:
         raise CensusTooLarge(f"{states} states exceed the bound {bound}")
+    b_mats = (_digit_matrices(idx, q, [(n, m)])[0] for idx in _chunks(q ** (n * m)))
+    b_ranks = _rank_histogram(b_mats, q, n)
     count = 0
-    for start in range(0, states, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, states), dtype=np.int64)
-        a, b = _digit_matrices(idx, q, [(n, n), (n, m)])
-        blocks = [b]
-        cur = b
-        for _ in range(1, n):
-            cur = np.matmul(a, cur) % q
-            blocks.append(cur)
-        ctrb = np.concatenate(blocks, axis=2)
-        count += int((_batched_rank_modq(ctrb, q) == n).sum())
+    for r in range(1, top + 1):
+        e = np.eye(n, r, dtype=np.int64)
+        krylovs = (_krylov(_digit_matrices(idx, q, [(n, n)])[0], e, q) for idx in _chunks(q ** (n * n)))
+        count += int(b_ranks[r]) * int(_rank_histogram(krylovs, q, n)[n])
     return count
+
+
+def _check_dimensions(**dims: int) -> None:
+    for name, value in dims.items():
+        if value < 0:
+            raise ValueError(f"census dimension {name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -188,13 +229,15 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
               bound: int | None = None) -> CensusReport:
     """Brute-force orbit count of cc systems, checked against the formula.
 
-    ``mode="exhaustive"`` enumerates all (A, B) pairs, counts those of
-    full controllability rank, multiplies by the ``q^(pn)`` free output
-    maps and divides by ``|GL_n|`` (the division must be exact; that is
-    asserted).  ``mode="canonical-forms"`` instead enumerates all
-    (A, B, C) triples and counts distinct canonical forms, which checks
-    the orbit count without relying on the trivial-stabilizer division.
+    ``mode="exhaustive"`` counts the (A, B) pairs of full
+    controllability rank by the two rank-stratified passes of the module
+    docstring, multiplies by the ``q^(pn)`` free output maps and divides
+    by ``|GL_n|`` (the division must be exact; that is asserted).
+    ``mode="canonical-forms"`` instead enumerates all (A, B, C) triples
+    and counts distinct canonical forms, which checks the orbit count
+    without relying on the trivial-stabilizer division.
     """
+    _check_dimensions(m=m, n=n, p=p)
     Field.prime(q)  # validates primality
     limit = _census_bound(bound)
     glq = gl_order(n, q)
@@ -214,9 +257,11 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
         forms = set()
         raw = 0
         for sys_ in all_systems(field, m, n, p):
-            if classify(sys_).cc:
-                raw += 1
+            try:
                 forms.add(canonical_form(sys_)[1])
+            except NotControllable:
+                continue
+            raw += 1
         orbits = len(forms)
         if orbits * glq != raw:
             raise ArithmeticError(
@@ -242,6 +287,7 @@ def census_co(m: int, n: int, p: int, q: int, bound: int | None = None) -> Censu
     :func:`census_cc` of the dual shape, reported under the original
     ``m`` and ``p``.
     """
+    _check_dimensions(m=m, n=n, p=p)
     return replace(census_cc(p, n, m, q, bound=bound), m=m, p=p)
 
 

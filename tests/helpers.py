@@ -6,6 +6,9 @@ import itertools
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
+from moduli_sys.counting import _batched_rank_modq, _digit_matrices
 from moduli_sys.errors import NotControllable
 from moduli_sys.linalg import Field, Matrix, rank
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
@@ -169,3 +172,20 @@ def reference_new_direction_walk(system: LinearSystem):
     if len(black) < n:
         raise NotControllable(f"controllability rank is {len(black)} < n = {n}")
     return black, vectors
+
+
+def reference_cc_pair_count(m: int, n: int, q: int) -> int:
+    """Controllable (A, B) pairs over F_q, by enumerating every pair at once."""
+    states = q ** (n * (n + m))
+    count = 0
+    for start in range(0, states, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), states), dtype=np.int64)
+        a, b = _digit_matrices(idx, q, [(n, n), (n, m)])
+        blocks = [b]
+        cur = b
+        for _ in range(1, n):
+            cur = np.matmul(a, cur) % q
+            blocks.append(cur)
+        ctrb = np.concatenate(blocks, axis=2)
+        count += int((_batched_rank_modq(ctrb, q) == n).sum())
+    return count

@@ -117,6 +117,30 @@ def test_census_cli_rejects_huge_modulus(monkeypatch, capsys):
     assert "INVALID_INPUT" in err and "1048576" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--m", "1", "--p", "-1", "--n-max", "2", "--q", "2"], "p"),
+    (["--m", "1", "--p", "1", "--n-min", "-2", "--n-max", "2", "--q", "2"], "n"),
+    (["--m", "-1", "--p", "1", "--n-max", "2", "--q", "2"], "m"),
+])
+def test_census_cli_rejects_negative_dimensions(argv, name, capsys):
+    code, out, err = run(capsys, ["census"] + argv)
+    assert code == 1
+    assert out == ""
+    assert f"INVALID_INPUT: census dimension {name} must be non-negative" in err
+
+
+def test_census_cli_bound_counts_enumerated_states(capsys):
+    # (1,2,0,2) enumerates 2^2 matrices B and 1 * 2^4 matrices A: 20 states, not the 2^6 pairs
+    argv = ["census", "--m", "1", "--p", "0", "--n-min", "2", "--n-max", "2", "--q", "2", "--bound"]
+    code, out, _ = run(capsys, argv + ["20"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,2,0,2,24,6,4,4,true"]
+    code, out, err = run(capsys, argv + ["19"])
+    assert code == 2
+    assert out == ""
+    assert "CensusTooLarge: 20 states exceed the bound 19" in err
+
+
 def test_realize_cli(tmp_path, capsys):
     seq = MarkovSequence.from_scalars(Field.rationals(), [1, 1, 2, 3, 5, 8])
     path = write_json(tmp_path / "fib.json", seq.to_json())

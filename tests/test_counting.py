@@ -1,5 +1,6 @@
 """Point-count formulas, q-binomials and the census referee."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from moduli_sys.counting import (
     CSV_HEADER,
+    DEFAULT_CENSUS_BOUND,
     census_cc,
     census_co,
     census_csv,
@@ -17,10 +19,13 @@ from moduli_sys.counting import (
     q_binomial,
     series_identity_check,
     _batched_rank_modq,
+    _cc_pair_count,
 )
 from moduli_sys.errors import CensusTooLarge
 from moduli_sys.linalg import Field, Matrix, rank
-from moduli_sys.system import all_systems, classify
+from moduli_sys.system import LinearSystem, all_systems, classify
+
+from helpers import reference_cc_pair_count
 
 
 def test_gl_order():
@@ -89,7 +94,8 @@ def test_census_cc_small_grid():
 
 
 def test_census_canonical_forms_mode():
-    for (m, n, p, q) in [(1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (1, 2, 0, 2), (1, 2, 1, 2)]:
+    for (m, n, p, q) in [(1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (1, 2, 0, 2), (1, 2, 1, 2),
+                         (0, 2, 1, 2), (1, 0, 1, 3)]:
         by_division = census_cc(m, n, p, q)
         by_forms = census_cc(m, n, p, q, mode="canonical-forms")
         assert by_forms.match
@@ -120,6 +126,20 @@ def test_census_bound():
         census_cc(1, 1, 1, 2, mode="canonical-forms", bound=4)
 
 
+def test_census_bound_counts_enumerated_states():
+    # (1,1,1,2) enumerates 2^1 matrices B and 1 * 2^1 matrices A
+    assert census_cc(1, 1, 1, 2, bound=4).match
+    with pytest.raises(CensusTooLarge, match="^4 states exceed the bound 3$"):
+        census_cc(1, 1, 1, 2, bound=3)
+
+
+def test_census_rejects_negative_dimensions():
+    for census in (census_cc, census_co):
+        for name, (m, n, p) in (("m", (-1, 1, 1)), ("n", (1, -2, 1)), ("p", (1, 1, -1))):
+            with pytest.raises(ValueError, match=f"census dimension {name} must be non-negative"):
+                census(m, n, p, 2)
+
+
 def test_census_mode_validation():
     with pytest.raises(ValueError):
         census_cc(1, 1, 1, 2, mode="guess")
@@ -138,6 +158,48 @@ def test_census_modulus_cap():
     # cells that never reach the int64 kernel keep working above the cap
     assert census_cc(1, 0, 0, 1048583).match
     assert census_cc(0, 1, 0, 1048583, bound=10 ** 20).orbit_count == 0
+
+
+# The (m, n, q) pair counts behind criterion 1: census_cc reads (m, n, q)
+# and census_co the dual (p, n, q).
+CRITERION_1_PAIR_CELLS = sorted(
+    {(k, n, q) for k in (0, 1, 2) for n in (0, 1, 2) for q in (2, 3, 5)}
+    | {(k, 3, 2) for k in (0, 1, 2)}
+)
+
+
+def test_pair_count_against_full_pair_enumeration():
+    for m, n, q in CRITERION_1_PAIR_CELLS + [(1, 3, 3), (3, 3, 2)]:
+        assert _cc_pair_count(m, n, q, DEFAULT_CENSUS_BOUND) == reference_cc_pair_count(m, n, q), (m, n, q)
+
+
+def test_controllability_depends_on_b_only_through_its_rank():
+    # the invariance step of the rank-stratified census, with the scalar classify
+    for m, n, q in [(2, 2, 2), (2, 2, 3), (3, 2, 2)]:
+        field = Field.prime(q)
+        no_output = Matrix.zeros(field, 0, n)
+        all_a = [Matrix(field, n, n, e) for e in itertools.product(range(q), repeat=n * n)]
+
+        def cc_count(b):
+            return sum(classify(LinearSystem.from_matrices(a, b, no_output)).cc for a in all_a)
+
+        by_rank = {
+            r: cc_count(Matrix(field, n, m, tuple(int(i == j < r) for i in range(n) for j in range(m))))
+            for r in range(min(n, m) + 1)
+        }
+        for entries in itertools.product(range(q), repeat=n * m):
+            b = Matrix(field, n, m, entries)
+            assert cc_count(b) == by_rank[rank(b)], (m, n, q, entries)
+
+
+def test_census_cells_beyond_full_pair_enumeration(monkeypatch):
+    # cells a full (A, B) enumeration cannot afford: 2^24 pairs for (2,4,0,2) alone, 3^15 for (2,3,1,3)
+    monkeypatch.delenv("MODULI_SYS_CENSUS_BOUND", raising=False)
+    for m, n, p, q in [(2, 4, 0, 2), (2, 3, 1, 3), (3, 3, 1, 3)]:
+        cc = census_cc(m, n, p, q)
+        assert cc.match and cc.formula_value == count_cc_formula(m, n, p, q), cc
+        co = census_co(m, n, p, q)
+        assert co.match and co.formula_value == count_co_formula(m, n, p, q), co
 
 
 def test_series_identity():
