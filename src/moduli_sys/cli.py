@@ -159,6 +159,8 @@ def cmd_census(args) -> int:
     qs = [int(tok) for tok in args.q.split(",") if tok]
     if not qs:
         raise UsageError("--q needs at least one prime")
+    if args.n_min > args.n_max:
+        raise UsageError(f"empty n range: --n-min {args.n_min} > --n-max {args.n_max}")
     rows = []
     for q in qs:
         for n in range(args.n_min, args.n_max + 1):

@@ -187,7 +187,8 @@ class InfiniteGrassmannPoint:
         if self.stratum < 0:
             raise ValueError("negative stratum")
 
-    def _stripped_width(self) -> int:
+    def minimal_ambient(self) -> int:
+        """Ambient size once trailing zero columns are stripped."""
         rep = self.point.rep
         last = 0
         for j in range(rep.cols - 1, -1, -1):
@@ -195,10 +196,6 @@ class InfiniteGrassmannPoint:
                 last = j + 1
                 break
         return max(last, self.point.k)
-
-    def minimal_ambient(self) -> int:
-        """Ambient size once trailing zero columns are stripped."""
-        return self._stripped_width()
 
     def padded(self, extra: int) -> "InfiniteGrassmannPoint":
         """The same subspace viewed inside ``extra`` more coordinates."""
@@ -210,7 +207,7 @@ class InfiniteGrassmannPoint:
         return InfiniteGrassmannPoint(point_from_matrix(bigger), self.stratum + extra)
 
     def _key(self):
-        w = self._stripped_width()
+        w = self.minimal_ambient()
         rep = self.point.rep
         stripped = tuple(rep.entry(i, j) for i in range(rep.rows) for j in range(w))
         return (self.point.field, self.point.k, w, stripped)

@@ -193,11 +193,7 @@ def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     """
     black, vectors = _new_direction_walk(system)
     code = KalmanCode(system.m, system.n, frozenset(black))
-    ordered = []
-    heights = dict(zip(code.occupied_columns, code.column_heights))
-    for j in code.occupied_columns:
-        for i in range(heights[j]):
-            ordered.append(vectors[(i, j)])
+    ordered = [vectors[box] for box in code.boxes_in_order()]
     if system.n == 0:
         g = Matrix.identity(system.field, 0)
     else:

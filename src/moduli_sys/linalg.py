@@ -82,10 +82,6 @@ class Field:
         return Field(q)
 
     @property
-    def is_rationals(self) -> bool:
-        return self.q is None
-
-    @property
     def zero(self) -> Scalar:
         return Fraction(0) if self.q is None else 0
 
@@ -199,12 +195,6 @@ class Matrix:
         one, zero = field.one, field.zero
         ent = tuple(one if i == j else zero for i in range(n) for j in range(n))
         return cls(field, n, n, ent)
-
-    @classmethod
-    def basis_vector(cls, field: Field, n: int, index: int) -> "Matrix":
-        """Standard basis column vector ``e_index`` (0-based) of length n."""
-        ent = tuple(field.one if i == index else field.zero for i in range(n))
-        return cls(field, n, 1, ent)
 
     # -- access --------------------------------------------------------
 
@@ -467,10 +457,6 @@ def inverse(matrix: Matrix) -> Matrix:
     if pivots[:n] != tuple(range(n)) or len(pivots) != n:
         raise SingularMatrix("matrix is singular")
     return red.columns_at(range(n, 2 * n))
-
-
-def is_invertible(matrix: Matrix) -> bool:
-    return matrix.rows == matrix.cols and rank(matrix) == matrix.rows
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:

@@ -8,10 +8,13 @@ representation and stability with respect to the two nontrivial weights
 translate exactly into the canonical / cc / co classification, and this
 module decides them two independent ways:
 
-* ``mode="rank"`` computes the exact set of subrepresentation dimension
-  vectors from the reachable and unobservable subspaces together with
-  the invariant-subspace dimensions of the induced operators (read off
-  the factorization of their characteristic polynomials);
+* ``mode="rank"`` reads every verdict off the two ranks of ``classify``:
+  the reachable space and the unobservable space are one
+  subrepresentation of each kind, and one of each kind decides
+  simplicity and every stability question.  Only
+  ``subrep_dimvectors`` needs the exact set, which adds the
+  invariant-subspace dimensions of the induced operators (read off the
+  factorization of their characteristic polynomials);
 * ``mode="oracle"`` enumerates every subspace of ``F_q^n`` and tests
   the defining conditions directly.  Exhaustive, therefore bounded.
 """
@@ -21,13 +24,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
-
-import sympy
 
 from .errors import NonzeroThetaAlpha, OracleTooLarge
 from .linalg import Field, Matrix, charpoly, inverse, kernel_basis, pivot_columns, rank, rref_with_pivots, vstack
-from .system import LinearSystem, controllability_matrix, observability_matrix
+from .system import LinearSystem, classify, controllability_matrix, observability_matrix
 
 DEFAULT_SUBSPACE_LIMIT = 1 << 15
 
@@ -76,8 +78,7 @@ def observability_weight(n: int) -> StabilityWeight:
 
 # -- invariant subspace dimensions ----------------------------------------
 
-_FACTOR_CACHE_SIZE = 2 ** 16  # entries; the oldest is dropped beyond this
-_FACTOR_CACHE: dict = {}
+_FACTOR_CACHE_SIZE = 2 ** 16  # entries of the _factor_degrees LRU cache
 
 
 def _invariant_subspace_dims(op: Matrix) -> frozenset[int]:
@@ -90,27 +91,19 @@ def _invariant_subspace_dims(op: Matrix) -> frozenset[int]:
     ``{0, d, 2d, ..., a*d}`` over the factorization ``prod p_i^{a_i}``
     of the characteristic polynomial.
     """
-    field = op.field
-    coeffs = charpoly(op)
-    key = (field.q, coeffs)
-    cached = _FACTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    degree_mults = _factor_degrees(field, coeffs)
     dims = {0}
-    for deg, mult in degree_mults:
+    for deg, mult in _factor_degrees(op.field, charpoly(op)):
         dims = {x + t * deg for x in dims for t in range(mult + 1)}
-    result = frozenset(dims)
-    if len(_FACTOR_CACHE) >= _FACTOR_CACHE_SIZE:
-        del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]
-    _FACTOR_CACHE[key] = result
-    return result
+    return frozenset(dims)
 
 
-def _factor_degrees(field: Field, coeffs: tuple) -> list[tuple[int, int]]:
+@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _factor_degrees(field: Field, coeffs: tuple) -> tuple[tuple[int, int], ...]:
     """(degree, multiplicity) pairs of the irreducible factors."""
     if len(coeffs) == 1:
-        return []
+        return ()
+    import sympy  # only subrep_dimvectors(mode="rank") factors; keep it off the import path
+
     x = sympy.Symbol("x")
     if field.q is None:
         sym_coeffs = [sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c) for c in coeffs]
@@ -118,7 +111,7 @@ def _factor_degrees(field: Field, coeffs: tuple) -> list[tuple[int, int]]:
     else:
         poly = sympy.Poly([int(c) for c in coeffs], x, modulus=field.q)
     _, factors = poly.factor_list()
-    return [(f.degree(), mult) for f, mult in factors]
+    return tuple((f.degree(), mult) for f, mult in factors)
 
 
 def _operator_blocks(a: Matrix, subspace_rows: Matrix) -> tuple[Matrix, Matrix]:
@@ -248,12 +241,34 @@ def _subreps_by_enumeration(system: LinearSystem, limit: int) -> frozenset[Dimen
 # -- simplicity and stability ----------------------------------------------
 
 
+def _extremal_subreps(rep: QuiverRep, mode: str, limit: int) -> frozenset[DimensionVector]:
+    """Enough subrepresentation dimension vectors to decide every verdict.
+
+    Every legal weight is ``k * (-n, 1)``.  It pairs a ``(1, l)`` with
+    ``l < n`` to ``k (l - n)``, of the sign of ``-k``, and a ``(0, l)``
+    with ``l > 0`` to ``k l``, of the sign of ``k``.  So one proper
+    nonzero subrepresentation of each kind, when there is one, decides
+    simplicity and stability for every weight.  In rank mode these are
+    the reachable space ``(1, rank_c)`` and the unobservable space
+    ``(0, n - rank_o)``; oracle mode returns the full enumerated set.
+    """
+    if mode != "rank":
+        return subrep_dimvectors(rep, mode=mode, limit=limit)
+    n, cls = rep.system.n, classify(rep.system)
+    out: set[DimensionVector] = set()
+    if cls.rank_c < n:
+        out.add((1, cls.rank_c))
+    if cls.rank_o < n:
+        out.add((0, n - cls.rank_o))
+    return frozenset(out)
+
+
 def is_simple(rep: QuiverRep, mode: str = "rank", limit: int = DEFAULT_SUBSPACE_LIMIT) -> bool:
     """True when there is no proper nonzero subrepresentation.
 
     Equivalent to the underlying system being canonical.
     """
-    return not subrep_dimvectors(rep, mode=mode, limit=limit)
+    return not _extremal_subreps(rep, mode, limit)
 
 
 def _check_weight(rep: QuiverRep, theta: StabilityWeight) -> None:
@@ -277,7 +292,7 @@ def is_theta_stable(
     _check_weight(rep, theta)
     return all(
         theta[0] * a + theta[1] * l > 0
-        for a, l in subrep_dimvectors(rep, mode=mode, limit=limit)
+        for a, l in _extremal_subreps(rep, mode, limit)
     )
 
 
@@ -291,5 +306,5 @@ def is_theta_semistable(
     _check_weight(rep, theta)
     return all(
         theta[0] * a + theta[1] * l >= 0
-        for a, l in subrep_dimvectors(rep, mode=mode, limit=limit)
+        for a, l in _extremal_subreps(rep, mode, limit)
     )

@@ -129,6 +129,13 @@ def test_census_cli_rejects_negative_dimensions(argv, name, capsys):
     assert f"INVALID_INPUT: census dimension {name} must be non-negative" in err
 
 
+def test_census_cli_rejects_empty_n_range(capsys):
+    code, out, err = run(capsys, ["census", "--m", "1", "--p", "1", "--n-min", "3", "--n-max", "1", "--q", "2"])
+    assert code == 1
+    assert out == ""
+    assert "USAGE: empty n range" in err
+
+
 def test_census_cli_bound_counts_enumerated_states(capsys):
     # (1,2,0,2) enumerates 2^2 matrices B and 1 * 2^4 matrices A: 20 states, not the 2^6 pairs
     argv = ["census", "--m", "1", "--p", "0", "--n-min", "2", "--n-max", "2", "--q", "2", "--bound"]
@@ -208,3 +215,27 @@ def test_huge_modulus_fails_fast(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", "--system", system_file("comp.json", (10 ** 12 + 39) * (10 ** 12 + 61))])
     assert code == 1
     assert "must be prime" in err
+
+
+def test_cli_commands_leave_sympy_unimported(simple_system_file, tmp_path):
+    import subprocess
+    import sys
+
+    fq_system = write_json(tmp_path / "fq.json", system_to_json(
+        random_system(Field.prime(5), 2, 3, 1, random.Random(7), require="canonical")))
+    markov = write_json(tmp_path / "fib.json",
+                        MarkovSequence.from_scalars(Field.rationals(), [1, 1, 2, 3, 5, 8]).to_json())
+    argvs = [[cmd, "--system", path] for cmd in ("analyze", "canon", "embed")
+             for path in (simple_system_file, fq_system)]
+    argvs.append(["realize", "--markov", markov])
+    script = (
+        "import sys\n"
+        "import moduli_sys\n"
+        "assert 'sympy' not in sys.modules, 'import'\n"
+        "from moduli_sys.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'sympy' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

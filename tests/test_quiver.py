@@ -135,6 +135,15 @@ def test_modes_agree_exhaustively_f2(f2_sweep):
         # no strictly-semistable boundary for this dimension vector
         assert is_theta_semistable(rep, tp) == is_theta_stable(rep, tp)
         assert is_theta_semistable(rep, tm) == is_theta_stable(rep, tm)
+        # every legal weight k * (-n, 1), k = 0 included, against the pairing definition
+        for k in range(-2, 3):
+            theta = (-s.n * k, k)
+            pairings = [theta[0] * a + theta[1] * l for a, l in by_oracle]
+            for mode in ("rank", "oracle"):
+                assert is_theta_stable(rep, theta, mode=mode) == all(x > 0 for x in pairings)
+                assert is_theta_semistable(rep, theta, mode=mode) == all(x >= 0 for x in pairings)
+        assert is_theta_stable(rep, (0, 0)) == cls.canonical
+        assert is_theta_semistable(rep, (0, 0))
 
 
 def test_simple_iff_canonical_random_rationals():
@@ -147,16 +156,14 @@ def test_simple_iff_canonical_random_rationals():
         assert is_simple(QuiverRep.of(s)) == classify(s).canonical
 
 
-def test_factor_cache_is_bounded(monkeypatch):
+def test_factor_cache_is_bounded():
     from moduli_sys import quiver
 
-    assert quiver._FACTOR_CACHE_SIZE == 2 ** 16
-    monkeypatch.setattr(quiver, "_FACTOR_CACHE_SIZE", 3)
-    monkeypatch.setattr(quiver, "_FACTOR_CACHE", {})
-    ops = [Matrix.from_rows(QQ, [[k, 0], [1, k]]) for k in range(6)]
+    info = quiver._factor_degrees.cache_info()
+    assert info.maxsize == quiver._FACTOR_CACHE_SIZE == 2 ** 16
+    ops = [Matrix.from_rows(field, [[k, 0], [1, k]]) for field in (QQ, F3) for k in range(6)]
     first = [quiver._invariant_subspace_dims(op) for op in ops]
-    assert len(quiver._FACTOR_CACHE) == 3
-    # the three newest keys stay; evicted ones are recomputed to the same value
-    assert [(None, (1, -2 * k, k * k)) for k in range(3, 6)] == list(quiver._FACTOR_CACHE)
+    assert 0 < quiver._factor_degrees.cache_info().currsize <= info.maxsize
+    # values recomputed from an empty cache are the same
+    quiver._factor_degrees.cache_clear()
     assert [quiver._invariant_subspace_dims(op) for op in ops] == first
-    assert len(quiver._FACTOR_CACHE) == 3
