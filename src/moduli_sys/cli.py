@@ -25,7 +25,6 @@ from .errors import ModuliError, NotControllable
 from .grassmann import locus_membership, moduli_point, stratum_point
 from .kalman import canonical_form, kalman_code, multiindex_from_code
 from .linalg import Field, Matrix
-from .quiver import QuiverRep, is_simple
 from .realization import MarkovSequence, realize, verify_realization
 from .system import (
     LinearSystem,
@@ -75,7 +74,7 @@ def cmd_analyze(args) -> int:
         "m": system.m, "n": system.n, "p": system.p,
         "rank_c": cls.rank_c, "rank_o": cls.rank_o,
         "cc": cls.cc, "co": cls.co, "canonical": cls.canonical,
-        "simple": is_simple(QuiverRep.of(system)),
+        "simple": cls.canonical,
     }
     if cls.cc:
         code = kalman_code(system)

@@ -4,7 +4,8 @@ The Kalman code of a completely controllable system records which of
 the columns ``A^i B_j`` introduce a new direction when the columns are
 scanned in lexicographic order of ``(i, j)``.  It is an ``n x m`` box
 diagram with exactly ``n`` black boxes, top-justified in every column,
-and it only depends on the base-change orbit of the system.
+and it only depends on the base-change orbit of the system.  The black
+boxes are read off the Krylov walk ``system._krylov_pivots``.
 
 Conventions: box rows (powers ``i``) are 0-based, box columns (inputs
 ``j``) are 1-based; multi-indices are 1-based throughout.
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidMultiIndex, NotControllable
-from .linalg import Matrix, hstack, inverse, pivot_columns
-from .system import LinearSystem, act
+from .linalg import Matrix, inverse
+from .system import LinearSystem, _krylov_pivots, act
 
 
 @dataclass(frozen=True)
@@ -133,37 +134,13 @@ class KalmanCode:
 def _new_direction_walk(system: LinearSystem):
     """Black boxes: the pivot columns of the Krylov matrix ``[B, AB, A^2 B, ...]``.
 
-    A box ``(i, j)`` is black when its column ``A^i B_j`` is independent
-    of every column before it in lexicographic ``(i, j)`` order.  The
-    blocks are built lazily.  When box ``(i, j)`` is white, so is every
-    box ``(i', j)`` below it, so a block never holds more pivots than
-    the block before it and a new block needs only the columns that were
-    black in the last one.  With ``k`` of them, at least
-    ``ceil(missing / k)`` more blocks are needed: that many are appended
-    at once (``ceil(n/m)`` full blocks to start, all a generic system
-    needs) and the matrix is eliminated again.  Returns the black box
-    set and the original column vectors of the black boxes, keyed by
-    box.  Raises if a block adds no pivot before the count reaches
-    ``n`` (the system is not completely controllable).
+    Returns the black box set and the original column vectors of the
+    black boxes, keyed by box.  Raises when there are fewer than ``n``
+    of them (the system is not completely controllable).
     """
-    n, m = system.n, system.m
-    krylov, blocks, boxes, pivots = system.B, [], [], ()
-    if n and m:
-        frontier, live = system.B, list(range(1, m + 1))
-        while len(pivots) < n and live:
-            for _ in range(-(-(n - len(pivots)) // len(live))):
-                if blocks:
-                    frontier = system.A @ frontier
-                blocks.append(frontier)
-                boxes += [(len(blocks) - 1, j) for j in live]
-            krylov = hstack(blocks)
-            pivots = pivot_columns(krylov)
-            first = len(boxes) - frontier.cols
-            newest = [c for c in pivots if c >= first]
-            live = [boxes[c][1] for c in newest]
-            frontier = frontier.columns_at([c - first for c in newest])
-    if len(pivots) < n:
-        raise NotControllable(f"controllability rank is {len(pivots)} < n = {n}")
+    krylov, boxes, pivots = _krylov_pivots(system.A, system.B)
+    if len(pivots) < system.n:
+        raise NotControllable(f"controllability rank is {len(pivots)} < n = {system.n}")
     return {boxes[c] for c in pivots}, {boxes[c]: krylov.col_list(c) for c in pivots}
 
 

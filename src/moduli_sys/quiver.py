@@ -12,9 +12,14 @@ module decides them two independent ways:
   the reachable space and the unobservable space are one
   subrepresentation of each kind, and one of each kind decides
   simplicity and every stability question.  Only
-  ``subrep_dimvectors`` needs the exact set, which adds the
-  invariant-subspace dimensions of the induced operators (read off the
-  factorization of their characteristic polynomials);
+  ``subrep_dimvectors`` needs the exact set: the reachable space plus
+  the invariant-subspace dimensions of the operator induced on the
+  quotient by it (read off the factorization of its characteristic
+  polynomial).  The unobservable side is the same question for the
+  dual: ``W`` inside the unobservable space ``N`` is ``A``-invariant
+  exactly when ``W^perp``, which contains ``N^perp`` = reach
+  ``(A^T, C^T)``, is ``A^T``-invariant, and
+  ``dim W^perp / N^perp = n - rank_o - dim W``;
 * ``mode="oracle"`` enumerates every subspace of ``F_q^n`` and tests
   the defining conditions directly.  Exhaustive, therefore bounded.
 """
@@ -28,8 +33,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import NonzeroThetaAlpha, OracleTooLarge
-from .linalg import Field, Matrix, charpoly, inverse, kernel_basis, pivot_columns, rank, rref_with_pivots, vstack
-from .system import LinearSystem, classify, controllability_matrix, observability_matrix
+from .linalg import Field, Matrix, charpoly, hstack, inverse, pivot_columns, rank, vstack
+from .system import LinearSystem, _krylov_pivots, classify
 
 DEFAULT_SUBSPACE_LIMIT = 1 << 15
 
@@ -114,39 +119,23 @@ def _factor_degrees(field: Field, coeffs: tuple) -> tuple[tuple[int, int], ...]:
     return tuple((f.degree(), mult) for f, mult in factors)
 
 
-def _operator_blocks(a: Matrix, subspace_rows: Matrix) -> tuple[Matrix, Matrix]:
-    """Restriction and quotient of ``a`` along an invariant subspace.
+def _quotient_dims(a: Matrix, b: Matrix) -> tuple[int, frozenset[int]]:
+    """Rank of ``(a, b)`` and the invariant-subspace dimensions of ``a`` modulo its reachable space.
 
-    ``subspace_rows`` holds a basis of an A-invariant subspace, one
-    vector per row.  Completes it greedily with standard basis vectors
-    to a basis of the whole space and conjugates; the result is block
-    upper triangular, giving the restricted operator (top left) and the
-    quotient operator (bottom right).
+    The pivot columns of the Krylov walk are a basis of the reachable
+    space, an ``a``-invariant subspace of dimension the rank ``d``.
+    Completing it greedily with standard basis vectors and conjugating
+    makes ``a`` block upper triangular; the bottom-right block is the
+    operator induced on the quotient.
     """
-    f = a.field
-    n = a.rows
-    d = subspace_rows.rows
-    ext = vstack([subspace_rows, Matrix.identity(f, n)])
-    q_cols = ext.rows_at(pivot_columns(ext.transpose())).transpose()
-    conj = inverse(q_cols) @ a @ q_cols
-    lower_left = [conj.entry(i, j) for i in range(d, n) for j in range(d)]
-    if any(x != 0 for x in lower_left):
-        raise ValueError("subspace is not invariant under the operator")
-    restriction = Matrix(f, d, d, tuple(conj.entry(i, j) for i in range(d) for j in range(d)))
+    f, n = a.field, a.rows
+    krylov, _, pivots = _krylov_pivots(a, b)
+    d = len(pivots)
+    ext = hstack([krylov.columns_at(pivots), Matrix.identity(f, n)])
+    basis = ext.columns_at(pivot_columns(ext))
+    conj = inverse(basis) @ a @ basis
     quotient = Matrix(f, n - d, n - d, tuple(conj.entry(i, j) for i in range(d, n) for j in range(d, n)))
-    return restriction, quotient
-
-
-def _reachable_rows(system: LinearSystem) -> Matrix:
-    """Basis (as rows) of the smallest A-invariant space containing im B."""
-    ctrb = controllability_matrix(system)
-    red, pivots = rref_with_pivots(ctrb.transpose())
-    return red.rows_at(range(len(pivots)))
-
-
-def _unobservable_rows(system: LinearSystem) -> Matrix:
-    """Basis (as rows) of the largest A-invariant space killed by C."""
-    return kernel_basis(observability_matrix(system))
+    return d, _invariant_subspace_dims(quotient)
 
 
 # -- subrepresentation dimension vectors -----------------------------------
@@ -174,19 +163,10 @@ def subrep_dimvectors(
 def _subreps_by_rank(system: LinearSystem) -> frozenset[DimensionVector]:
     n = system.n
     out: set[DimensionVector] = set()
-
-    reach = _reachable_rows(system)
-    _, quotient = _operator_blocks(system.A, reach)
-    for extra in _invariant_subspace_dims(quotient):
-        l = reach.rows + extra
-        if l < n:
-            out.add((1, l))
-
-    unobs = _unobservable_rows(system)
-    restriction, _ = _operator_blocks(system.A, unobs)
-    for l in _invariant_subspace_dims(restriction):
-        if l > 0:
-            out.add((0, l))
+    rank_c, dims = _quotient_dims(system.A, system.B)
+    out.update((1, rank_c + x) for x in dims if rank_c + x < n)
+    rank_o, dims = _quotient_dims(system.A.transpose(), system.C.transpose())
+    out.update((0, n - rank_o - x) for x in dims if n - rank_o - x > 0)
     return frozenset(out)
 
 

@@ -5,6 +5,11 @@ A system of type ``(m, n, p)`` has an ``n x n`` state map ``A``, an
 by ``g`` in ``GL_n`` sends it to ``(g A g^-1, g B, C g^-1)``; everything
 of interest here is a function of that orbit.
 
+Every reachability question reads one lazy Krylov walk,
+``_krylov_pivots``: ``classify`` counts its pivots, the Kalman code
+reads which columns they are and the quiver view the space they span.
+The co side is the cc side of the dual ``(A^T, C^T, B^T)``.
+
 Degenerate shapes are allowed on purpose: ``n = 0`` is the empty system
 (canonical by convention), ``p = 0`` means no outputs, and ``m = 0`` is
 admitted so that dualizing a ``p = 0`` system stays total.
@@ -19,7 +24,7 @@ from random import Random
 from typing import Iterator
 
 from .errors import SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, hstack, inverse, rank, vstack
+from .linalg import Field, Matrix, hstack, inverse, pivot_columns
 
 
 @dataclass(frozen=True)
@@ -78,26 +83,54 @@ def controllability_matrix(system: LinearSystem) -> Matrix:
 
 
 def observability_matrix(system: LinearSystem) -> Matrix:
-    """``[C; CA; ...; C A^(n-1)]`` as a ``(p n) x n`` matrix."""
-    n = system.n
-    if n == 0:
-        return Matrix.zeros(system.field, 0, 0)
-    blocks = [system.C]
-    cur = system.C
-    for _ in range(1, n):
-        cur = cur @ system.A
-        blocks.append(cur)
-    return vstack(blocks)
+    """``[C; CA; ...; C A^(n-1)]`` as a ``(p n) x n`` matrix: the dual's, transposed."""
+    return controllability_matrix(dualize(system)).transpose()
+
+
+def _krylov_pivots(a: Matrix, b: Matrix) -> tuple[Matrix, list[tuple[int, int]], tuple[int, ...]]:
+    """The pivot columns of the Krylov matrix ``[b, ab, a^2 b, ...]``, built lazily.
+
+    Column ``c`` is ``a^i b_j`` for the box ``(i, j) = boxes[c]`` and is
+    a pivot when independent of every column before it.  If ``a^i b_j``
+    is not a pivot, neither is ``a^(i+1) b_j``, so a block never holds
+    more pivots than the one before it and needs only the columns that
+    were pivots there.  With ``k`` of them, at least ``ceil(missing/k)``
+    more blocks are needed: that many are appended at once (``ceil(n/m)``
+    full blocks to start, all a generic pair needs) before the next
+    elimination.  Stops at ``n`` pivots or when the last block holds
+    none, so the pivot count is the controllability rank of ``(a, b)``.
+    """
+    n, m = b.rows, b.cols
+    krylov, blocks, boxes, pivots = b, [], [], ()
+    if n and m:
+        frontier, live = b, list(range(1, m + 1))
+        while True:
+            for _ in range(-(-(n - len(pivots)) // len(live))):
+                if blocks:
+                    frontier = a @ frontier
+                blocks.append(frontier)
+                boxes += [(len(blocks) - 1, j) for j in live]
+            krylov = hstack(blocks)
+            pivots = pivot_columns(krylov)
+            first = len(boxes) - frontier.cols
+            newest = [c - first for c in pivots if c >= first]
+            if len(pivots) == n or not newest:
+                break
+            live = [live[c] for c in newest]
+            frontier = frontier.columns_at(newest)
+    return krylov, boxes, pivots
 
 
 def classify(system: LinearSystem) -> SystemClass:
     """Controllability / observability via the two rank tests.
 
-    For ``n = 0`` both ranks are trivially maximal, so the empty system
-    is canonical.
+    ``rank_c`` is the pivot count of the Krylov walk on ``(A, B)`` and
+    ``rank_o`` that of the walk on ``(A^T, C^T)``, the controllability
+    rank of the dual.  For ``n = 0`` both ranks are trivially maximal,
+    so the empty system is canonical.
     """
-    rank_c = rank(controllability_matrix(system))
-    rank_o = rank(observability_matrix(system))
+    rank_c = len(_krylov_pivots(system.A, system.B)[2])
+    rank_o = len(_krylov_pivots(system.A.transpose(), system.C.transpose())[2])
     cc = rank_c == system.n
     co = rank_o == system.n
     return SystemClass(cc=cc, co=co, canonical=cc and co, rank_c=rank_c, rank_o=rank_o)

@@ -6,7 +6,7 @@ import pytest
 
 from moduli_sys.counting import q_binomial
 from moduli_sys.errors import NonzeroThetaAlpha, OracleTooLarge
-from moduli_sys.linalg import Field, Matrix
+from moduli_sys.linalg import Field, Matrix, rank
 from moduli_sys.quiver import (
     QuiverRep,
     controllability_weight,
@@ -18,7 +18,9 @@ from moduli_sys.quiver import (
     observability_weight,
     subrep_dimvectors,
 )
-from moduli_sys.system import LinearSystem, classify, random_system
+from moduli_sys.system import LinearSystem, act, classify, controllability_matrix, dualize, random_system
+
+from helpers import unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -144,6 +146,45 @@ def test_modes_agree_exhaustively_f2(f2_sweep):
                 assert is_theta_semistable(rep, theta, mode=mode) == all(x >= 0 for x in pairings)
         assert is_theta_stable(rep, (0, 0)) == cls.canonical
         assert is_theta_semistable(rep, (0, 0))
+
+
+def test_modes_agree_with_proper_reachable_and_unobservable_spaces():
+    # beyond the n <= 2 sweep: both spaces proper and nonzero, so both
+    # quotient computations of rank mode contribute
+    rng = random.Random(41)
+    for field, n in ((F2, 3), (F2, 4), (F3, 3)):
+        found = 0
+        while found < 25:
+            s = random_system(field, rng.randint(1, 2), n, rng.randint(1, 2), rng)
+            rank_c = rank(controllability_matrix(s))
+            rank_o = rank(controllability_matrix(dualize(s)))
+            if 0 < rank_c < n and 0 < rank_o < n:
+                rep = QuiverRep.of(s)
+                assert subrep_dimvectors(rep, mode="rank") == subrep_dimvectors(rep, mode="oracle")
+                found += 1
+
+
+def test_modes_agree_on_an_unobservable_space_with_mixed_factor_degrees():
+    # N = span(e2, e3, e4) is unobservable (C = e1^T, first row of A zero
+    # off the diagonal) and A on N has charpoly (x^2 + x + 1)(x + 1) over
+    # F_2, so N holds invariant subspaces of dimensions 1, 2 and 3; over
+    # F_3, A on N = span(e2, e3) has the irreducible charpoly x^2 + 1
+    a2 = Matrix.from_rows(F2, [[1, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+    a3 = Matrix.from_rows(F3, [[1, 0, 0], [1, 0, 2], [0, 1, 0]])
+    cases = [
+        (a2, [0, 0, 0, 1], {(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3)}),
+        (a2, [0, 1, 0, 0], {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}),
+        (a3, [0, 1, 0], {(0, 2), (1, 2)}),
+    ]
+    rng = random.Random(42)
+    for a, b, expected in cases:
+        field, n = a.field, a.rows
+        c = Matrix.from_rows(field, [[1] + [0] * (n - 1)])
+        s = LinearSystem(field, 1, n, 1, a, Matrix.from_cols(field, [b]), c)
+        for t in (s, act(unimodular(field, n, rng), s)):
+            rep = QuiverRep.of(t)
+            assert subrep_dimvectors(rep, mode="rank") == expected
+            assert subrep_dimvectors(rep, mode="oracle") == expected
 
 
 def test_simple_iff_canonical_random_rationals():

@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from moduli_sys.errors import SingularBaseChange
+from moduli_sys.grassmann import system_from_cell
+from moduli_sys.kalman import all_codes, multiindex_from_code
 from moduli_sys.linalg import Field, Matrix, det, rank
 from moduli_sys.system import (
     LinearSystem,
@@ -217,3 +219,80 @@ def test_random_system_reproducible_and_constrained():
         random_system(QQ, 0, 1, 1, random.Random(0), require="cc")
     with pytest.raises(ValueError):
         random_system(QQ, 1, 1, 0, random.Random(0), require="canonical")
+
+
+# -- classify's Krylov walk against the full-matrix referee ------------------
+
+
+def assert_ranks_match_full_matrices(s):
+    cls = classify(s)
+    assert cls.rank_c == rank(controllability_matrix(s))
+    assert cls.rank_o == rank(controllability_matrix(dualize(s)))
+    return cls
+
+
+def hidden_block_system(field, m, n, p, r, kind, rng):
+    """A random system whose last ``n - r`` coordinates are unreachable
+    (``kind="c"``: A block upper triangular, B zero below row r) or
+    unobservable (``kind="o"``: A block lower triangular, C zero right of
+    column r), hidden by a unimodular base change."""
+    s = random_system(field, m, n, p, rng)
+    a, b, c = s.A.to_rows(), s.B.to_rows(), s.C.to_rows()
+    for i in range(r, n):
+        for j in range(r):
+            if kind == "c":
+                a[i][j] = field.zero
+            else:
+                a[j][i] = field.zero
+        if kind == "c":
+            b[i] = [field.zero] * m
+        else:
+            for row in c:
+                row[i] = field.zero
+    blocked = LinearSystem(
+        field, m, n, p,
+        Matrix.from_rows(field, a, cols=n),
+        Matrix.from_rows(field, b, cols=m),
+        Matrix.from_rows(field, c, cols=n),
+    )
+    return act(unimodular(field, n, rng), blocked)
+
+
+def test_classify_ranks_match_full_matrices_on_f2_sweep(f2_sweep):
+    for s, _ in f2_sweep:
+        assert_ranks_match_full_matrices(s)
+
+
+def test_classify_ranks_match_full_matrices_on_random_systems():
+    rng = random.Random(71)
+    for field in (QQ, F5):
+        for n in range(0, 9):
+            for m in range(1, 4):
+                p = rng.randint(0, 3)
+                assert_ranks_match_full_matrices(random_system(field, m, n, p, rng))
+                if n < 2:
+                    continue
+                r = rng.randint(1, n - 1)
+                cls = assert_ranks_match_full_matrices(hidden_block_system(field, m, n, p, r, "c", rng))
+                assert cls.rank_c <= r
+                cls = assert_ranks_match_full_matrices(hidden_block_system(field, m, n, p, r, "o", rng))
+                assert cls.rank_o <= r
+
+
+def test_classify_ranks_match_full_matrices_on_tall_columns():
+    # a column taller than ceil(n/m) makes the walk eliminate more than once
+    rng = random.Random(72)
+    tall = 0
+    for field in (F2, F5, QQ):
+        for m in range(2, 4):
+            for n in range(2, 6):
+                for code in all_codes(m, n):
+                    if max(code.column_heights) <= -(-n // m):
+                        continue
+                    p = rng.randint(1, 2)
+                    c = random_system(field, 1, n, p, rng).C
+                    s = system_from_cell(multiindex_from_code(code), m, n, field, C=c)
+                    assert assert_ranks_match_full_matrices(s).cc
+                    assert_ranks_match_full_matrices(act(unimodular(field, n, rng), s))
+                    tall += 1
+    assert tall > 0
