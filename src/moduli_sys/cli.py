@@ -130,6 +130,8 @@ def cmd_embed(args) -> int:
     payload = {
         "stratum": big.stratum,
         "relation_plane": big.point.to_json(),
+        "co": cls.co,
+        "canonical": cls.canonical,
         "in_cc": membership.in_cc,
         "in_co": membership.in_co,
         "in_canonical": membership.in_canonical,
@@ -147,6 +149,7 @@ def cmd_embed(args) -> int:
     print(f"relation plane in Gras_{big.point.k}({big.point.N}), stratum n = {big.stratum}")
     _print_matrix("representative", big.point.rep)
     print(f"pivots J = {big.point.pivots}")
+    print(f"classify: co={_bool(cls.co)} canonical={_bool(cls.canonical)}")
     print(
         f"locus membership: cc={_bool(membership.in_cc)} "
         f"co={_bool(membership.in_co)} canonical={_bool(membership.in_canonical)}"

@@ -28,7 +28,8 @@ testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  That is
 applies to that number.  The enumeration kernel is batched integer
 arithmetic mod q via numpy; it is exact, and tests cross-check it
 against the scalar rank routine and against a full ``(A, B)``
-enumeration.
+enumeration.  numpy is imported inside the kernel functions, so only a
+census that enumerates loads it.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge, NotControllable
 from .kalman import canonical_form
 from .linalg import Field
 from .system import all_systems
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CENSUS_BOUND = 1 << 24
 _ENV_BOUND = "MODULI_SYS_CENSUS_BOUND"
@@ -98,6 +101,7 @@ def _batched_rank_modq(mats: np.ndarray, q: int) -> np.ndarray:
     ``mats`` has shape (batch, rows, cols) with entries already reduced
     mod q.  Plain forward elimination, vectorized across the batch.
     """
+    import numpy as np
     m = np.array(mats, dtype=np.int64, copy=True)
     count, nrows, ncols = m.shape
     ranks = np.zeros(count, dtype=np.int64)
@@ -135,6 +139,7 @@ def _batched_rank_modq(mats: np.ndarray, q: int) -> np.ndarray:
 
 def _digit_matrices(indices: np.ndarray, q: int, shapes) -> list[np.ndarray]:
     """Decode base-q digit blocks of enumeration indices into matrices."""
+    import numpy as np
     total_digits = sum(r * c for r, c in shapes)
     digits = np.empty((len(indices), total_digits), dtype=np.int64)
     t = indices.copy()
@@ -158,12 +163,14 @@ def _census_bound(bound: int | None) -> int:
 
 def _chunks(count: int):
     """Enumeration indices ``0..count-1`` in int64 chunks."""
+    import numpy as np
     for start in range(0, count, _CHUNK):
         yield np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
 
 
 def _rank_histogram(batches, q: int, n: int) -> np.ndarray:
     """How many matrices of each rank ``0..n`` the batches of ``n``-row matrices hold."""
+    import numpy as np
     hist = np.zeros(n + 1, dtype=np.int64)
     for mats in batches:
         hist += np.bincount(_batched_rank_modq(mats, q), minlength=n + 1)
@@ -172,6 +179,7 @@ def _rank_histogram(batches, q: int, n: int) -> np.ndarray:
 
 def _krylov(a: np.ndarray, e: np.ndarray, q: int) -> np.ndarray:
     """``[E, A E, ..., A^(n-1) E]`` mod q for a batch of ``A`` and one ``E``."""
+    import numpy as np
     blocks = [np.broadcast_to(e, (len(a),) + e.shape)]
     for _ in range(1, a.shape[1]):
         blocks.append(np.matmul(a, blocks[-1]) % q)
@@ -189,6 +197,7 @@ def _cc_pair_count(m: int, n: int, q: int, bound: int) -> int:
     states = q ** (n * m) + top * q ** (n * n)
     if states > bound:
         raise CensusTooLarge(f"{states} states exceed the bound {bound}")
+    import numpy as np
     b_mats = (_digit_matrices(idx, q, [(n, m)])[0] for idx in _chunks(q ** (n * m)))
     b_ranks = _rank_histogram(b_mats, q, n)
     count = 0

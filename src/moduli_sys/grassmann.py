@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotControllable, NotInLocus, RankDeficient
 from .kalman import MultiIndex, canonical_form, code_from_multiindex
-from .linalg import Field, Matrix, hstack, kernel_basis, rank, rref_with_pivots
+from .linalg import Field, Matrix, hstack, kernel_basis, minor_det, rank, rref_with_pivots
 from .system import LinearSystem
 
 
@@ -46,8 +46,6 @@ class GrassmannPoint:
 
     def minor(self, index: MultiIndex | Sequence[int]):
         """Determinant of the columns selected by a 1-based multi-index."""
-        from .linalg import minor_det
-
         cols = [v - 1 for v in index]
         return minor_det(self.rep, range(self.k), cols)
 

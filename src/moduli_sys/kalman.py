@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import InvalidMultiIndex, NotControllable
 from .linalg import Matrix, inverse
-from .system import LinearSystem, _krylov_pivots, act
+from .system import LinearSystem, _krylov_pivots
 
 
 @dataclass(frozen=True)
@@ -165,17 +165,17 @@ def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     non-terminal columns of ``A'`` are the shifted basis vectors; the
     remaining columns carry the orbit moduli.
 
-    Returns ``(g, act(g, system))``.  Constant on orbits: equivalent
-    systems produce the identical canonical system.
+    Returns ``(g, (g A P, g B, C P))`` with ``P = g^-1`` the black-box
+    matrix.  Constant on orbits: equivalent systems produce the
+    identical canonical system.
     """
     black, vectors = _new_direction_walk(system)
     code = KalmanCode(system.m, system.n, frozenset(black))
     ordered = [vectors[box] for box in code.boxes_in_order()]
-    if system.n == 0:
-        g = Matrix.identity(system.field, 0)
-    else:
-        g = inverse(Matrix.from_cols(system.field, ordered, rows=system.n))
-    return g, act(g, system)
+    basis = Matrix.from_cols(system.field, ordered, rows=system.n)
+    g = inverse(basis)
+    a, b, c = g @ system.A @ basis, g @ system.B, system.C @ basis
+    return g, LinearSystem(system.field, system.m, system.n, system.p, a, b, c)
 
 
 def multiindex_from_code(code: KalmanCode) -> MultiIndex:

@@ -10,11 +10,12 @@ Zero-sized matrices (``0 x k`` and ``k x 0``) are legal everywhere and
 follow the usual conventions (empty products are 1, empty sums are 0).
 
 :func:`_eliminate` is the one Gaussian elimination routine: rank, the
-column rank profile, reduced echelon form, kernels, determinants,
-inverses and solving all call it, and so do the Kalman walk, basis
-completion and the Hankel rank profile through those.  The census keeps
-its own vectorized kernel (``counting._batched_rank_modq``) on purpose;
-tests cross-check it against :func:`rank`.
+column rank profile, reduced echelon form, kernels, determinants and
+solving all call it (:func:`inverse` is ``solve_right(M, I)``), and so
+do the Kalman walk, basis completion, the Hankel rank profile and
+Ho-Kalman realization through those.  The census keeps its own
+vectorized kernel (``counting._batched_rank_modq``) on purpose; tests
+cross-check it against :func:`rank`.
 """
 
 from __future__ import annotations
@@ -271,20 +272,6 @@ class Matrix:
                 out.append(s % q if q is not None else s)
         return Matrix(self.field, self.rows, c, tuple(out))
 
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        result = Matrix.identity(self.field, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return result
-
     def _check_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shape/field mismatch")
@@ -448,30 +435,32 @@ def det(matrix: Matrix) -> Scalar:
 
 
 def inverse(matrix: Matrix) -> Matrix:
-    """Inverse of a square matrix; raises :class:`SingularMatrix`."""
+    """Inverse of a square matrix, ``solve_right(M, I)``; raises :class:`SingularMatrix`."""
     if matrix.rows != matrix.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = matrix.rows
-    aug = hstack([matrix, Matrix.identity(matrix.field, n)])
-    red, pivots = rref_with_pivots(aug)
-    if pivots[:n] != tuple(range(n)) or len(pivots) != n:
+    x = solve_right(matrix, Matrix.identity(matrix.field, matrix.rows))
+    if x is None:
         raise SingularMatrix("matrix is singular")
-    return red.columns_at(range(n, 2 * n))
+    return x
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution ``X`` of ``A X = B``, or ``None`` if inconsistent."""
+    """One exact solution ``X`` of ``A X = B``, or ``None`` if inconsistent.
+
+    One reduction of ``[A | B]``: the free unknowns are 0 and the pivot
+    unknowns are read off the right part of the reduced rows.
+    """
     if a.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    f = a.field
-    red, pivots = rref_with_pivots(hstack([a, b]))
-    if any(p >= a.cols for p in pivots):
+    f, n, k = a.field, a.cols, b.cols
+    grid = [a.row_list(i) + b.row_list(i) for i in range(a.rows)]
+    pivots, _ = _eliminate(f, grid, n + k, True)
+    if any(p >= n for p in pivots):
         return None
-    x_rows = [[f.zero] * b.cols for _ in range(a.cols)]
-    for ri, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x_rows[pc][j] = red.entry(ri, a.cols + j)
-    return Matrix.from_rows(f, x_rows, cols=b.cols)
+    x = [[f.zero] * k for _ in range(n)]
+    for row, pc in zip(grid, pivots):
+        x[pc] = row[n:]
+    return Matrix(f, n, k, tuple(v for row in x for v in row))
 
 
 def charpoly(matrix: Matrix) -> tuple:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import NonzeroThetaAlpha, OracleTooLarge
-from .linalg import Field, Matrix, charpoly, hstack, inverse, pivot_columns, rank, vstack
+from .linalg import Field, Matrix, charpoly, hstack, pivot_columns, rank, solve_right, vstack
 from .system import LinearSystem, _krylov_pivots, classify
 
 DEFAULT_SUBSPACE_LIMIT = 1 << 15
@@ -133,7 +133,7 @@ def _quotient_dims(a: Matrix, b: Matrix) -> tuple[int, frozenset[int]]:
     d = len(pivots)
     ext = hstack([krylov.columns_at(pivots), Matrix.identity(f, n)])
     basis = ext.columns_at(pivot_columns(ext))
-    conj = inverse(basis) @ a @ basis
+    conj = solve_right(basis, a @ basis)
     quotient = Matrix(f, n - d, n - d, tuple(conj.entry(i, j) for i in range(d, n) for j in range(d, n)))
     return d, _invariant_subspace_dims(quotient)
 

@@ -5,9 +5,8 @@ Hankel matrix ``H_ij`` stacks ``F_(a+b-1)`` at block position (a, b).
 When some ``H_rs`` has the same rank as every available ``H_(r+1),(s+j)``
 the order is certified inside the window and the sequence is realized by
 a canonical system of state dimension ``rank H_rs`` via exact rank
-factorization (Ho-Kalman): factor ``H_rs = O R`` through the pivot
-columns, solve ``O A R = H^(shifted)``, and read ``B`` and ``C`` off the
-factors.
+factorization (Ho-Kalman): ``H_rs = O R`` through the pivot columns, and
+``A``, ``B`` and ``C`` are read off one reduced echelon form of ``H_(r,s+1)``.
 
 Certification never extrapolates: if the window is too short to check a
 single shift, the outcome is the :class:`NotStabilized` value.
@@ -29,7 +28,7 @@ from .errors import (
     NotStabilizedError,
     ShapeMismatch,
 )
-from .linalg import Field, Matrix, inverse, pivot_columns, rref_with_pivots
+from .linalg import Field, Matrix, pivot_columns, rref_with_pivots
 from .system import LinearSystem, markov_parameters
 
 
@@ -101,12 +100,6 @@ def hankel(seq: MarkovSequence, i: int, j: int) -> Matrix:
     return Matrix.from_rows(f, rows, cols=seq.m * j)
 
 
-def _shifted_hankel(seq: MarkovSequence, i: int, j: int) -> Matrix:
-    """Like :func:`hankel` but with blocks ``F_(a+b)``."""
-    shifted = MarkovSequence(seq.field, seq.m, seq.p, seq.blocks[1:])
-    return hankel(shifted, i, j)
-
-
 @dataclass(frozen=True)
 class HankelRankProfile:
     """Certified stabilization point and the ranks that witnessed it."""
@@ -170,37 +163,33 @@ def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStab
 
 
 def _realize_at(seq: MarkovSequence, r: int, s: int) -> LinearSystem:
-    """Rank-factor ``H_rs`` and solve the shift equation for ``A``.
+    """Read ``(A, B, C)`` off one reduced echelon form of ``H_(r,s+1)``.
 
-    Deterministic: the factorization runs through the pivot columns of
-    the reduced echelon form.  Raises :class:`InconsistentData` when the
-    shift equation has no solution or the result fails to reproduce
-    every supplied block.
+    ``H_(r,s+1)`` is ``[H_rs | next block column]`` and also ``[first
+    block column | H^]``, with ``H^`` the shifted blocks ``F_(a+b)``.  Its
+    first ``n`` reduced rows are ``[R | *]``, ``R`` the reduced ``H_rs``.
+    ``O X = H^`` is solvable exactly when no pivot lies in the last block
+    column, and ``X`` is then columns ``m..m(s+1)-1`` of those rows.  ``A``
+    is ``X`` at the pivot columns, ``B`` the first ``m`` columns of ``R``,
+    ``C`` the first ``p`` rows of ``O`` (``H`` at the pivot columns).
+    Raises :class:`InconsistentData` when ``O X = H^`` or ``A R = X`` has
+    no solution or the result fails to reproduce every supplied block.
     """
-    f = seq.field
-    h = hankel(seq, r, s)
+    f, m, p = seq.field, seq.m, seq.p
+    h = hankel(seq, r, s + 1)
     red, pivots = rref_with_pivots(h)
     n = len(pivots)
-    obs = h.columns_at(pivots)                 # (p r) x n, full column rank
-    rowspan = red.rows_at(range(n))            # n x (m s), full row rank
-    shifted = _shifted_hankel(seq, r, s)
-
-    if n == 0:
-        a = Matrix.zeros(f, 0, 0)
-        b = Matrix.zeros(f, 0, seq.m)
-        c = Matrix.zeros(f, seq.p, 0)
-    else:
-        _, obs_row_pivots = rref_with_pivots(obs.transpose())
-        anchor = list(obs_row_pivots)          # n independent rows of obs
-        x = inverse(obs.rows_at(anchor)) @ shifted.rows_at(anchor)
-        if obs @ x != shifted:
-            raise InconsistentData("shift equation O X = H^ has no solution")
-        a = x.columns_at(pivots)               # pivot columns of rowspan are I_n
-        if a @ rowspan != x:
-            raise InconsistentData("shift equation A R = X has no solution")
-        b = rowspan.columns_at(range(seq.m))
-        c = obs.rows_at(range(seq.p))
-    system = LinearSystem(f, seq.m, n, seq.p, a, b, c)
+    if pivots and pivots[-1] >= m * s:
+        raise InconsistentData("shift equation O X = H^ has no solution")
+    rows = red.rows_at(range(n))
+    rowspan = rows.columns_at(range(m * s))    # R: n x (m s), full row rank
+    x = rows.columns_at(range(m, m * (s + 1)))
+    a = x.columns_at(pivots)                   # pivot columns of R are I_n
+    if a @ rowspan != x:
+        raise InconsistentData("shift equation A R = X has no solution")
+    b = rowspan.columns_at(range(m))
+    c = h.rows_at(range(p)).columns_at(pivots)
+    system = LinearSystem(f, m, n, p, a, b, c)
     if markov_parameters(system, len(seq)) != list(seq.blocks):
         raise InconsistentData("realized system does not reproduce the data window")
     return system

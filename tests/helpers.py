@@ -9,10 +9,10 @@ from random import Random
 import numpy as np
 
 from moduli_sys.counting import _batched_rank_modq, _digit_matrices
-from moduli_sys.errors import NotControllable
-from moduli_sys.linalg import Field, Matrix, rank
+from moduli_sys.errors import InconsistentData, NotControllable
+from moduli_sys.linalg import Field, Matrix, inverse, rank, rref_with_pivots
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
-from moduli_sys.system import LinearSystem, all_systems
+from moduli_sys.system import LinearSystem, all_systems, markov_parameters
 
 
 def unimodular(field: Field, n: int, rng: Random, bound: int = 2) -> Matrix:
@@ -136,6 +136,42 @@ def reference_realizability_order(seq):
                 return HankelRankProfile(r=r, s=s, order=base, ranks=ranks)
     ranks = tuple(sorted((i, j, v) for (i, j), v in cache.items()))
     return NotStabilized(window=L, ranks=ranks)
+
+
+def reference_realize_at(seq, r: int, s: int) -> LinearSystem:
+    """Ho-Kalman at (r, s) through ``H_rs``, anchor rows and an inverse.
+
+    Factors ``H_rs = O R`` through its reduced echelon form, solves
+    ``O X = H^`` on ``n`` independent rows of ``O`` (found by a second
+    elimination, of ``O^T``) and checks the solution on every row, with
+    the shifted Hankel matrix ``H^`` built block by block from ``F_(a+b)``.
+    """
+    f, m, p = seq.field, seq.m, seq.p
+    h = hankel(seq, r, s)
+    red, pivots = rref_with_pivots(h)
+    n = len(pivots)
+    obs = h.columns_at(pivots)
+    rowspan = red.rows_at(range(n))
+    shifted = Matrix.from_rows(f, [
+        [x for b in range(s) for x in seq.blocks[a + b + 1].row_list(row)]
+        for a in range(r) for row in range(p)
+    ], cols=m * s)
+    if n == 0:
+        a_mat, b_mat, c_mat = Matrix.zeros(f, 0, 0), Matrix.zeros(f, 0, m), Matrix.zeros(f, p, 0)
+    else:
+        _, anchor = rref_with_pivots(obs.transpose())
+        x = inverse(obs.rows_at(anchor)) @ shifted.rows_at(anchor)
+        if obs @ x != shifted:
+            raise InconsistentData("shift equation O X = H^ has no solution")
+        a_mat = x.columns_at(pivots)
+        if a_mat @ rowspan != x:
+            raise InconsistentData("shift equation A R = X has no solution")
+        b_mat = rowspan.columns_at(range(m))
+        c_mat = obs.rows_at(range(p))
+    system = LinearSystem(f, m, n, p, a_mat, b_mat, c_mat)
+    if markov_parameters(system, len(seq)) != list(seq.blocks):
+        raise InconsistentData("realized system does not reproduce the data window")
+    return system
 
 
 def reference_new_direction_walk(system: LinearSystem):

@@ -99,6 +99,26 @@ def test_embed_json(simple_system_file, capsys):
     assert doc["relation_plane"]["k"] == 2
 
 
+def test_embed_reports_classification_next_to_the_locus_tests(tmp_path, capsys):
+    # the smallest criterion-6 counterexample of notes/decisions.md: co, yet outside the co locus
+    path = write_json(tmp_path / "ce.json", {
+        "field": {"Fp": 2}, "m": 1, "n": 2, "p": 1,
+        "A": [0, 0, 0, 1], "B": [1, 1], "C": [1, 1],
+    })
+    code, out, _ = run(capsys, ["embed", "--system", path, "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["co"] is True and doc["canonical"] is True
+    assert doc["in_co"] is False and doc["in_canonical"] is False and doc["in_cc"] is True
+    code, out, _ = run(capsys, ["embed", "--system", path])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2:] == [
+        "classify: co=true canonical=true",
+        "locus membership: cc=true co=false canonical=false",
+    ]
+
+
 def test_census_cli(capsys):
     code, out, _ = run(capsys, ["census", "--m", "1", "--p", "1", "--n-max", "2", "--q", "2,3"])
     assert code == 0
@@ -228,14 +248,17 @@ def test_cli_commands_leave_sympy_unimported(simple_system_file, tmp_path):
     argvs = [[cmd, "--system", path] for cmd in ("analyze", "canon", "embed")
              for path in (simple_system_file, fq_system)]
     argvs.append(["realize", "--markov", markov])
+    argvs.append(["random", "--field", "5", "--m", "2", "--n", "3", "--p", "1", "--seed", "7", "--cc"])
     script = (
         "import sys\n"
         "import moduli_sys\n"
         "assert 'sympy' not in sys.modules, 'import'\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
         "from moduli_sys.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    assert main(argv) == 0, argv\n"
         "    assert 'sympy' not in sys.modules, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

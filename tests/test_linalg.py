@@ -282,6 +282,24 @@ def test_inverse_and_errors():
         inverse(Matrix.zeros(QQ, 2, 3))
 
 
+def test_inverse_exhaustive_f2():
+    # singular exactly when the Leibniz determinant vanishes; a two-sided inverse otherwise
+    singular = 0
+    for m in all_f2_matrices(3, 3):
+        if m.rows != m.cols:
+            continue
+        eye = Matrix.identity(F2, m.rows)
+        if leibniz_det(m) == 0:
+            with pytest.raises(SingularMatrix):
+                inverse(m)
+            singular += 1
+        else:
+            g = inverse(m)
+            assert g @ m == eye and m @ g == eye
+    assert singular == 1 + 10 + 344  # 2^(n^2) - |GL_n(F_2)| for n = 1, 2, 3
+    assert inverse(Matrix.zeros(F2, 0, 0)) == Matrix.zeros(F2, 0, 0)
+
+
 def test_solve_right():
     import random
 
@@ -319,11 +337,8 @@ def test_charpoly_by_evaluation():
                 assert value == expected
 
 
-def test_stacking_and_power():
+def test_stacking():
     a = mat(QQ, [[1, 2]])
     b = mat(QQ, [[3, 4]])
     assert vstack([a, b]) == mat(QQ, [[1, 2], [3, 4]])
     assert hstack([a, b]) == mat(QQ, [[1, 2, 3, 4]])
-    m = mat(QQ, [[1, 1], [0, 1]])
-    assert m.power(3) == m @ m @ m
-    assert m.power(0) == Matrix.identity(QQ, 2)

@@ -237,3 +237,59 @@ def test_realizability_order_matches_reference_scan():
     # random short windows are mostly not realizable inside the window
     unstable = sum(isinstance(v, NotStabilized) for v in random_windows)
     assert unstable >= 2 * len(random_windows) // 3
+
+
+def test_realize_at_matches_reference():
+    # one reduction of H_(r,s+1) against H_rs, anchor rows, an inverse and a block-built shifted H
+    from helpers import reference_realize_at
+
+    def outcome(realize_at, seq, r, s):
+        try:
+            return realize_at(seq, r, s)
+        except InconsistentData as exc:
+            return str(exc)
+
+    rng = random.Random(31)
+    seen = {"certified": 0, "direct": 0, "refused": 0, "refused_with_rank": 0}
+    for field in (QQ, F2, F5):
+        for m in (1, 2, 3):
+            for p in (1, 2, 3):
+                windows = []
+                for n in range(5):
+                    system = random_system(field, m, n, p, rng, require=rng.choice(("any", "canonical")))
+                    exact = max(2 * n + 1, 2)
+                    windows += [MarkovSequence.from_system(system, w) for w in (exact, exact + rng.randint(1, 3))]
+                windows += [MarkovSequence(field, m, p, (Matrix.zeros(field, p, m),) * w) for w in (2, 3, 5)]
+                for window in (2, 3, 4):
+                    blocks = tuple(
+                        Matrix(field, p, m, tuple(field.coerce(rng.randint(-3, 3)) for _ in range(p * m)))
+                        for _ in range(window)
+                    )
+                    windows.append(MarkovSequence(field, m, p, blocks))
+                for seq in windows:
+                    profile = realizability_order(seq)
+                    if isinstance(profile, HankelRankProfile):
+                        got = _realize_at(seq, profile.r, profile.s)
+                        assert got == reference_realize_at(seq, profile.r, profile.s), seq
+                        seen["certified"] += 1
+                    # direct calls at uncertified sizes: the same system, or both refuse
+                    for r in range(1, 4):
+                        for s in range(1, min(4, len(seq) - r + 1)):
+                            got = outcome(_realize_at, seq, r, s)
+                            want = outcome(reference_realize_at, seq, r, s)
+                            seen["direct"] += 1
+                            if isinstance(want, LinearSystem):
+                                assert got == want, (seq, r, s)
+                                continue
+                            assert isinstance(got, str), (seq, r, s)
+                            seen["refused"] += 1
+                            # with H_rs = 0 the old route skipped the shift equation
+                            if rank(hankel(seq, r, s)) > 0:
+                                assert got == want, (seq, r, s)
+                                seen["refused_with_rank"] += 1
+    assert all(seen.values()), seen
+    # the pivot of H_(1,2) lands in its last block column
+    seq = scalar_seq([0, 1])
+    for realize_at in (_realize_at, reference_realize_at):
+        with pytest.raises(InconsistentData):
+            realize_at(seq, 1, 1)
