@@ -20,7 +20,7 @@ import json
 import sys
 from random import Random
 
-from .counting import CSV_HEADER, census_cc
+from .counting import census_cc, census_csv
 from .errors import ModuliError, NotControllable
 from .grassmann import locus_membership, moduli_point, stratum_point
 from .kalman import canonical_form, kalman_code, multiindex_from_code
@@ -167,9 +167,7 @@ def cmd_census(args) -> int:
     for q in qs:
         for n in range(args.n_min, args.n_max + 1):
             rows.append(census_cc(args.m, n, args.p, q, bound=args.bound))
-    print(CSV_HEADER)
-    for report in rows:
-        print(report.csv_row())
+    print(census_csv(rows))
     return 0 if all(r.match for r in rows) else 2
 
 

@@ -247,7 +247,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     without relying on the trivial-stabilizer division.
     """
     _check_dimensions(m=m, n=n, p=p)
-    Field.prime(q)  # validates primality
+    field = Field.prime(q)  # validates primality
     limit = _census_bound(bound)
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
@@ -262,7 +262,6 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
         states = q ** (n * (n + m + p))
         if states > limit:
             raise CensusTooLarge(f"{states} states exceed the bound {limit}")
-        field = Field.prime(q)
         forms = set()
         raw = 0
         for sys_ in all_systems(field, m, n, p):

@@ -128,14 +128,9 @@ def system_from_cell(
     width = m + n - 1
     free_values = dict(free_values or {})
 
-    prefixes = code.height_prefixes
-    pinned_row = {}  # 1-based column -> 0-based row of its basis vector
-    for t, j in enumerate(code.occupied_columns):
-        pinned_row[j] = prefixes[t]
-    ends = set(prefixes[1:])
-    for c in range(1, n):
-        if c not in ends:
-            pinned_row[m + c] = c
+    # 1-based column of the index -> 0-based row of its basis vector
+    pinned_row = dict(zip(code.occupied_columns, code.height_prefixes))
+    pinned_row.update((v, v - m) for v in index if v > m)
 
     grid = [[field.zero] * width for _ in range(n)]
     for col, row in pinned_row.items():
@@ -156,12 +151,11 @@ def system_from_cell(
 
     rep = Matrix.from_rows(field, grid, cols=width)
     B = rep.columns_at(range(m))
-    a_cols = [rep.column(m + c - 1) for c in range(1, n)]
     if A_last is None:
         A_last = Matrix.zeros(field, n, 1)
     if (A_last.rows, A_last.cols) != (n, 1) or A_last.field != field:
         raise ValueError("A_last must be an n x 1 column over the same field")
-    A = hstack(a_cols + [A_last]) if n > 0 else Matrix.zeros(field, 0, 0)
+    A = hstack([rep.columns_at(range(m, width)), A_last])
     if C is None:
         C = Matrix.zeros(field, 0, n)
     if C.cols != n or C.field != field:

@@ -127,8 +127,12 @@ class KalmanCode:
         heights = [int(h) for h in obj["column_heights"]]
         if len(cols) != len(heights):
             raise ValueError("occupied_columns and column_heights differ in length")
-        black = frozenset((i, j) for j, h in zip(cols, heights) for i in range(h))
-        return KalmanCode(int(obj["m"]), int(obj["n"]), black)
+        return _code(int(obj["m"]), int(obj["n"]), cols, heights)
+
+
+def _code(m: int, n: int, columns, heights) -> KalmanCode:
+    """The code whose occupied ``columns`` hold ``heights`` black boxes each."""
+    return KalmanCode(m, n, frozenset((i, j) for j, h in zip(columns, heights) for i in range(h)))
 
 
 def _new_direction_walk(system: LinearSystem):
@@ -170,8 +174,7 @@ def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     identical canonical system.
     """
     black, vectors = _new_direction_walk(system)
-    code = KalmanCode(system.m, system.n, frozenset(black))
-    ordered = [vectors[box] for box in code.boxes_in_order()]
+    ordered = [vectors[i, j] for j, i in sorted((j, i) for i, j in black)]
     basis = Matrix.from_cols(system.field, ordered, rows=system.n)
     g = inverse(basis)
     a, b, c = g @ system.A @ basis, g @ system.B, system.C @ basis
@@ -212,13 +215,7 @@ def code_from_multiindex(index: MultiIndex, m: int, n: int) -> KalmanCode:
         raise InvalidMultiIndex(
             f"{len(cols)} small entries cannot carry {len(ends)} column heights"
         )
-    black = set()
-    prev = 0
-    for j, e in zip(cols, ends):
-        for i in range(e - prev):
-            black.add((i, j))
-        prev = e
-    return KalmanCode(m, n, frozenset(black))
+    return _code(m, n, cols, [e - prev for prev, e in zip([0] + ends, ends)])
 
 
 def all_codes(m: int, n: int) -> Iterator[KalmanCode]:
@@ -230,8 +227,4 @@ def all_codes(m: int, n: int) -> Iterator[KalmanCode]:
         for cols in itertools.combinations(range(1, m + 1), k):
             for cuts in itertools.combinations(range(1, n), k - 1):
                 bounds = (0,) + cuts + (n,)
-                heights = [bounds[t + 1] - bounds[t] for t in range(k)]
-                black = frozenset(
-                    (i, j) for j, h in zip(cols, heights) for i in range(h)
-                )
-                yield KalmanCode(m, n, black)
+                yield _code(m, n, cols, [b - a for a, b in zip(bounds, bounds[1:])])

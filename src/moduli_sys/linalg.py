@@ -11,9 +11,10 @@ follow the usual conventions (empty products are 1, empty sums are 0).
 
 :func:`_eliminate` is the one Gaussian elimination routine: rank, the
 column rank profile, reduced echelon form, kernels, determinants and
-solving all call it (:func:`inverse` is ``solve_right(M, I)``), and so
-do the Kalman walk, basis completion, the Hankel rank profile and
-Ho-Kalman realization through those.  The census keeps its own
+solving all call it (:func:`inverse` is ``solve_right(M, I)``).  The
+Kalman walk, basis completion and Ho-Kalman realization reach it through
+those; the Hankel rank profile calls it directly, to extend one echelon
+a block row at a time.  The census keeps its own
 vectorized kernel (``counting._batched_rank_modq``) on purpose; tests
 cross-check it against :func:`rank`.
 """
@@ -60,6 +61,14 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` as an int; floats and booleans are refused, not truncated."""
+    value = obj[key]
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Field:
     """The rationals (``q is None``) or a prime field ``F_q``."""
@@ -91,13 +100,17 @@ class Field:
         return Fraction(1) if self.q is None else 1 % self.q
 
     def coerce(self, value: Scalar | str) -> Scalar:
-        """Convert an int / Fraction / string into a canonical scalar."""
+        """Convert an int / Fraction / string ``"a"`` or ``"a/b"`` into a canonical scalar."""
         if isinstance(value, float):
             raise TypeError("floating point values are not accepted; arithmetic is exact")
+        if isinstance(value, str):
+            num, slash, den = value.partition("/")
+            num, den = int(num), int(den) if slash else 1
+            if den == 0 or (self.q is not None and den % self.q == 0):
+                raise ValueError(f"scalar {value!r} has no value in {self}: its denominator vanishes")
+            value = Fraction(num, den)
         if self.q is None:
             return Fraction(value)
-        if isinstance(value, str):
-            value = Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 return value.numerator % self.q
@@ -137,7 +150,7 @@ class Field:
         if obj == "Q":
             return Field.rationals()
         if isinstance(obj, dict) and set(obj) == {"Fp"}:
-            return Field.prime(int(obj["Fp"]))
+            return Field.prime(_json_int(obj, "Fp"))
         raise ValueError(f"unrecognized field description: {obj!r}")
 
     def __str__(self) -> str:

@@ -251,11 +251,13 @@ def is_simple(rep: QuiverRep, mode: str = "rank", limit: int = DEFAULT_SUBSPACE_
     return not _extremal_subreps(rep, mode, limit)
 
 
-def _check_weight(rep: QuiverRep, theta: StabilityWeight) -> None:
+def _pairings(rep: QuiverRep, theta: StabilityWeight, mode: str, limit: int) -> list[int]:
+    """``theta`` paired with the subrepresentations that decide stability; needs ``theta . alpha = 0``."""
     alpha = rep.dimension_vector
     pairing = theta[0] * alpha[0] + theta[1] * alpha[1]
     if pairing != 0:
         raise NonzeroThetaAlpha(f"theta.alpha = {pairing} != 0 for theta={theta}, alpha={alpha}")
+    return [theta[0] * a + theta[1] * l for a, l in _extremal_subreps(rep, mode, limit)]
 
 
 def is_theta_stable(
@@ -269,11 +271,7 @@ def is_theta_stable(
     With the controllability weight this is equivalent to cc, with the
     observability weight to co.
     """
-    _check_weight(rep, theta)
-    return all(
-        theta[0] * a + theta[1] * l > 0
-        for a, l in _extremal_subreps(rep, mode, limit)
-    )
+    return all(x > 0 for x in _pairings(rep, theta, mode, limit))
 
 
 def is_theta_semistable(
@@ -283,8 +281,4 @@ def is_theta_semistable(
     limit: int = DEFAULT_SUBSPACE_LIMIT,
 ) -> bool:
     """Like stability, with the pairing allowed to vanish."""
-    _check_weight(rep, theta)
-    return all(
-        theta[0] * a + theta[1] * l >= 0
-        for a, l in _extremal_subreps(rep, mode, limit)
-    )
+    return all(x >= 0 for x in _pairings(rep, theta, mode, limit))

@@ -13,7 +13,9 @@ single shift, the outcome is the :class:`NotStabilized` value.
 
 ``H_ij`` is the leading ``m j`` columns of ``H_(i, L+1-i)``, so every
 rank the certification needs is a prefix count of that matrix's pivot
-columns: one forward elimination per block-row count, not one per size.
+columns.  Those come from one echelon that grows a block row at a time:
+the echelon rows of ``H_(i, L+1-i)``, cut to ``m (L-i)`` columns, span the
+rows of ``H_(i, L-i)``, and block row ``i+1`` completes ``H_(i+1, L-i)``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     NotStabilizedError,
     ShapeMismatch,
 )
-from .linalg import Field, Matrix, pivot_columns, rref_with_pivots
+from .linalg import Field, Matrix, _eliminate, _json_int, rref_with_pivots
 from .system import LinearSystem, markov_parameters
 
 
@@ -72,13 +74,19 @@ class MarkovSequence:
     @staticmethod
     def from_json(obj: dict) -> "MarkovSequence":
         field = Field.from_json(obj["field"])
-        m, p = int(obj["m"]), int(obj["p"])
+        m, p = _json_int(obj, "m"), _json_int(obj, "p")
         blocks = []
         for raw in obj["blocks"]:
             if len(raw) != p * m:
                 raise ValueError(f"block needs {p * m} entries, got {len(raw)}")
             blocks.append(Matrix(field, p, m, tuple(field.coerce(x) for x in raw)))
         return MarkovSequence(field, m, p, tuple(blocks))
+
+
+def _block_rows(seq: MarkovSequence, a: int, j: int) -> list[list]:
+    """The ``p`` rows of block row ``a`` (0-based) of ``H_(., j)``: ``F_(a+1) .. F_(a+j)``."""
+    m, blocks = seq.m, seq.blocks[a:a + j]
+    return [[x for blk in blocks for x in blk.entries[r * m:(r + 1) * m]] for r in range(seq.p)]
 
 
 def hankel(seq: MarkovSequence, i: int, j: int) -> Matrix:
@@ -89,15 +97,8 @@ def hankel(seq: MarkovSequence, i: int, j: int) -> Matrix:
         raise InsufficientData(
             f"H_{i}{j} needs {i + j - 1} blocks, sequence has {len(seq)}"
         )
-    f = seq.field
-    rows = []
-    for a in range(i):
-        for r in range(seq.p):
-            row = []
-            for b in range(j):
-                row.extend(seq.blocks[a + b].row_list(r))
-            rows.append(row)
-    return Matrix.from_rows(f, rows, cols=seq.m * j)
+    ent = tuple(x for a in range(i) for row in _block_rows(seq, a, j) for x in row)
+    return Matrix(seq.field, seq.p * i, seq.m * j, ent)
 
 
 @dataclass(frozen=True)
@@ -133,32 +134,36 @@ def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStab
     window certifies nothing.
 
     Each block-row count ``i`` the scan reaches costs one forward
-    elimination of ``H_(i, L+1-i)``; ``rank H_ij`` is then the number of
-    its pivot columns below ``m j``.  ``ranks`` lists exactly the sizes
-    the scan inspected, in the order of (i, j).
+    elimination, which extends the echelon of block rows ``1..i-1`` by
+    row ``i``; ``rank H_ij`` is the number of pivot columns of
+    ``H_(i, L+1-i)`` below ``m j``.  ``ranks`` lists exactly the sizes the
+    scan inspected, in the order of (i, j).
     """
-    L = len(seq)
+    f, m, L = seq.field, seq.m, len(seq)
     if L < 2:
         raise ValueError("need at least two blocks to certify anything")
-    cache: dict[tuple[int, int], int] = {}
-    profiles: dict[int, tuple[int, ...]] = {}
+    inspected: dict[tuple[int, int], int] = {}
+    profiles: list[list[int]] = []  # pivot columns of H_(i, L+1-i), i = 1, 2, ...
+    echelon: list[list] = []
 
     def rk(i: int, j: int) -> int:
-        key = (i, j)
-        if key not in cache:
-            if i not in profiles:
-                profiles[i] = pivot_columns(hankel(seq, i, L + 1 - i))
-            cache[key] = bisect_left(profiles[i], seq.m * j)
-        return cache[key]
+        inspected[i, j] = bisect_left(profiles[i - 1], m * j)
+        return inspected[i, j]
 
     for r in range(1, L - 1):
+        for k in range(len(profiles), r + 1):  # the scan at r reads H_(r+1, .)
+            width = m * (L - k)
+            echelon = [row[:width] for row in echelon] + _block_rows(seq, k, L - k)
+            pivots, _ = _eliminate(f, echelon, width, False)
+            del echelon[len(pivots):]
+            profiles.append(pivots)
         for s in range(1, L - r):
             base = rk(r, s)
             shifts = range(1, L - r - s + 1)
             if all(rk(r + 1, s + j) == base for j in shifts):
-                ranks = tuple(sorted((i, j, v) for (i, j), v in cache.items()))
+                ranks = tuple(sorted((i, j, v) for (i, j), v in inspected.items()))
                 return HankelRankProfile(r=r, s=s, order=base, ranks=ranks)
-    ranks = tuple(sorted((i, j, v) for (i, j), v in cache.items()))
+    ranks = tuple(sorted((i, j, v) for (i, j), v in inspected.items()))
     return NotStabilized(window=L, ranks=ranks)
 
 
@@ -190,7 +195,7 @@ def _realize_at(seq: MarkovSequence, r: int, s: int) -> LinearSystem:
     b = rowspan.columns_at(range(m))
     c = h.rows_at(range(p)).columns_at(pivots)
     system = LinearSystem(f, m, n, p, a, b, c)
-    if markov_parameters(system, len(seq)) != list(seq.blocks):
+    if not verify_realization(system, seq):
         raise InconsistentData("realized system does not reproduce the data window")
     return system
 

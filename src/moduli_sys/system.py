@@ -24,7 +24,7 @@ from random import Random
 from typing import Iterator
 
 from .errors import SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, hstack, inverse, pivot_columns
+from .linalg import Field, Matrix, _json_int, hstack, inverse, pivot_columns
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,10 @@ def markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
         raise ValueError("count must be nonnegative")
     out = []
     cur = system.C
-    for _ in range(count):
+    for j in range(count):
+        if j:
+            cur = cur @ system.A
         out.append(cur @ system.B)
-        cur = cur @ system.A
     return out
 
 
@@ -200,7 +201,7 @@ def system_to_json(system: LinearSystem) -> dict:
 
 def system_from_json(obj: dict) -> LinearSystem:
     field = Field.from_json(obj["field"])
-    m, n, p = int(obj["m"]), int(obj["n"]), int(obj["p"])
+    m, n, p = (_json_int(obj, key) for key in ("m", "n", "p"))
 
     def grid(key: str, rows: int, cols: int) -> Matrix:
         raw = obj[key]

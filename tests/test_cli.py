@@ -262,3 +262,48 @@ def test_cli_commands_leave_sympy_unimported(simple_system_file, tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("field, literal", [
+    ("Q", "1e300000000"),
+    ({"Fp": 5}, "1e300000000"),
+    ("Q", "1/0"),
+    ({"Fp": 5}, "1/0"),
+    ({"Fp": 5}, "1/5"),
+], ids=["Q-exponent", "F5-exponent", "Q-zero-denominator", "F5-zero-denominator", "F5-denominator-q"])
+def test_hostile_scalar_literal_fails_fast(field, literal, tmp_path):
+    # scalars are "a" or "a/b": no exponent to expand, no denominator that vanishes in the field
+    import subprocess
+    import sys
+
+    path = write_json(tmp_path / "sys.json", {
+        "field": field, "m": 1, "n": 1, "p": 1, "A": [literal], "B": ["1"], "C": ["1"],
+    })
+    proc = subprocess.run(
+        [sys.executable, "-m", "moduli_sys", "analyze", "--system", path],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "INVALID_INPUT" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [("m", 1.5), ("n", 1.9), ("Fp", 5.5), ("m", True)])
+def test_non_integer_dimension_is_refused(key, value, tmp_path, capsys):
+    payload = {"field": {"Fp": 5}, "m": 1, "n": 1, "p": 1, "A": [2], "B": [1], "C": [3]}
+    if key == "Fp":
+        payload["field"] = {"Fp": value}
+    else:
+        payload[key] = value
+    code, out, err = run(capsys, ["analyze", "--system", write_json(tmp_path / "sys.json", payload)])
+    assert code == 1 and out == ""
+    assert f"INVALID_INPUT: {key} must be an integer, got {value!r}" in err
+
+
+def test_markov_dimensions_must_be_integers(tmp_path, capsys):
+    doc = MarkovSequence.from_scalars(Field.prime(5), [1, 1, 2, 3, 5, 8]).to_json()
+    code, _, _ = run(capsys, ["realize", "--markov", write_json(tmp_path / "ok.json", dict(doc, m="1"))])
+    assert code == 0  # integer strings load as before
+    code, out, err = run(capsys, ["realize", "--markov", write_json(tmp_path / "bad.json", dict(doc, p=1.0))])
+    assert code == 1 and out == ""
+    assert "INVALID_INPUT: p must be an integer, got 1.0" in err

@@ -26,6 +26,7 @@ from moduli_sys.system import LinearSystem, all_systems, classify, random_system
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
+F3 = Field.prime(3)
 F5 = Field.prime(5)
 
 
@@ -237,6 +238,59 @@ def test_realizability_order_matches_reference_scan():
     # random short windows are mostly not realizable inside the window
     unstable = sum(isinstance(v, NotStabilized) for v in random_windows)
     assert unstable >= 2 * len(random_windows) // 3
+
+    # one output and order up to 6 certify at r up to 6: the echelon is cut and extended past r = 3
+    certified_at = set()
+    for field in (F2, F3):
+        for n in range(7):
+            m = rng.randint(1, 2)
+            system = random_system(field, m, n, 1, rng, require=rng.choice(("any", "canonical")))
+            for window in range(max(2 * n + 1, 2), 3 * n + 5):
+                got = check(MarkovSequence.from_system(system, window))
+                if isinstance(got, HankelRankProfile):
+                    certified_at.add(got.r)
+    assert max(certified_at) > 3, certified_at
+    # long random windows: the scan runs through every block-row count up to L - 1
+    for field in (QQ, F2, F5):
+        for window in range(5, 13):
+            m, p = rng.randint(1, 2), rng.randint(1, 2)
+            blocks = tuple(
+                Matrix(field, p, m, tuple(field.coerce(rng.randint(-3, 3)) for _ in range(p * m)))
+                for _ in range(window)
+            )
+            check(MarkovSequence(field, m, p, blocks))
+
+
+def test_realizability_order_eliminates_once_per_block_row_count(monkeypatch):
+    # the scan extends one echelon: no Hankel matrix is built and no pivot_columns call is made
+    import moduli_sys.linalg
+    import moduli_sys.realization
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan must not build or re-eliminate a whole Hankel matrix")
+
+    calls = []
+
+    def counting_eliminate(*args, **kwargs):
+        calls.append(args[2])
+        return eliminate(*args, **kwargs)
+
+    eliminate = moduli_sys.realization._eliminate
+    monkeypatch.setattr(moduli_sys.realization, "hankel", forbidden)
+    monkeypatch.setattr(moduli_sys.linalg, "pivot_columns", forbidden)
+    monkeypatch.setattr(moduli_sys.realization, "_eliminate", counting_eliminate)
+    rng = random.Random(27)
+    for field in (QQ, F2, F5):
+        for n in range(6):
+            system = random_system(field, rng.randint(1, 2), n, rng.randint(1, 2), rng)
+            for window in (2, 2 * n + 2, 3 * n + 4):
+                seq = MarkovSequence.from_system(system, window)
+                calls.clear()
+                verdict = realizability_order(seq)
+                reached = max((i for i, _, _ in verdict.ranks), default=0)
+                assert len(calls) == reached, (seq, calls, verdict)
+                # block-row count i eliminates m (L + 1 - i) columns
+                assert calls == [seq.m * (window + 1 - i) for i in range(1, reached + 1)]
 
 
 def test_realize_at_matches_reference():

@@ -175,6 +175,18 @@ def test_markov_examples():
     assert [blk.entry(0, 0) for blk in doubling] == [1, 2, 4, 8, 16]
 
 
+def test_markov_parameters_take_two_products_per_block_but_the_first(monkeypatch):
+    # C A^(j-1) B for j = 1..count: count products with B, count - 1 with A, none after the last block
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    s = sys1x1(QQ, 2, 1, 1)
+    for count in range(5):
+        products.clear()
+        assert len(markov_parameters(s, count)) == count
+        assert len(products) == max(2 * count - 1, 0)
+
+
 def test_single_input_cc_iff_det(f2_sweep):
     for s, cls in f2_sweep:
         if s.m == 1 and s.n > 0:
