@@ -149,7 +149,7 @@ def system_from_cell(
             )
         grid[row][col] = field.coerce(value)
 
-    rep = Matrix.from_rows(field, grid, cols=width)
+    rep = Matrix(field, n, width, tuple(x for row in grid for x in row))
     B = rep.columns_at(range(m))
     if A_last is None:
         A_last = Matrix.zeros(field, n, 1)
@@ -190,13 +190,14 @@ class InfiniteGrassmannPoint:
         return max(last, self.point.k)
 
     def padded(self, extra: int) -> "InfiniteGrassmannPoint":
-        """The same subspace viewed inside ``extra`` more coordinates."""
+        """The same subspace inside ``extra`` more coordinates: zero columns keep the echelon form."""
         if extra < 0:
             raise ValueError("cannot pad by a negative amount")
-        rep = self.point.rep
-        rows = [rep.row_list(i) + [rep.field.zero] * extra for i in range(rep.rows)]
-        bigger = Matrix.from_rows(rep.field, rows, cols=rep.cols + extra)
-        return InfiniteGrassmannPoint(point_from_matrix(bigger), self.stratum + extra)
+        pt, width = self.point, self.point.N + extra
+        ent = tuple(x for i in range(pt.k) for x in pt.rep.row_list(i) + [0] * extra)
+        pivots = MultiIndex(pt.pivots.values, ambient=width)
+        bigger = GrassmannPoint(pt.field, pt.k, width, Matrix(pt.field, pt.k, width, ent), pivots)
+        return InfiniteGrassmannPoint(bigger, self.stratum + extra)
 
     def _key(self):
         w = self.minimal_ambient()

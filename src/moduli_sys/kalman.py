@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidMultiIndex, NotControllable
-from .linalg import Matrix, inverse
+from .linalg import Matrix, _as_int, inverse
 from .system import LinearSystem, _krylov_pivots
 
 
@@ -30,7 +30,7 @@ class MultiIndex:
     ambient: int | None = None
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(_as_int(v, "multi-index entry") for v in self.values)
         object.__setattr__(self, "values", vals)
         if any(v < 1 for v in vals):
             raise ValueError("multi-index entries are 1-based positive integers")
@@ -61,7 +61,7 @@ class KalmanCode:
     black: frozenset  # of (power i, column j) with 0 <= i < n, 1 <= j <= m
 
     def __post_init__(self) -> None:
-        black = frozenset((int(i), int(j)) for i, j in self.black)
+        black = frozenset((_as_int(i, "box row"), _as_int(j, "box column")) for i, j in self.black)
         object.__setattr__(self, "black", black)
         if len(black) != self.n:
             raise ValueError(f"need exactly n={self.n} black boxes, got {len(black)}")
@@ -123,11 +123,11 @@ class KalmanCode:
 
     @staticmethod
     def from_json(obj: dict) -> "KalmanCode":
-        cols = [int(j) for j in obj["occupied_columns"]]
-        heights = [int(h) for h in obj["column_heights"]]
+        cols = [_as_int(j, "occupied column") for j in obj["occupied_columns"]]
+        heights = [_as_int(h, "column height") for h in obj["column_heights"]]
         if len(cols) != len(heights):
             raise ValueError("occupied_columns and column_heights differ in length")
-        return _code(int(obj["m"]), int(obj["n"]), cols, heights)
+        return _code(_as_int(obj["m"], "m"), _as_int(obj["n"], "n"), cols, heights)
 
 
 def _code(m: int, n: int, columns, heights) -> KalmanCode:
@@ -138,14 +138,14 @@ def _code(m: int, n: int, columns, heights) -> KalmanCode:
 def _new_direction_walk(system: LinearSystem):
     """Black boxes: the pivot columns of the Krylov matrix ``[B, AB, A^2 B, ...]``.
 
-    Returns the black box set and the original column vectors of the
-    black boxes, keyed by box.  Raises when there are fewer than ``n``
-    of them (the system is not completely controllable).
+    Returns that Krylov matrix and the column of each black box in it,
+    keyed by box.  Raises when there are fewer than ``n`` black boxes
+    (the system is not completely controllable).
     """
     krylov, boxes, pivots = _krylov_pivots(system.A, system.B)
     if len(pivots) < system.n:
         raise NotControllable(f"controllability rank is {len(pivots)} < n = {system.n}")
-    return {boxes[c] for c in pivots}, {boxes[c]: krylov.col_list(c) for c in pivots}
+    return krylov, {boxes[c]: c for c in pivots}
 
 
 def kalman_code(system: LinearSystem) -> KalmanCode:
@@ -155,8 +155,8 @@ def kalman_code(system: LinearSystem) -> KalmanCode:
     every column that precedes it lexicographically.  Invariant under
     base change.
     """
-    black, _ = _new_direction_walk(system)
-    return KalmanCode(system.m, system.n, frozenset(black))
+    _, columns = _new_direction_walk(system)
+    return KalmanCode(system.m, system.n, frozenset(columns))
 
 
 def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
@@ -173,9 +173,8 @@ def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     matrix.  Constant on orbits: equivalent systems produce the
     identical canonical system.
     """
-    black, vectors = _new_direction_walk(system)
-    ordered = [vectors[i, j] for j, i in sorted((j, i) for i, j in black)]
-    basis = Matrix.from_cols(system.field, ordered, rows=system.n)
+    krylov, columns = _new_direction_walk(system)
+    basis = krylov.columns_at([columns[i, j] for j, i in sorted((j, i) for i, j in columns)])
     g = inverse(basis)
     a, b, c = g @ system.A @ basis, g @ system.B, system.C @ basis
     return g, LinearSystem(system.field, system.m, system.n, system.p, a, b, c)

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over the rationals and over prime fields.
 
-Scalars are ``fractions.Fraction`` values over the rationals and plain
-integers in ``[0, q)`` over a prime field ``F_q``.  All arithmetic is
-exact; there is no floating point anywhere.  Matrices are immutable and
-every operation is a pure function, so values can be shared freely
-between threads.
+Over ``F_q`` scalars are ``int`` values in ``[0, q)``.  Over the
+rationals a scalar enters as an ``int`` when integral and as a
+``fractions.Fraction`` otherwise, and integers stay ``int`` until a
+division; equal ``int`` and ``Fraction`` values compare, hash and print
+alike.  ``0`` and ``1`` serve every field, and only outside data passes
+through :meth:`Field.coerce`.  All arithmetic is exact; there is no
+floating point anywhere.  Matrices are immutable and every operation is
+a pure function, so values can be shared freely between threads.
 
 Zero-sized matrices (``0 x k`` and ``k x 0``) are legal everywhere and
 follow the usual conventions (empty products are 1, empty sums are 0).
@@ -61,19 +64,24 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _json_int(obj: dict, key: str) -> int:
-    """``obj[key]`` as an int; floats and booleans are refused, not truncated."""
-    value = obj[key]
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; floats and booleans are refused, not truncated."""
     if isinstance(value, (bool, float)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 @dataclass(frozen=True)
 class Field:
-    """The rationals (``q is None``) or a prime field ``F_q``."""
+    """The rationals (``q is None``) or a prime field ``F_q``.
+
+    :meth:`coerce` makes a scalar an ``int`` in ``[0, q)`` over ``F_q``,
+    over ``Q`` an ``int`` when integral and a ``Fraction`` otherwise.
+    """
 
     q: int | None = None
+    zero = 0  # the zero and one of every field
+    one = 1
 
     def __post_init__(self) -> None:
         if self.q is None:
@@ -91,14 +99,6 @@ class Field:
     def prime(q: int) -> "Field":
         return Field(q)
 
-    @property
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.q is None else 0
-
-    @property
-    def one(self) -> Scalar:
-        return Fraction(1) if self.q is None else 1 % self.q
-
     def coerce(self, value: Scalar | str) -> Scalar:
         """Convert an int / Fraction / string ``"a"`` or ``"a/b"`` into a canonical scalar."""
         if isinstance(value, float):
@@ -110,7 +110,8 @@ class Field:
                 raise ValueError(f"scalar {value!r} has no value in {self}: its denominator vanishes")
             value = Fraction(num, den)
         if self.q is None:
-            return Fraction(value)
+            value = Fraction(value)
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 return value.numerator % self.q
@@ -150,7 +151,7 @@ class Field:
         if obj == "Q":
             return Field.rationals()
         if isinstance(obj, dict) and set(obj) == {"Fp"}:
-            return Field.prime(_json_int(obj, "Fp"))
+            return Field.prime(_as_int(obj["Fp"], "Fp"))
         raise ValueError(f"unrecognized field description: {obj!r}")
 
     def __str__(self) -> str:
@@ -413,8 +414,8 @@ def kernel_basis(matrix: Matrix) -> Matrix:
         vec[fc] = f.one
         for ri, pc in enumerate(pivots):
             vec[pc] = f.neg(red.entry(ri, fc))
-        rows.append(vec)
-    return Matrix.from_rows(f, rows, cols=matrix.cols)
+        rows.extend(vec)
+    return Matrix(f, len(free), matrix.cols, tuple(rows))
 
 
 def minor_det(matrix: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Scalar:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -111,8 +110,7 @@ def _factor_degrees(field: Field, coeffs: tuple) -> tuple[tuple[int, int], ...]:
 
     x = sympy.Symbol("x")
     if field.q is None:
-        sym_coeffs = [sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else sympy.Integer(c) for c in coeffs]
-        poly = sympy.Poly(sym_coeffs, x, domain="QQ")
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x, domain="QQ")
     else:
         poly = sympy.Poly([int(c) for c in coeffs], x, modulus=field.q)
     _, factors = poly.factor_list()
@@ -189,12 +187,12 @@ def iter_subspace_bases(field: Field, n: int) -> Iterator[Matrix]:
                 if c not in pivots
             ]
             for values in itertools.product(range(q), repeat=len(free_slots)):
-                grid = [[0] * n for _ in range(k)]
+                ent = [0] * (k * n)
                 for r, pc in enumerate(pivots):
-                    grid[r][pc] = 1
+                    ent[r * n + pc] = 1
                 for (r, c), v in zip(free_slots, values):
-                    grid[r][c] = v
-                yield Matrix.from_rows(field, grid, cols=n)
+                    ent[r * n + c] = v
+                yield Matrix(field, k, n, tuple(ent))
 
 
 def _subreps_by_enumeration(system: LinearSystem, limit: int) -> frozenset[DimensionVector]:

@@ -30,7 +30,7 @@ from .errors import (
     NotStabilizedError,
     ShapeMismatch,
 )
-from .linalg import Field, Matrix, _eliminate, _json_int, rref_with_pivots
+from .linalg import Field, Matrix, _eliminate, _as_int, rref_with_pivots
 from .system import LinearSystem, markov_parameters
 
 
@@ -74,7 +74,7 @@ class MarkovSequence:
     @staticmethod
     def from_json(obj: dict) -> "MarkovSequence":
         field = Field.from_json(obj["field"])
-        m, p = _json_int(obj, "m"), _json_int(obj, "p")
+        m, p = _as_int(obj["m"], "m"), _as_int(obj["p"], "p")
         blocks = []
         for raw in obj["blocks"]:
             if len(raw) != p * m:

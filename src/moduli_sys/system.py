@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Iterator
 
 from .errors import SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, _json_int, hstack, inverse, pivot_columns
+from .linalg import Field, Matrix, _as_int, hstack, inverse, pivot_columns
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def system_to_json(system: LinearSystem) -> dict:
 
 def system_from_json(obj: dict) -> LinearSystem:
     field = Field.from_json(obj["field"])
-    m, n, p = (_json_int(obj, key) for key in ("m", "n", "p"))
+    m, n, p = (_as_int(obj[key], key) for key in ("m", "n", "p"))
 
     def grid(key: str, rows: int, cols: int) -> Matrix:
         raw = obj[key]
@@ -250,9 +249,7 @@ def random_system(
         raise ValueError("no canonical systems with p = 0 and n > 0")
 
     def entry():
-        if field.q is None:
-            return Fraction(rng.randint(-bound, bound))
-        return rng.randrange(field.q)
+        return rng.randint(-bound, bound) if field.q is None else rng.randrange(field.q)
 
     for _ in range(100000):
         A = Matrix(field, n, n, tuple(entry() for _ in range(n * n)))

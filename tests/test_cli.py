@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+import moduli_sys.realization as realization
 from moduli_sys.cli import main
 from moduli_sys.linalg import Field
 from moduli_sys.realization import MarkovSequence
-from moduli_sys.system import random_system, system_from_json, system_to_json
+from moduli_sys.system import markov_parameters, random_system, system_from_json, system_to_json
 
 
 def write_json(path, payload):
@@ -181,6 +182,23 @@ def test_realize_cli(tmp_path, capsys):
     code, _, err = run(capsys, ["realize", "--markov", short])
     assert code == 2
     assert "NotStabilized" in err
+
+
+def test_realize_cli_checks_the_window_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(system, count):
+        calls.append(count)
+        return markov_parameters(system, count)
+
+    monkeypatch.setattr(realization, "markov_parameters", counted)
+    seq = MarkovSequence.from_scalars(Field.rationals(), [1, 1, 2, 3, 5, 8])
+    path = write_json(tmp_path / "fib.json", seq.to_json())
+    for argv in (["realize", "--markov", path], ["realize", "--markov", path, "--json"]):
+        calls.clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and ("verify=true" in out or '"verify": true' in out)
+        assert calls == [len(seq)]
 
 
 def test_random_cli_reproducible(capsys):

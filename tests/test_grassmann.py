@@ -309,6 +309,8 @@ def test_padding_stability():
     padded = big.padded(3)
     assert padded == big  # same subspace up to trailing zeros
     assert hash(padded) == hash(big)
+    assert padded.point == point_from_matrix(padded.point.rep)  # still reduced, same pivots
+    assert padded.stratum == big.stratum + 3
     m1 = locus_membership(big, 2, 1)
     m2 = locus_membership(padded, 2, 1)
     assert m1 == m2

@@ -116,6 +116,23 @@ def test_ascii_art_and_json():
     assert KalmanCode.from_json(code.to_json()) == code
 
 
+def test_codes_refuse_floats_and_booleans():
+    with pytest.raises(ValueError, match="must be an integer"):
+        KalmanCode.from_json({"m": 2.7, "n": 1.2, "occupied_columns": [1.9], "column_heights": [True]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        KalmanCode.from_json({"m": 2, "n": 1, "occupied_columns": [2], "column_heights": [True]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        KalmanCode.from_json({"m": 2, "n": 1, "occupied_columns": [1.9], "column_heights": [1]})
+    with pytest.raises(ValueError, match="must be an integer"):
+        KalmanCode(2, 1, frozenset({(0, 1.0)}))
+    with pytest.raises(ValueError, match="must be an integer"):
+        MultiIndex((1.9,))
+    for m in range(1, 4):
+        for n in range(4):
+            for code in all_codes(m, n):
+                assert KalmanCode.from_json(code.to_json()) == code
+
+
 # -- multi-index bijection ----------------------------------------------------
 
 def test_multiindex_examples():
@@ -260,7 +277,9 @@ def assert_walk_matches_reference(system: LinearSystem):
         with pytest.raises(NotControllable):
             canonical_form(system)
         return
-    assert _new_direction_walk(system) == (black, vectors)
+    krylov, columns = _new_direction_walk(system)
+    assert set(columns) == black
+    assert {box: krylov.col_list(c) for box, c in columns.items()} == vectors
     code = KalmanCode(system.m, system.n, frozenset(black))
     ordered = [vectors[box] for box in code.boxes_in_order()]
     g = _inv(Matrix.from_cols(system.field, ordered, rows=system.n))
