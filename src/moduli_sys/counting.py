@@ -34,6 +34,7 @@ census that enumerates loads it.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -41,8 +42,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge, NotControllable
-from .kalman import canonical_form
-from .linalg import Field
+from .kalman import _canonical
+from .linalg import Field, Matrix
 from .system import all_systems
 
 if TYPE_CHECKING:
@@ -242,9 +243,9 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     controllability rank by the two rank-stratified passes of the module
     docstring, multiplies by the ``q^(pn)`` free output maps and divides
     by ``|GL_n|`` (the division must be exact; that is asserted).
-    ``mode="canonical-forms"`` instead enumerates all (A, B, C) triples
-    and counts distinct canonical forms, which checks the orbit count
-    without relying on the trivial-stabilizer division.
+    ``mode="canonical-forms"`` instead reduces each cc pair (A, B) once and
+    counts the distinct canonical triples ``(A', B', C P)`` over all output
+    maps ``C``, which checks the orbit count without the stabilizer division.
     """
     _check_dimensions(m=m, n=n, p=p)
     field = Field.prime(q)  # validates primality
@@ -262,14 +263,15 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
         states = q ** (n * (n + m + p))
         if states > limit:
             raise CensusTooLarge(f"{states} states exceed the bound {limit}")
-        forms = set()
-        raw = 0
-        for sys_ in all_systems(field, m, n, p):
+        outputs = [Matrix(field, p, n, c) for c in itertools.product(range(q), repeat=p * n)]
+        forms, raw = set(), 0
+        for pair in all_systems(field, m, n, 0):
             try:
-                forms.add(canonical_form(sys_)[1])
+                basis, canon = _canonical(pair)
             except NotControllable:
                 continue
-            raw += 1
+            forms.update((canon.A, canon.B, c @ basis) for c in outputs)
+            raw += len(outputs)
         orbits = len(forms)
         if orbits * glq != raw:
             raise ArithmeticError(

@@ -7,7 +7,8 @@ embeddings are provided:
 * :func:`moduli_point` sends a completely controllable system of state
   dimension ``n >= 1`` to the point of ``Gras_n(m+n-1)`` spanned by the
   first ``m+n-1`` columns of its canonical form.  It is constant on
-  orbits and lands in the Schubert cell indexed by the Kalman code.
+  orbits; it always lands in the Schubert cell of the Kalman code only
+  for ``n <= 3`` or one occupied column (ROADMAP.md, open item 1).
 * :func:`stratum_point` sends a system with full-row-rank ``[B C^T A]``
   to the ``(m+p)``-plane of column relations of that matrix, a point of
   ``Gras_{m+p}(m+p+n)`` sitting in stratum ``n`` of the growing family.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotControllable, NotInLocus, RankDeficient
-from .kalman import MultiIndex, canonical_form, code_from_multiindex
+from .kalman import MultiIndex, _canonical, code_from_multiindex
 from .linalg import Field, Matrix, hstack, kernel_basis, minor_det, rank, rref_with_pivots
 from .system import LinearSystem
 
@@ -92,11 +93,13 @@ def moduli_point(system: LinearSystem) -> GrassmannPoint:
     """Point of ``Gras_n(m+n-1)`` attached to a cc system's orbit.
 
     Built from the canonical form ``(A', B', C')`` as the row space of
-    ``[B'_1 ... B'_m  A'_1 ... A'_(n-1)]``.  Requires ``n >= 1``.
+    ``[B'_1 ... B'_m  A'_1 ... A'_(n-1)]``.  Requires ``n >= 1``.  Over
+    ``F_2`` with heights ``(2, 2)`` its pivots can be ``{1,2,3,4}``, not
+    the Kalman code's ``{1,2,3,5}``.
     """
     if system.n < 1:
         raise ValueError("the finite embedding needs state dimension n >= 1")
-    _, canon = canonical_form(system)
+    _, canon = _canonical(system)
     m, n = system.m, system.n
     blocks = [canon.B]
     if n > 1:
@@ -225,7 +228,7 @@ def stratum_point(system: LinearSystem) -> InfiniteGrassmannPoint:
     plane of the representative at hand.
     """
     try:
-        _, system = canonical_form(system)
+        _, system = _canonical(system)
     except NotControllable:
         pass
     L = hstack([system.B, system.C.transpose(), system.A])

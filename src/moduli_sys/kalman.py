@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidMultiIndex, NotControllable
-from .linalg import Matrix, _as_int, inverse
+from .linalg import Matrix, _as_int, hstack, inverse, solve_right
 from .system import LinearSystem, _krylov_pivots
 
 
@@ -96,14 +96,6 @@ class KalmanCode:
     def k(self) -> int:
         return len(self.occupied_columns)
 
-    def boxes_in_order(self) -> list[tuple[int, int]]:
-        """Black boxes grouped by column, then by increasing power."""
-        return [
-            (i, j)
-            for j, h in zip(self.occupied_columns, self.column_heights)
-            for i in range(h)
-        ]
-
     def ascii_art(self) -> str:
         """One text row per power, '#' for black boxes, '.' otherwise."""
         if self.n == 0 or self.m == 0:
@@ -159,25 +151,33 @@ def kalman_code(system: LinearSystem) -> KalmanCode:
     return KalmanCode(system.m, system.n, frozenset(columns))
 
 
+def _canonical(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
+    """The chain basis ``P`` and the canonical system, read off as in :func:`canonical_form`."""
+    krylov, columns = _new_direction_walk(system)
+    boxes = [(i, j) for j, i in sorted((j, i) for i, j in columns)]
+    basis = krylov.columns_at([columns[box] for box in boxes])
+    tops = [k for k, (i, j) in enumerate(boxes) if (i + 1, j) not in columns]
+    f, m, n = system.field, system.m, system.n
+    x = solve_right(basis, hstack([system.B, system.A @ basis.columns_at(tops)]))
+    solved, w, xe = {k: m + t for t, k in enumerate(tops)}, x.cols, x.entries
+    a = tuple(xe[r * w + solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
+    return basis, LinearSystem(f, m, n, system.p, Matrix(f, n, n, a), x.columns_at(range(m)), system.C @ basis)
+
+
 def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     """The unique base change ``g`` putting a cc system in canonical form.
 
-    ``g`` is the inverse of the matrix whose columns are the black-box
-    vectors ``A^i B_j``, grouped by occupied column and ordered by
-    increasing power inside each group.  In the resulting system,
-    ``B'`` holds standard basis vectors at the occupied columns and the
-    non-terminal columns of ``A'`` are the shifted basis vectors; the
-    remaining columns carry the orbit moduli.
-
-    Returns ``(g, (g A P, g B, C P))`` with ``P = g^-1`` the black-box
-    matrix.  Constant on orbits: equivalent systems produce the
-    identical canonical system.
+    The columns of ``P`` are the black-box vectors ``A^i B_j``, grouped
+    by occupied column, by increasing power inside each group.  ``A P_k``
+    is ``P_(k+1)`` unless box ``k`` tops its chain, so one solve of
+    ``P X = [B | A P_tops]`` gives ``B'`` and the chain-top columns of
+    ``A'``, whose free entries are the orbit moduli; the other columns of
+    ``A'`` are shifted basis vectors and ``C' = C P``.  ``g = P^-1`` is
+    computed only here, on request.  Returns ``(g, (g A P, g B, C P))``.
+    Constant on orbits: equivalent systems produce the identical canonical system.
     """
-    krylov, columns = _new_direction_walk(system)
-    basis = krylov.columns_at([columns[i, j] for j, i in sorted((j, i) for i, j in columns)])
-    g = inverse(basis)
-    a, b, c = g @ system.A @ basis, g @ system.B, system.C @ basis
-    return g, LinearSystem(system.field, system.m, system.n, system.p, a, b, c)
+    basis, canon = _canonical(system)
+    return inverse(basis), canon
 
 
 def multiindex_from_code(code: KalmanCode) -> MultiIndex:

@@ -95,7 +95,7 @@ def test_census_cc_small_grid():
 
 def test_census_canonical_forms_mode():
     for (m, n, p, q) in [(1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (1, 2, 0, 2), (1, 2, 1, 2),
-                         (0, 2, 1, 2), (1, 0, 1, 3)]:
+                         (0, 2, 1, 2), (1, 0, 1, 3), (1, 2, 1, 3), (2, 2, 1, 2)]:
         by_division = census_cc(m, n, p, q)
         by_forms = census_cc(m, n, p, q, mode="canonical-forms")
         assert by_forms.match

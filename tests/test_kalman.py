@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from moduli_sys import kalman
+from moduli_sys.counting import census_cc
 from moduli_sys.errors import InvalidMultiIndex, NotControllable
-from moduli_sys.grassmann import system_from_cell
+from moduli_sys.grassmann import moduli_point, stratum_point, system_from_cell
 from moduli_sys.kalman import (
     KalmanCode,
     MultiIndex,
@@ -280,8 +282,7 @@ def assert_walk_matches_reference(system: LinearSystem):
     krylov, columns = _new_direction_walk(system)
     assert set(columns) == black
     assert {box: krylov.col_list(c) for box, c in columns.items()} == vectors
-    code = KalmanCode(system.m, system.n, frozenset(black))
-    ordered = [vectors[box] for box in code.boxes_in_order()]
+    ordered = [vectors[box] for box in sorted(black, key=lambda box: (box[1], box[0]))]
     g = _inv(Matrix.from_cols(system.field, ordered, rows=system.n))
     assert canonical_form(system) == (g, act(g, system))
 
@@ -317,3 +318,24 @@ def test_walk_matches_reference_on_random_systems():
             for _ in range(4):
                 m, p = rng.randint(1, 3), rng.randint(0, 2)
                 assert_walk_matches_reference(random_system(field, m, n, p, rng))
+
+
+def test_canonical_system_is_read_off_without_inverting(monkeypatch):
+    # only canonical_form computes g = P^-1; the embeddings and the census
+    # referee read the canonical system off one solve, and the census walks
+    # once per pair (A, B), not once per triple
+    def refuse(matrix):
+        raise AssertionError("inverse on the canonical-system path")
+
+    walks = []
+    walk = kalman._new_direction_walk
+    monkeypatch.setattr(kalman, "inverse", refuse)
+    monkeypatch.setattr(kalman, "_new_direction_walk", lambda s: walks.append(s) or walk(s))
+    rng = random.Random(15)
+    for field in (QQ, F2, F5):
+        s = random_system(field, 2, 4, 1, rng, require="cc")
+        assert moduli_point(s).k == 4
+        assert stratum_point(s).stratum == 4
+    walks.clear()
+    assert census_cc(1, 2, 1, 3, mode="canonical-forms").match
+    assert len(walks) == 3 ** (2 * (2 + 1))
