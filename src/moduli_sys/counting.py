@@ -267,7 +267,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
         forms, raw = set(), 0
         for pair in all_systems(field, m, n, 0):
             try:
-                basis, canon = _canonical(pair)
+                basis, canon, _ = _canonical(pair)
             except NotControllable:
                 continue
             forms.update((canon.A, canon.B, c @ basis) for c in outputs)

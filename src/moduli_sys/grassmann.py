@@ -99,7 +99,7 @@ def moduli_point(system: LinearSystem) -> GrassmannPoint:
     """
     if system.n < 1:
         raise ValueError("the finite embedding needs state dimension n >= 1")
-    _, canon = _canonical(system)
+    _, canon, _ = _canonical(system)
     m, n = system.m, system.n
     blocks = [canon.B]
     if n > 1:
@@ -228,7 +228,7 @@ def stratum_point(system: LinearSystem) -> InfiniteGrassmannPoint:
     plane of the representative at hand.
     """
     try:
-        _, system = _canonical(system)
+        _, system, _ = _canonical(system)
     except NotControllable:
         pass
     L = hstack([system.B, system.C.transpose(), system.A])

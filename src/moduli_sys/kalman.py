@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidMultiIndex, NotControllable
-from .linalg import Matrix, _as_int, hstack, inverse, solve_right
+from .linalg import Matrix, _as_int, hstack, solve_right
 from .system import LinearSystem, _krylov_pivots
 
 
@@ -151,17 +151,26 @@ def kalman_code(system: LinearSystem) -> KalmanCode:
     return KalmanCode(system.m, system.n, frozenset(columns))
 
 
-def _canonical(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
-    """The chain basis ``P`` and the canonical system, read off as in :func:`canonical_form`."""
+def _canonical(system: LinearSystem, with_g: bool = False) -> tuple[Matrix, LinearSystem, Matrix | None]:
+    """``(P, canonical system, g)``, read off as in :func:`canonical_form`.
+
+    ``g = P^-1`` is ``None`` unless ``with_g``; then it is the right block
+    of the same reduction, ``P X = [B | A P_tops | I]``.
+    """
     krylov, columns = _new_direction_walk(system)
     boxes = [(i, j) for j, i in sorted((j, i) for i, j in columns)]
     basis = krylov.columns_at([columns[box] for box in boxes])
     tops = [k for k, (i, j) in enumerate(boxes) if (i + 1, j) not in columns]
     f, m, n = system.field, system.m, system.n
-    x = solve_right(basis, hstack([system.B, system.A @ basis.columns_at(tops)]))
+    rhs = [system.B, system.A @ basis.columns_at(tops)]
+    if with_g:
+        rhs.append(Matrix.identity(f, n))
+    x = solve_right(basis, hstack(rhs))
     solved, w, xe = {k: m + t for t, k in enumerate(tops)}, x.cols, x.entries
     a = tuple(xe[r * w + solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
-    return basis, LinearSystem(f, m, n, system.p, Matrix(f, n, n, a), x.columns_at(range(m)), system.C @ basis)
+    g = x.columns_at(range(w - n, w)) if with_g else None
+    canon = LinearSystem(f, m, n, system.p, Matrix(f, n, n, a), x.columns_at(range(m)), system.C @ basis)
+    return basis, canon, g
 
 
 def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
@@ -173,11 +182,12 @@ def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     ``P X = [B | A P_tops]`` gives ``B'`` and the chain-top columns of
     ``A'``, whose free entries are the orbit moduli; the other columns of
     ``A'`` are shifted basis vectors and ``C' = C P``.  ``g = P^-1`` is
-    computed only here, on request.  Returns ``(g, (g A P, g B, C P))``.
+    computed only here, as the right block of that same reduction of
+    ``[P | B | A P_tops | I]``.  Returns ``(g, (g A P, g B, C P))``.
     Constant on orbits: equivalent systems produce the identical canonical system.
     """
-    basis, canon = _canonical(system)
-    return inverse(basis), canon
+    _, canon, g = _canonical(system, with_g=True)
+    return g, canon
 
 
 def multiindex_from_code(code: KalmanCode) -> MultiIndex:

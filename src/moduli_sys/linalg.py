@@ -1,13 +1,24 @@
 """Exact dense linear algebra over the rationals and over prime fields.
 
 Over ``F_q`` scalars are ``int`` values in ``[0, q)``.  Over the
-rationals a scalar enters as an ``int`` when integral and as a
-``fractions.Fraction`` otherwise, and integers stay ``int`` until a
-division; equal ``int`` and ``Fraction`` values compare, hash and print
-alike.  ``0`` and ``1`` serve every field, and only outside data passes
-through :meth:`Field.coerce`.  All arithmetic is exact; there is no
-floating point anywhere.  Matrices are immutable and every operation is
-a pure function, so values can be shared freely between threads.
+rationals a scalar is an ``int`` when integral and a
+``fractions.Fraction`` otherwise; equal ``int`` and ``Fraction`` values
+compare, hash and print alike.  ``0`` and ``1`` serve every field, and
+only outside data passes through :meth:`Field.coerce`.  All arithmetic
+is exact; there is no floating point anywhere.  Matrices are immutable
+and every operation is a pure function, so values can be shared freely
+between threads.
+
+Over the rationals the work inside is integral, and ``Fraction`` is
+built only for results.  :func:`_eliminate` makes every row a primitive
+integer row and runs fraction-free (Bareiss) elimination, whose
+divisions are exact; a reduced form divides each entry once, at the
+end, by the last pivot.  A product clears one common denominator per
+operand, multiplies integers and divides each output entry once.  Rows
+that :func:`_eliminate` leaves unreduced are nonzero multiples of the
+echelon rows: a caller may read their pivot columns and row space, and
+:func:`minor_det` reads the determinant off the last pivot, but no
+other value.
 
 Zero-sized matrices (``0 x k`` and ``k x 0``) are legal everywhere and
 follow the usual conventions (empty products are 1, empty sums are 0).
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .errors import IndexOutOfRange, NonSquareSelection, SingularMatrix
@@ -69,6 +81,23 @@ def _as_int(value, what: str) -> int:
     if isinstance(value, (bool, float)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _ratio(a: int, b: int) -> Scalar:
+    """``a / b`` as a canonical rational scalar: an ``int`` when ``b`` divides ``a``."""
+    return a // b if not a % b else Fraction(a, b)
+
+
+def _integral(entries) -> tuple:
+    """Rational entries as integers over one common denominator: ``(ints, den)``.
+
+    An all-``int`` sequence comes back as it is, with ``den == 1``;
+    ``Fraction(k, 1)`` values become ``int``.
+    """
+    if set(map(type, entries)) <= {int}:
+        return entries, 1
+    den = lcm(*[x.denominator for x in entries])
+    return [x.numerator * (den // x.denominator) for x in entries], den
 
 
 @dataclass(frozen=True)
@@ -273,7 +302,10 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         q = self.field.q
         inner, c = self.cols, other.cols
-        se, oe = self.entries, other.entries
+        se, oe, den = self.entries, other.entries, 1
+        if q is None:  # integers over one common denominator per operand
+            (se, sd), (oe, od) = _integral(se), _integral(oe)
+            den = sd * od
         zero = self.field.zero
         out = []
         for i in range(self.rows):
@@ -284,6 +316,8 @@ class Matrix:
                 for k in range(inner):
                     s = s + arow[k] * oe[k * c + j]
                 out.append(s % q if q is not None else s)
+        if den != 1:
+            out = [_ratio(x, den) for x in out]
         return Matrix(self.field, self.rows, c, tuple(out))
 
     def _check_same_shape(self, other: "Matrix") -> None:
@@ -329,20 +363,49 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
 # -- elimination-based operations ---------------------------------------
 
 
-def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[list[int], int]:
+def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[list[int], Scalar]:
     """Gaussian elimination of a list of row lists, in place.
 
     Sweeps the columns left to right and takes the first nonzero entry
     at or below the current row as the pivot, then clears the entries
-    below it.  With ``reduced`` it also scales the pivot row to 1 and
-    clears the entries above, leaving the reduced row-echelon form.
-    Stops once every row holds a pivot.  Returns the (0-based) pivot
-    columns and the sign (+1 or -1) of the row swaps.
+    below it; with ``reduced`` it also clears the entries above.  Stops
+    once every row holds a pivot.  Returns the (0-based) pivot columns
+    and a unit ``u`` for :func:`minor_det`.
+
+    Over ``F_q`` the pivot row is scaled to 1 when ``reduced``, and ``u``
+    is the sign (+1 or -1) of the row swaps.
+
+    Over ``Q`` the work is integral.  Each row is first made a primitive
+    integer row: its denominators are cleared and it is divided by the
+    gcd of its entries.  Bareiss elimination follows (Bareiss, Math.
+    Comp. 22, 1968): an update is ``(p x - v y) / p_prev`` with ``p`` the
+    pivot and ``p_prev`` the one before it, and that division is exact.
+    With ``reduced`` every other row is updated (fraction-free
+    Gauss-Jordan), so all pivot entries end equal to the last pivot
+    ``d``; each entry of the pivot rows is then divided once by ``d``,
+    which leaves the reduced row-echelon form in canonical scalars.
+    Without ``reduced`` the rows stay integral: each is a forward-eliminated
+    row of the input times a nonzero rational, so a caller may read the
+    pivot columns and the row space, not the values.  ``u`` is the sign
+    of the row swaps over the product of the row scales, so the
+    determinant of a square input of full rank is ``u`` times the last
+    pivot.
     """
-    sub, mul = field.sub, field.mul
     nrows = len(grid)
     pivots: list[int] = []
     sign = 1
+    q = field.q
+    if q is None:
+        prev, num, den = 1, 1, 1  # the previous pivot; the row scales multiply to den / num
+        for i, row in enumerate(grid):
+            ints, d = _integral(row)
+            g = gcd(*ints)
+            if g > 1:
+                ints = [x // g for x in ints]
+            if g:
+                num, den = num * g, den * d
+            grid[i] = ints
+    sub, mul = field.sub, field.mul
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -356,18 +419,37 @@ def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[lis
             grid[r], grid[piv] = grid[piv], grid[r]
             sign = -sign
         prow = grid[r]
-        pivinv = field.inv(prow[c])
-        if reduced:
-            prow[c:] = [mul(pivinv, x) for x in prow[c:]]
-        for i in range(0 if reduced else r + 1, nrows):
-            row = grid[i]
-            v = row[c]
-            if i != r and v != 0:
-                factor = v if reduced else mul(v, pivinv)
-                for k in range(c, ncols):
-                    row[k] = sub(row[k], mul(factor, prow[k]))
+        if q is None:
+            p = prow[c]
+            for i in range(0 if reduced else r + 1, nrows):
+                if i == r:
+                    continue
+                row = grid[i]
+                v = row[c]
+                start = pivots[i] if i < r else c  # the row is zero left of start
+                if v:
+                    row[start:] = [(p * x - v * y) // prev for x, y in zip(row[start:], prow[start:])]
+                elif p != prev:  # every row scales by p / prev, or later divisions are inexact
+                    row[start:] = [p * x // prev for x in row[start:]]
+            prev = p
+        else:
+            pivinv = field.inv(prow[c])
+            if reduced:
+                prow[c:] = [mul(pivinv, x) for x in prow[c:]]
+            for i in range(0 if reduced else r + 1, nrows):
+                row = grid[i]
+                v = row[c]
+                if i != r and v != 0:
+                    factor = v if reduced else mul(v, pivinv)
+                    for k in range(c, ncols):
+                        row[k] = sub(row[k], mul(factor, prow[k]))
         pivots.append(c)
-    return pivots, sign
+    if q is not None:
+        return pivots, sign
+    if reduced:
+        for row in grid[:len(pivots)]:
+            row[:] = [_ratio(x, prev) for x in row]
+    return pivots, _ratio(sign * num, den)
 
 
 def pivot_columns(matrix: Matrix) -> tuple[int, ...]:
@@ -421,7 +503,10 @@ def kernel_basis(matrix: Matrix) -> Matrix:
 def minor_det(matrix: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Scalar:
     """Determinant of the square submatrix selected by the index lists.
 
-    Index lists must be strictly increasing and equally long.
+    Index lists must be strictly increasing and equally long.  One forward
+    elimination: over ``F_q`` the determinant is the sign of the row swaps
+    times the pivot product; over ``Q`` the rows are scaled, so it is the
+    last Bareiss pivot times the unit that :func:`_eliminate` returns.
     """
     row_idx, col_idx = list(row_idx), list(col_idx)
     if len(row_idx) != len(col_idx):
@@ -431,12 +516,14 @@ def minor_det(matrix: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
             raise IndexOutOfRange(f"{what} index out of range in {idx}")
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError(f"{what} indices must be strictly increasing")
-    f = matrix.field
+    f, k = matrix.field, len(col_idx)
     grid = [[matrix.entry(i, j) for j in col_idx] for i in row_idx]
-    pivots, sign = _eliminate(f, grid, len(col_idx), False)
-    if len(pivots) < len(row_idx):
+    pivots, unit = _eliminate(f, grid, k, False)
+    if len(pivots) < k:
         return f.zero
-    out = f.one if sign > 0 else f.neg(f.one)
+    if f.q is None:  # Bareiss: the last pivot is the determinant of the scaled rows
+        return _ratio(unit.numerator * grid[-1][-1], unit.denominator) if k else f.one
+    out = f.one if unit > 0 else f.neg(f.one)
     for r, c in enumerate(pivots):
         out = f.mul(out, grid[r][c])
     return out

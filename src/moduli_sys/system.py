@@ -26,6 +26,26 @@ from .errors import SingularBaseChange, SingularMatrix
 from .linalg import Field, Matrix, _as_int, hstack, inverse, pivot_columns
 
 
+MAX_DIM = 64
+"""Largest ``m``, ``n`` or ``p`` that a system or Markov file may declare.
+
+A Markov window may hold at most ``2 * MAX_DIM + 1`` blocks, the window
+that certifies order ``MAX_DIM``.  Past these caps a well-formed input
+could run for hours, so it is refused before any scalar is read."""
+
+MAX_ENTRIES = 1 << 13
+"""Most scalars that a system file (``A``, ``B`` and ``C``) or a Markov file may hold."""
+
+
+def _check_input_size(dims: dict, entries: int) -> None:
+    """Refuse input past :data:`MAX_DIM` or :data:`MAX_ENTRIES` (a ``ValueError``)."""
+    for key, value in dims.items():
+        if value > MAX_DIM:
+            raise ValueError(f"{key} = {value} is too large; at most {MAX_DIM} is supported")
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"{entries} scalars are too many; at most {MAX_ENTRIES} are supported")
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     field: Field
@@ -201,6 +221,7 @@ def system_to_json(system: LinearSystem) -> dict:
 def system_from_json(obj: dict) -> LinearSystem:
     field = Field.from_json(obj["field"])
     m, n, p = (_as_int(obj[key], key) for key in ("m", "n", "p"))
+    _check_input_size({"m": m, "n": n, "p": p}, n * (n + m) + p * n)
 
     def grid(key: str, rows: int, cols: int) -> Matrix:
         raw = obj[key]

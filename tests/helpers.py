@@ -108,6 +108,55 @@ def leibniz_det(matrix: Matrix):
     return total
 
 
+# Fraction-only referees: plain lists of rows, no library linear algebra.
+
+
+def fraction_rref(rows: list) -> tuple[list, list]:
+    """Reduced row-echelon form (``Fraction`` rows) and pivot columns, by textbook Gauss-Jordan."""
+    grid = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(grid[0]) if grid else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(grid)) if grid[i][c] != 0), None)
+        if found is None:
+            continue
+        grid[r], grid[found] = grid[found], grid[r]
+        lead = grid[r][c]
+        grid[r] = [x / lead for x in grid[r]]
+        for i in range(len(grid)):
+            if i != r and grid[i][c] != 0:
+                factor = grid[i][c]
+                grid[i] = [x - factor * y for x, y in zip(grid[i], grid[r])]
+        pivots.append(c)
+    return grid, pivots
+
+
+def fraction_rank(rows: list) -> int:
+    return len(fraction_rref(rows)[1])
+
+
+def fraction_det(rows: list) -> Fraction:
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        ((-1) ** j * Fraction(rows[0][j]) * fraction_det([row[:j] + row[j + 1:] for row in rows[1:]])
+         for j in range(len(rows)) if rows[0][j] != 0),
+        Fraction(0),
+    )
+
+
+def fraction_product(a: list, b: list, cols: int) -> list:
+    """``a @ b`` for row lists, ``b`` with ``cols`` columns, one ``Fraction`` sum per entry."""
+    return [[sum((Fraction(x) * row_b[j] for x, row_b in zip(row, b)), Fraction(0)) for j in range(cols)] for row in a]
+
+
+def is_canonical_rational(x) -> bool:
+    """An ``int`` when integral, a ``Fraction`` otherwise: the scalar format over ``Q``."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def all_f2_matrices(max_rows: int = 3, max_cols: int = 3):
     field = Field.prime(2)
     for r in range(1, max_rows + 1):
@@ -117,7 +166,10 @@ def all_f2_matrices(max_rows: int = 3, max_cols: int = 3):
 
 
 def reference_realizability_order(seq):
-    """The order certification scan with one elimination per inspected H_ij."""
+    """The order certification scan with one elimination per inspected H_ij.
+
+    Over ``Q`` each rank comes from the Fraction-only :func:`fraction_rank`.
+    """
     L = len(seq)
     if L < 2:
         raise ValueError("need at least two blocks to certify anything")
@@ -125,7 +177,8 @@ def reference_realizability_order(seq):
 
     def rk(i, j):
         if (i, j) not in cache:
-            cache[(i, j)] = rank(hankel(seq, i, j))
+            h = hankel(seq, i, j)
+            cache[(i, j)] = fraction_rank(h.to_rows()) if seq.field.q is None else rank(h)
         return cache[(i, j)]
 
     for r in range(1, L - 1):

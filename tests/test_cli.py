@@ -9,7 +9,7 @@ import moduli_sys.realization as realization
 from moduli_sys.cli import main
 from moduli_sys.linalg import Field
 from moduli_sys.realization import MarkovSequence
-from moduli_sys.system import markov_parameters, random_system, system_from_json, system_to_json
+from moduli_sys.system import MAX_DIM, markov_parameters, random_system, system_from_json, system_to_json
 
 
 def write_json(path, payload):
@@ -325,3 +325,39 @@ def test_markov_dimensions_must_be_integers(tmp_path, capsys):
     code, out, err = run(capsys, ["realize", "--markov", write_json(tmp_path / "bad.json", dict(doc, p=1.0))])
     assert code == 1 and out == ""
     assert "INVALID_INPUT: p must be an integer, got 1.0" in err
+
+
+def _system_payload(m, n, p):
+    return {"field": "Q", "m": m, "n": n, "p": p, "A": [1] * (n * n), "B": [1] * (n * m), "C": [1] * (p * n)}
+
+
+def _markov_payload(m, p, window):
+    return {"field": "Q", "m": m, "p": p, "blocks": [[1] * (p * m) for _ in range(window)]}
+
+
+@pytest.mark.parametrize("command, flag, payload, message", [
+    ("analyze", "--system", _system_payload(1, MAX_DIM + 1, 1), "n = 65 is too large"),
+    ("analyze", "--system", _system_payload(MAX_DIM, MAX_DIM, 1), "8256 scalars are too many"),
+    ("realize", "--markov", _markov_payload(1, MAX_DIM + 1, 3), "p = 65 is too large"),
+    ("realize", "--markov", _markov_payload(1, 1, 2 * MAX_DIM + 2), "a window of 130 blocks is too long"),
+    ("realize", "--markov", _markov_payload(16, 16, 33), "8448 scalars are too many"),
+], ids=["system-dimension", "system-entries", "markov-dimension", "markov-window", "markov-entries"])
+def test_oversized_input_fails_fast(command, flag, payload, message, tmp_path):
+    # well-formed but past MAX_DIM or MAX_ENTRIES: refused before any scalar is read
+    import subprocess
+    import sys
+
+    path = write_json(tmp_path / "input.json", payload)
+    proc = subprocess.run(
+        [sys.executable, "-m", "moduli_sys", command, flag, path],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "INVALID_INPUT" in proc.stderr and message in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_inputs_at_the_caps_are_read():
+    # the caps are inclusive: the largest accepted shapes still load
+    assert system_from_json(_system_payload(1, MAX_DIM, 1)).n == MAX_DIM
+    assert len(MarkovSequence.from_json(_markov_payload(1, 1, 2 * MAX_DIM + 1))) == 2 * MAX_DIM + 1

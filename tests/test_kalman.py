@@ -321,21 +321,45 @@ def test_walk_matches_reference_on_random_systems():
 
 
 def test_canonical_system_is_read_off_without_inverting(monkeypatch):
-    # only canonical_form computes g = P^-1; the embeddings and the census
-    # referee read the canonical system off one solve, and the census walks
-    # once per pair (A, B), not once per triple
-    def refuse(matrix):
-        raise AssertionError("inverse on the canonical-system path")
+    # only canonical_form computes g = P^-1, from an identity block in its one
+    # solve; the embeddings and the census referee solve without that block
+    # and never invert, and the census walks once per pair (A, B), not once
+    # per triple
+    def refuse(cls, field, n):
+        raise AssertionError("g = P^-1 on the canonical-system path")
 
     walks = []
     walk = kalman._new_direction_walk
-    monkeypatch.setattr(kalman, "inverse", refuse)
+    monkeypatch.setattr(Matrix, "identity", classmethod(refuse))  # inverse(M) is solve_right(M, I) too
     monkeypatch.setattr(kalman, "_new_direction_walk", lambda s: walks.append(s) or walk(s))
     rng = random.Random(15)
     for field in (QQ, F2, F5):
         s = random_system(field, 2, 4, 1, rng, require="cc")
         assert moduli_point(s).k == 4
         assert stratum_point(s).stratum == 4
+        with pytest.raises(AssertionError, match="g = P"):
+            canonical_form(s)
     walks.clear()
     assert census_cc(1, 2, 1, 3, mode="canonical-forms").match
     assert len(walks) == 3 ** (2 * (2 + 1))
+
+
+def test_canonical_form_reduces_the_chain_basis_once(monkeypatch):
+    # g is the right block of the reduction that reads off the canonical system
+    from moduli_sys import linalg
+
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args[3]) or eliminate(*args))
+    rng = random.Random(16)
+    for field in (QQ, F5):
+        for m, n in ((1, 2), (2, 4), (3, 6)):
+            s = random_system(field, m, n, 1, rng, require="cc")
+            calls.clear()
+            basis, canon, _ = kalman._canonical(s)
+            read_off = list(calls)
+            calls.clear()
+            g, canon_g = canonical_form(s)
+            assert calls == read_off and calls.count(True) == 1
+            assert canon_g == canon
+            assert g @ basis == Matrix.identity(field, n) == basis @ g

@@ -24,7 +24,18 @@ from moduli_sys.linalg import (
     vstack,
 )
 
-from helpers import all_f2_matrices, gauss_rank_oracle, leibniz_det, span_rank_oracle, unimodular
+from helpers import (
+    all_f2_matrices,
+    fraction_det,
+    fraction_product,
+    fraction_rank,
+    fraction_rref,
+    gauss_rank_oracle,
+    is_canonical_rational,
+    leibniz_det,
+    span_rank_oracle,
+    unimodular,
+)
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -198,6 +209,18 @@ def qq_matrices(draw, max_dim=4):
     return Matrix(QQ, r, c, tuple(Fraction(x) for x in ent))
 
 
+# denominators 1..9; Fraction(k, 1) values stay raw, as if they had bypassed coerce
+RATIONAL = st.one_of(ENTRY, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def qq_rational_matrices(draw, rows=None, max_rows=4, max_cols=4):
+    r = draw(st.integers(min_value=0, max_value=max_rows)) if rows is None else rows
+    c = draw(st.integers(min_value=0, max_value=max_cols))
+    ent = draw(st.lists(RATIONAL, min_size=r * c, max_size=r * c))
+    return Matrix(QQ, r, c, tuple(ent))
+
+
 @st.composite
 def f5_matrices(draw, max_dim=4):
     r = draw(st.integers(min_value=0, max_value=max_dim))
@@ -265,6 +288,73 @@ def test_kernel_contract(m):
     assert k.rows == m.cols - rank(m)
     assert (m @ k.transpose()).is_zero()
     assert rank(k) == k.rows
+
+
+# -- rational elimination against the Fraction-only referees -----------------
+
+
+def assert_canonical(matrix):
+    assert all(is_canonical_rational(x) for x in matrix.entries), matrix.entries
+
+
+@given(qq_rational_matrices())
+def test_rank_and_rref_match_fraction_referee(m):
+    rows = m.to_rows()
+    ref, ref_pivots = fraction_rref(rows)
+    assert rank(m) == fraction_rank(rows) == len(ref_pivots)
+    assert pivot_columns(m) == tuple(ref_pivots)
+    red, pivots = rref_with_pivots(m)
+    assert pivots == tuple(ref_pivots)
+    assert red.to_rows() == ref
+    assert_canonical(red)
+
+
+@given(qq_rational_matrices(max_rows=5, max_cols=5), st.data())
+def test_det_and_minors_match_fraction_referee(m, data):
+    k = data.draw(st.integers(0, min(m.rows, m.cols)))
+    rows = sorted(data.draw(st.sets(st.integers(0, m.rows - 1), min_size=k, max_size=k))) if k else []
+    cols = sorted(data.draw(st.sets(st.integers(0, m.cols - 1), min_size=k, max_size=k))) if k else []
+    value = minor_det(m, rows, cols)
+    assert value == fraction_det([[m.entry(i, j) for j in cols] for i in rows])
+    assert is_canonical_rational(value)
+    if m.rows == m.cols:
+        value = det(m)
+        assert value == fraction_det(m.to_rows()) == leibniz_det(m)
+        assert is_canonical_rational(value)
+
+
+@given(qq_rational_matrices(), st.data())
+def test_product_matches_fraction_referee(a, data):
+    b = data.draw(qq_rational_matrices(rows=a.cols))
+    prod = a @ b
+    assert prod.to_rows() == fraction_product(a.to_rows(), b.to_rows(), b.cols)
+    assert_canonical(prod)
+
+
+@given(qq_rational_matrices(), st.data())
+def test_solve_and_inverse_match_fraction_referee(a, data):
+    # the solution with free unknowns 0 is the right part of the reduced [A | B]
+    b = data.draw(qq_rational_matrices(rows=a.rows, max_cols=3))
+    ref, pivots = fraction_rref([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())])
+    x = solve_right(a, b)
+    if any(p >= a.cols for p in pivots):
+        assert x is None
+    else:
+        expected = [[0] * b.cols for _ in range(a.cols)]
+        for row, pc in zip(ref, pivots):
+            expected[pc] = row[a.cols:]
+        assert x.to_rows() == expected
+        assert_canonical(x)
+    if a.rows == a.cols:
+        eye = [[int(i == j) for j in range(a.rows)] for i in range(a.rows)]
+        ref, pivots = fraction_rref([row + e for row, e in zip(a.to_rows(), eye)])
+        if fraction_det(a.to_rows()) == 0:
+            with pytest.raises(SingularMatrix):
+                inverse(a)
+        else:
+            g = inverse(a)
+            assert g.to_rows() == [row[a.cols:] for row in ref]
+            assert_canonical(g)
 
 
 def test_inverse_and_errors():

@@ -1,6 +1,7 @@
 """Hankel matrices, order certification, Ho-Kalman realization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -259,6 +260,32 @@ def test_realizability_order_matches_reference_scan():
                 for _ in range(window)
             )
             check(MarkovSequence(field, m, p, blocks))
+
+    # over Q with non-integral entries: Markov blocks with growing denominators
+    def rational_system(m, n, p):
+        def grid(rows, cols):
+            ent = (QQ.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(rows * cols))
+            return Matrix(QQ, rows, cols, tuple(ent))
+
+        return LinearSystem(QQ, m, n, p, grid(n, n), grid(n, m), grid(p, n))
+
+    fractional = 0
+    for m in (1, 2, 3):
+        for p in (1, 2, 3):
+            for n in range(5):
+                seq = MarkovSequence.from_system(rational_system(m, n, p), max(2 * n + 1, 2) + rng.randint(0, 2))
+                fractional += any(x.denominator > 1 for blk in seq.blocks for x in blk.entries)
+                check(seq)
+    assert fractional >= 30, fractional
+    # one output and order up to 6 over Q: the carried integral echelon rows re-enter past r = 3
+    certified_at = set()
+    for n in range(4, 7):
+        system = rational_system(rng.randint(1, 2), n, 1)
+        for window in range(2 * n + 1, 2 * n + 4):
+            got = check(MarkovSequence.from_system(system, window))
+            if isinstance(got, HankelRankProfile):
+                certified_at.add(got.r)
+    assert max(certified_at) > 3, certified_at
 
 
 def test_realizability_order_eliminates_once_per_block_row_count(monkeypatch):
