@@ -5,7 +5,9 @@ the columns ``A^i B_j`` introduce a new direction when the columns are
 scanned in lexicographic order of ``(i, j)``.  It is an ``n x m`` box
 diagram with exactly ``n`` black boxes, top-justified in every column,
 and it only depends on the base-change orbit of the system.  The black
-boxes are read off the Krylov walk ``system._krylov_pivots``.
+boxes are read off the system's memoized Krylov walk
+(``system._krylov_pivots``), and the canonical reduction is kept on the
+system the same way.
 
 Conventions: box rows (powers ``i``) are 0-based, box columns (inputs
 ``j``) are 1-based; multi-indices are 1-based throughout.
@@ -19,7 +21,7 @@ from typing import Iterator
 
 from .errors import InvalidMultiIndex, NotControllable
 from .linalg import Matrix, _as_int, hstack, solve_right
-from .system import LinearSystem, _krylov_pivots
+from .system import LinearSystem
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def _new_direction_walk(system: LinearSystem):
     keyed by box.  Raises when there are fewer than ``n`` black boxes
     (the system is not completely controllable).
     """
-    krylov, boxes, pivots = _krylov_pivots(system.A, system.B)
+    krylov, boxes, pivots = system._walk
     if len(pivots) < system.n:
         raise NotControllable(f"controllability rank is {len(pivots)} < n = {system.n}")
     return krylov, {boxes[c]: c for c in pivots}
@@ -154,9 +156,16 @@ def kalman_code(system: LinearSystem) -> KalmanCode:
 def _canonical(system: LinearSystem, with_g: bool = False) -> tuple[Matrix, LinearSystem, Matrix | None]:
     """``(P, canonical system, g)``, read off as in :func:`canonical_form`.
 
-    ``g = P^-1`` is ``None`` unless ``with_g``; then it is the right block
-    of the same reduction, ``P X = [B | A P_tops | I]``.
+    The reduction runs at most once per system object and is kept in its
+    ``__dict__``, next to the memoized walks.  ``g = P^-1`` is ``None``
+    unless ``with_g``; then it is the right block of the same reduction,
+    ``P X = [B | A P_tops | I]``.  A ``with_g`` call that finds a kept
+    reduction without ``g`` reduces once more, with ``I``, and keeps that
+    one, so callers that need no ``g`` never pay for it.
     """
+    memo = system.__dict__.get("_canonical")
+    if memo is not None and (memo[2] is not None or not with_g):
+        return memo
     krylov, columns = _new_direction_walk(system)
     boxes = [(i, j) for j, i in sorted((j, i) for i, j in columns)]
     basis = krylov.columns_at([columns[box] for box in boxes])
@@ -170,7 +179,8 @@ def _canonical(system: LinearSystem, with_g: bool = False) -> tuple[Matrix, Line
     a = tuple(xe[r * w + solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
     g = x.columns_at(range(w - n, w)) if with_g else None
     canon = LinearSystem(f, m, n, system.p, Matrix(f, n, n, a), x.columns_at(range(m)), system.C @ basis)
-    return basis, canon, g
+    memo = system.__dict__["_canonical"] = (basis, canon, g)
+    return memo
 
 
 def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
@@ -185,6 +195,9 @@ def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     computed only here, as the right block of that same reduction of
     ``[P | B | A P_tops | I]``.  Returns ``(g, (g A P, g B, C P))``.
     Constant on orbits: equivalent systems produce the identical canonical system.
+    The reduction is kept on ``system``: a second call, or
+    :func:`~moduli_sys.grassmann.moduli_point` and
+    :func:`~moduli_sys.grassmann.stratum_point` after this one, reuse it.
     """
     _, canon, g = _canonical(system, with_g=True)
     return g, canon

@@ -7,7 +7,10 @@ compare, hash and print alike.  ``0`` and ``1`` serve every field, and
 only outside data passes through :meth:`Field.coerce`.  All arithmetic
 is exact; there is no floating point anywhere.  Matrices are immutable
 and every operation is a pure function, so values can be shared freely
-between threads.
+between threads.  The memo a ``LinearSystem`` keeps of its walks and
+its canonical reduction keeps that true: each write stores the same
+values as any it replaces (``g`` aside), so threads racing on one
+system can repeat work but never see a wrong result.
 
 Over the rationals the work inside is integral, and ``Fraction`` is
 built only for results.  :func:`_eliminate` makes every row a primitive
@@ -163,10 +166,14 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.q is None:
-            return Fraction(1) / a
+            a = Fraction(a)
+            return _ratio(a.denominator, a.numerator)
         return pow(int(a), self.q - 2, self.q)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
+        if self.q is None:
+            x = Fraction(a) * self.inv(b)
+            return _ratio(x.numerator, x.denominator)
         return self.mul(a, self.inv(b))
 
     def scalar_to_json(self, a: Scalar):

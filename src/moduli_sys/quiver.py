@@ -33,7 +33,7 @@ from typing import Iterator
 
 from .errors import NonzeroThetaAlpha, OracleTooLarge
 from .linalg import Field, Matrix, charpoly, hstack, pivot_columns, rank, solve_right, vstack
-from .system import LinearSystem, _krylov_pivots, classify
+from .system import KrylovWalk, LinearSystem, classify
 
 DEFAULT_SUBSPACE_LIMIT = 1 << 15
 
@@ -117,17 +117,17 @@ def _factor_degrees(field: Field, coeffs: tuple) -> tuple[tuple[int, int], ...]:
     return tuple((f.degree(), mult) for f, mult in factors)
 
 
-def _quotient_dims(a: Matrix, b: Matrix) -> tuple[int, frozenset[int]]:
-    """Rank of ``(a, b)`` and the invariant-subspace dimensions of ``a`` modulo its reachable space.
+def _quotient_dims(a: Matrix, walk: KrylovWalk) -> tuple[int, frozenset[int]]:
+    """Rank of the Krylov walk of ``(a, b)`` and the invariant-subspace dimensions of ``a`` modulo its reachable space.
 
-    The pivot columns of the Krylov walk are a basis of the reachable
-    space, an ``a``-invariant subspace of dimension the rank ``d``.
-    Completing it greedily with standard basis vectors and conjugating
-    makes ``a`` block upper triangular; the bottom-right block is the
-    operator induced on the quotient.
+    ``walk`` is one of the two walks a system keeps.  Its pivot columns
+    are a basis of the reachable space, an ``a``-invariant subspace of
+    dimension the rank ``d``.  Completing it greedily with standard
+    basis vectors and conjugating makes ``a`` block upper triangular;
+    the bottom-right block is the operator induced on the quotient.
     """
     f, n = a.field, a.rows
-    krylov, _, pivots = _krylov_pivots(a, b)
+    krylov, _, pivots = walk
     d = len(pivots)
     ext = hstack([krylov.columns_at(pivots), Matrix.identity(f, n)])
     basis = ext.columns_at(pivot_columns(ext))
@@ -161,9 +161,9 @@ def subrep_dimvectors(
 def _subreps_by_rank(system: LinearSystem) -> frozenset[DimensionVector]:
     n = system.n
     out: set[DimensionVector] = set()
-    rank_c, dims = _quotient_dims(system.A, system.B)
+    rank_c, dims = _quotient_dims(system.A, system._walk)
     out.update((1, rank_c + x) for x in dims if rank_c + x < n)
-    rank_o, dims = _quotient_dims(system.A.transpose(), system.C.transpose())
+    rank_o, dims = _quotient_dims(system.A.transpose(), system._dual_walk)
     out.update((0, n - rank_o - x) for x in dims if n - rank_o - x > 0)
     return frozenset(out)
 

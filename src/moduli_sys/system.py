@@ -8,7 +8,12 @@ of interest here is a function of that orbit.
 Every reachability question reads one lazy Krylov walk,
 ``_krylov_pivots``: ``classify`` counts its pivots, the Kalman code
 reads which columns they are and the quiver view the space they span.
-The co side is the cc side of the dual ``(A^T, C^T, B^T)``.
+The co side is the cc side of the dual ``(A^T, C^T, B^T)``.  Both
+walks are computed at most once per system object and kept on it, as is
+the canonical reduction (``kalman._canonical``), so the classification,
+simplicity, the Kalman code, the canonical form and both embeddings of
+one system share them.  The memo is not a field: equality, hashing,
+``repr``, JSON and ``dataclasses.replace`` never see it.
 
 Degenerate shapes are allowed on purpose: ``n = 0`` is the empty system
 (canonical by convention), ``p = 0`` means no outputs, and ``m = 0`` is
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Iterator
 
@@ -76,6 +82,22 @@ class LinearSystem:
     def shape(self) -> tuple[int, int, int]:
         return (self.m, self.n, self.p)
 
+    # The memo: ``cached_property`` stores each walk in the instance
+    # ``__dict__``, past the frozen ``__setattr__``, and
+    # ``kalman._canonical`` keeps the canonical reduction there the same
+    # way.  The matrices are immutable, so a value computed once stays
+    # true for the life of the object.
+
+    @cached_property
+    def _walk(self) -> KrylovWalk:
+        """The Krylov walk of ``(A, B)``: :func:`_krylov_pivots`, computed once."""
+        return _krylov_pivots(self.A, self.B)
+
+    @cached_property
+    def _dual_walk(self) -> KrylovWalk:
+        """The Krylov walk of ``(A^T, C^T)``, the cc side of the dual, computed once."""
+        return _krylov_pivots(self.A.transpose(), self.C.transpose())
+
 
 @dataclass(frozen=True)
 class SystemClass:
@@ -106,7 +128,10 @@ def observability_matrix(system: LinearSystem) -> Matrix:
     return controllability_matrix(dualize(system)).transpose()
 
 
-def _krylov_pivots(a: Matrix, b: Matrix) -> tuple[Matrix, list[tuple[int, int]], tuple[int, ...]]:
+KrylovWalk = tuple[Matrix, tuple[tuple[int, int], ...], tuple[int, ...]]
+
+
+def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
     """The pivot columns of the Krylov matrix ``[b, ab, a^2 b, ...]``, built lazily.
 
     Column ``c`` is ``a^i b_j`` for the box ``(i, j) = boxes[c]`` and is
@@ -118,6 +143,8 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> tuple[Matrix, list[tuple[int, int]],
     full blocks to start, all a generic pair needs) before the next
     elimination.  Stops at ``n`` pivots or when the last block holds
     none, so the pivot count is the controllability rank of ``(a, b)``.
+    Returns ``(krylov, boxes, pivots)``, all immutable, since a system
+    shares its memoized walks between callers.
     """
     n, m = b.rows, b.cols
     krylov, blocks, boxes, pivots = b, [], [], ()
@@ -137,7 +164,7 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> tuple[Matrix, list[tuple[int, int]],
                 break
             live = [live[c] for c in newest]
             frontier = frontier.columns_at(newest)
-    return krylov, boxes, pivots
+    return krylov, tuple(boxes), pivots
 
 
 def classify(system: LinearSystem) -> SystemClass:
@@ -148,8 +175,8 @@ def classify(system: LinearSystem) -> SystemClass:
     rank of the dual.  For ``n = 0`` both ranks are trivially maximal,
     so the empty system is canonical.
     """
-    rank_c = len(_krylov_pivots(system.A, system.B)[2])
-    rank_o = len(_krylov_pivots(system.A.transpose(), system.C.transpose())[2])
+    rank_c = len(system._walk[2])
+    rank_o = len(system._dual_walk[2])
     cc = rank_c == system.n
     co = rank_o == system.n
     return SystemClass(cc=cc, co=co, canonical=cc and co, rank_c=rank_c, rank_o=rank_o)

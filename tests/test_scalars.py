@@ -26,6 +26,8 @@ from moduli_sys.system import (
     system_to_json,
 )
 
+from helpers import is_canonical_rational
+
 QQ = Field.rationals()
 F5 = Field.prime(5)
 
@@ -60,6 +62,19 @@ def test_integral_rationals_are_int():
     for field in (QQ, F5, Field.prime(2)):
         assert type(field.zero) is int and field.zero == 0
         assert type(field.one) is int and field.one == 1
+
+
+def test_field_inv_and_div_over_q_return_canonical_scalars():
+    assert QQ.div(4, 2) == 2 and type(QQ.div(4, 2)) is int
+    assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
+    values = [-3, -1, 1, 2, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 3), Fraction(-1, 6)]
+    for a in values + [0]:
+        for b in values:
+            assert QQ.div(a, b) == Fraction(a) / Fraction(b)
+            assert is_canonical_rational(QQ.div(a, b)), (a, b)
+        assert a == 0 or QQ.inv(a) == 1 / Fraction(a) and is_canonical_rational(QQ.inv(a))
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
 
 
 def test_integer_systems_stay_int():
