@@ -20,7 +20,7 @@ import json
 import sys
 from random import Random
 
-from .counting import census_cc, census_csv
+from .counting import DEFAULT_CENSUS_BOUND, census_cc, census_csv
 from .errors import ModuliError, NotControllable
 from .grassmann import locus_membership, moduli_point, stratum_point
 from .kalman import canonical_form, kalman_code, multiindex_from_code
@@ -55,9 +55,6 @@ def _load_system(path: str) -> LinearSystem:
 
 def _print_matrix(label: str, mat: Matrix) -> None:
     print(f"{label} =")
-    if mat.rows == 0 or mat.cols == 0:
-        print(f"  <empty {mat.rows}x{mat.cols}>")
-        return
     for line in str(mat).splitlines():
         print(f"  {line}")
 
@@ -224,9 +221,9 @@ def build_parser() -> _Parser:
     p_census.add_argument("--n-max", type=int, required=True)
     p_census.add_argument("--n-min", type=int, default=0)
     p_census.add_argument("--q", required=True, help="comma-separated primes")
-    p_census.add_argument("--bound", type=int, default=None,
+    p_census.add_argument("--bound", type=int, default=DEFAULT_CENSUS_BOUND,
                           help="bound on the states a cell enumerates, q^(nm) + min(n,m)*q^(n^2) "
-                               "(default: MODULI_SYS_CENSUS_BOUND, else 2^24)")
+                               "for n > 0 (default: 2^24)")
     p_census.set_defaults(func=cmd_census)
 
     p_realize = sub.add_parser("realize", help="realize a Markov sequence file")

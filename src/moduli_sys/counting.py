@@ -3,8 +3,8 @@
 The closed formulas count orbits of completely controllable (resp.
 observable) systems over ``F_q``:
 
-    cc: q^(n(p+1)) * prod_{i=1..n} (q^(m+i-1) - 1) / (q^i - 1)
-    co: q^(n(m+1)) * prod_{i=1..n} (q^(p+i-1) - 1) / (q^i - 1)
+    cc: q^(n(p+1)) * [m+n-1 choose n]_q
+    co: q^(n(m+1)) * [p+n-1 choose n]_q
 
 The census is the referee: it counts the controllable ``(A, B)`` pairs
 by enumeration (the dual count is the same census of the dual shape),
@@ -24,20 +24,19 @@ The pair count makes two exhaustive passes and uses no closed formula:
 one over all ``q^(nm)`` matrices ``B`` for the histogram of their ranks,
 then one over all ``q^(n^2)`` matrices ``A`` for each ``r = 1..min(n, m)``,
 testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  That is
-``q^(nm) + min(n, m) q^(n^2)`` enumerated states, and the state bound
-applies to that number.  The enumeration kernel is batched integer
-arithmetic mod q via numpy; it is exact, and tests cross-check it
-against the scalar rank routine and against a full ``(A, B)``
-enumeration.  numpy is imported inside the kernel functions, so only a
-census that enumerates loads it.
+``q^(nm) + min(n, m) q^(n^2)`` enumerated states when ``n > 0``, and
+the ``bound`` argument (``DEFAULT_CENSUS_BOUND`` unless given) applies
+to that number, once, before any enumeration.  The enumeration kernel
+is batched integer arithmetic mod q via numpy; it is exact, and tests
+cross-check it against the scalar rank routine and against a full
+``(A, B)`` enumeration.  numpy is imported inside the kernel functions,
+so only a census that enumerates loads it.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -50,7 +49,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_CENSUS_BOUND = 1 << 24
-_ENV_BOUND = "MODULI_SYS_CENSUS_BOUND"
 _CHUNK = 1 << 16
 _PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
 # The int64 kernel needs n * (q - 1)^2 < 2^63 and a q-entry inverse table.
@@ -78,14 +76,14 @@ def q_binomial(a: int, b: int, q: int) -> int:
 
 
 def count_cc_formula(m: int, n: int, p: int, q: int) -> int:
-    """Closed-form number of cc orbits of type (m, n, p) over F_q."""
-    prod = Fraction(1)
-    for i in range(1, n + 1):
-        prod *= Fraction(q ** (m + i - 1) - 1, q ** i - 1)
-    value = Fraction(q ** (n * (p + 1))) * prod
-    if value.denominator != 1:
-        raise ArithmeticError(f"count formula is not integral at {(m, n, p, q)}")
-    return value.numerator
+    """Closed-form number of cc orbits of type (m, n, p) over F_q.
+
+    ``q^(n(p+1)) [m+n-1 choose n]_q``, read as 1 for ``n = 0`` and as 0
+    for ``m = 0 < n``, where no system is controllable.
+    """
+    if m == 0:
+        return int(n == 0)
+    return q ** (n * (p + 1)) * q_binomial(m + n - 1, n, q)
 
 
 def count_co_formula(m: int, n: int, p: int, q: int) -> int:
@@ -155,13 +153,6 @@ def _digit_matrices(indices: np.ndarray, q: int, shapes) -> list[np.ndarray]:
     return out
 
 
-def _census_bound(bound: int | None) -> int:
-    if bound is not None:
-        return bound
-    env = os.environ.get(_ENV_BOUND)
-    return int(env) if env else DEFAULT_CENSUS_BOUND
-
-
 def _chunks(count: int):
     """Enumeration indices ``0..count-1`` in int64 chunks."""
     import numpy as np
@@ -188,16 +179,15 @@ def _krylov(a: np.ndarray, e: np.ndarray, q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_PAIR_COUNT_CACHE_SIZE)
-def _cc_pair_count(m: int, n: int, q: int, bound: int) -> int:
-    """Number of (A, B) pairs over F_q whose controllability rank is n."""
+def _cc_pair_count(m: int, n: int, q: int) -> int:
+    """Number of (A, B) pairs over F_q whose controllability rank is n.
+
+    Enumerates ``q^(nm) + min(n, m) q^(n^2)`` states; :func:`census_cc`
+    checks them against its bound before calling.
+    """
     if n == 0:
         return 1
-    if m and q >= _MAX_CENSUS_MODULUS:
-        raise ValueError(f"census modulus {q} is too large; the census supports moduli below {_MAX_CENSUS_MODULUS}")
     top = min(n, m)
-    states = q ** (n * m) + top * q ** (n * n)
-    if states > bound:
-        raise CensusTooLarge(f"{states} states exceed the bound {bound}")
     import numpy as np
     b_mats = (_digit_matrices(idx, q, [(n, m)])[0] for idx in _chunks(q ** (n * m)))
     b_ranks = _rank_histogram(b_mats, q, n)
@@ -236,7 +226,7 @@ class CensusReport:
 
 
 def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
-              bound: int | None = None) -> CensusReport:
+              bound: int = DEFAULT_CENSUS_BOUND) -> CensusReport:
     """Brute-force orbit count of cc systems, checked against the formula.
 
     ``mode="exhaustive"`` counts the (A, B) pairs of full
@@ -246,23 +236,38 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     ``mode="canonical-forms"`` instead reduces each cc pair (A, B) once and
     counts the distinct canonical triples ``(A', B', C P)`` over all output
     maps ``C``, which checks the orbit count without the stabilizer division.
+
+    Refusals come before any work, in this order: ``ValueError`` for a
+    negative dimension, a non-prime ``q``, an unknown mode, or a modulus
+    of ``2^20`` and above in an exhaustive cell with ``m, n > 0``; then
+    :class:`CensusTooLarge` for more than ``bound`` states, counted as in
+    the module docstring (an exhaustive ``n = 0`` is never refused) or as
+    all ``q^(n(n+m+p))`` triples for the canonical forms.
     """
     _check_dimensions(m=m, n=n, p=p)
     field = Field.prime(q)  # validates primality
-    limit = _census_bound(bound)
+    if mode == "exhaustive":
+        states = None  # n = 0: the one empty pair, counted without enumeration
+        if n:
+            if m and q >= _MAX_CENSUS_MODULUS:
+                raise ValueError(f"census modulus {q} is too large; the census supports moduli below {_MAX_CENSUS_MODULUS}")
+            states = q ** (n * m) + min(n, m) * q ** (n * n)
+    elif mode == "canonical-forms":
+        states = q ** (n * (n + m + p))
+    else:
+        raise ValueError(f"unknown census mode {mode!r}")
+    if states is not None and states > bound:
+        raise CensusTooLarge(f"{states} states exceed the bound {bound}")
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
     if mode == "exhaustive":
-        raw = _cc_pair_count(m, n, q, limit) * q ** (p * n)
+        raw = _cc_pair_count(m, n, q) * q ** (p * n)
         if raw % glq:
             raise ArithmeticError(
                 f"raw count {raw} not divisible by |GL_{n}(F_{q})| = {glq}"
             )
         orbits = raw // glq
-    elif mode == "canonical-forms":
-        states = q ** (n * (n + m + p))
-        if states > limit:
-            raise CensusTooLarge(f"{states} states exceed the bound {limit}")
+    else:
         outputs = [Matrix(field, p, n, c) for c in itertools.product(range(q), repeat=p * n)]
         forms, raw = set(), 0
         for pair in all_systems(field, m, n, 0):
@@ -277,8 +282,6 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
             raise ArithmeticError(
                 f"{raw} cc triples but {orbits} canonical forms over GL of order {glq}"
             )
-    else:
-        raise ValueError(f"unknown census mode {mode!r}")
     return CensusReport(
         m=m, n=n, p=p, q=q,
         raw_cc_triples=raw,
@@ -289,7 +292,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     )
 
 
-def census_co(m: int, n: int, p: int, q: int, bound: int | None = None) -> CensusReport:
+def census_co(m: int, n: int, p: int, q: int, bound: int = DEFAULT_CENSUS_BOUND) -> CensusReport:
     """Dual census: co orbits of type (m, n, p) are cc orbits of type (p, n, m).
 
     ``(A, C)`` is observable exactly when ``(A^T, C^T)`` is controllable,

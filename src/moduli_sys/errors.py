@@ -27,7 +27,7 @@ class SingularBaseChange(ModuliError):
 
 
 class OracleTooLarge(ModuliError):
-    """Subspace enumeration would exceed the configured bound."""
+    """Subspace enumeration would exceed the oracle's subspace bound."""
 
 
 class NonzeroThetaAlpha(ModuliError):

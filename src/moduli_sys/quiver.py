@@ -21,7 +21,11 @@ module decides them two independent ways:
   ``(A^T, C^T)``, is ``A^T``-invariant, and
   ``dim W^perp / N^perp = n - rank_o - dim W``;
 * ``mode="oracle"`` enumerates every subspace of ``F_q^n`` and tests
-  the defining conditions directly.  Exhaustive, therefore bounded.
+  the defining conditions directly.  It refuses, with
+  :class:`OracleTooLarge` and before enumerating, a system whose
+  ``sum_k [n choose k]_q`` subspaces exceed ``DEFAULT_SUBSPACE_LIMIT``
+  (``2^15``): it takes ``n <= 7`` over ``F_2``, ``n <= 5`` over
+  ``F_3`` and ``n <= 4`` over ``F_5`` and ``F_7``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from .counting import q_binomial
 from .errors import NonzeroThetaAlpha, OracleTooLarge
 from .linalg import Field, Matrix, charpoly, hstack, pivot_columns, rank, solve_right, vstack
 from .system import KrylovWalk, LinearSystem, classify
@@ -139,11 +144,7 @@ def _quotient_dims(a: Matrix, walk: KrylovWalk) -> tuple[int, frozenset[int]]:
 # -- subrepresentation dimension vectors -----------------------------------
 
 
-def subrep_dimvectors(
-    rep: QuiverRep,
-    mode: str = "rank",
-    limit: int = DEFAULT_SUBSPACE_LIMIT,
-) -> frozenset[DimensionVector]:
+def subrep_dimvectors(rep: QuiverRep, mode: str = "rank") -> frozenset[DimensionVector]:
     """Dimension vectors of all proper nonzero subrepresentations.
 
     A subrepresentation is a pair of subspaces fixed by every arrow.
@@ -154,7 +155,7 @@ def subrep_dimvectors(
     if mode == "rank":
         return _subreps_by_rank(rep.system)
     if mode == "oracle":
-        return _subreps_by_enumeration(rep.system, limit)
+        return _subreps_by_enumeration(rep.system)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -195,12 +196,15 @@ def iter_subspace_bases(field: Field, n: int) -> Iterator[Matrix]:
                 yield Matrix(field, k, n, tuple(ent))
 
 
-def _subreps_by_enumeration(system: LinearSystem, limit: int) -> frozenset[DimensionVector]:
+def _subreps_by_enumeration(system: LinearSystem) -> frozenset[DimensionVector]:
     field, n = system.field, system.n
     if field.q is None:
         raise ValueError("oracle mode needs a finite field")
-    if field.q ** n > limit:
-        raise OracleTooLarge(f"{field.q}^{n} subspace candidates exceed the limit {limit}")
+    subspaces = sum(q_binomial(n, k, field.q) for k in range(n + 1))
+    if subspaces > DEFAULT_SUBSPACE_LIMIT:
+        raise OracleTooLarge(
+            f"{subspaces} subspaces of F_{field.q}^{n} exceed the limit {DEFAULT_SUBSPACE_LIMIT}"
+        )
     b_rows = system.B.transpose()
     c_rows_t = system.C.transpose()
     out: set[DimensionVector] = set()
@@ -219,7 +223,7 @@ def _subreps_by_enumeration(system: LinearSystem, limit: int) -> frozenset[Dimen
 # -- simplicity and stability ----------------------------------------------
 
 
-def _extremal_subreps(rep: QuiverRep, mode: str, limit: int) -> frozenset[DimensionVector]:
+def _extremal_subreps(rep: QuiverRep, mode: str) -> frozenset[DimensionVector]:
     """Enough subrepresentation dimension vectors to decide every verdict.
 
     Every legal weight is ``k * (-n, 1)``.  It pairs a ``(1, l)`` with
@@ -231,7 +235,7 @@ def _extremal_subreps(rep: QuiverRep, mode: str, limit: int) -> frozenset[Dimens
     ``(0, n - rank_o)``; oracle mode returns the full enumerated set.
     """
     if mode != "rank":
-        return subrep_dimvectors(rep, mode=mode, limit=limit)
+        return subrep_dimvectors(rep, mode=mode)
     n, cls = rep.system.n, classify(rep.system)
     out: set[DimensionVector] = set()
     if cls.rank_c < n:
@@ -241,42 +245,32 @@ def _extremal_subreps(rep: QuiverRep, mode: str, limit: int) -> frozenset[Dimens
     return frozenset(out)
 
 
-def is_simple(rep: QuiverRep, mode: str = "rank", limit: int = DEFAULT_SUBSPACE_LIMIT) -> bool:
+def is_simple(rep: QuiverRep, mode: str = "rank") -> bool:
     """True when there is no proper nonzero subrepresentation.
 
     Equivalent to the underlying system being canonical.
     """
-    return not _extremal_subreps(rep, mode, limit)
+    return not _extremal_subreps(rep, mode)
 
 
-def _pairings(rep: QuiverRep, theta: StabilityWeight, mode: str, limit: int) -> list[int]:
+def _pairings(rep: QuiverRep, theta: StabilityWeight, mode: str) -> list[int]:
     """``theta`` paired with the subrepresentations that decide stability; needs ``theta . alpha = 0``."""
     alpha = rep.dimension_vector
     pairing = theta[0] * alpha[0] + theta[1] * alpha[1]
     if pairing != 0:
         raise NonzeroThetaAlpha(f"theta.alpha = {pairing} != 0 for theta={theta}, alpha={alpha}")
-    return [theta[0] * a + theta[1] * l for a, l in _extremal_subreps(rep, mode, limit)]
+    return [theta[0] * a + theta[1] * l for a, l in _extremal_subreps(rep, mode)]
 
 
-def is_theta_stable(
-    rep: QuiverRep,
-    theta: StabilityWeight,
-    mode: str = "rank",
-    limit: int = DEFAULT_SUBSPACE_LIMIT,
-) -> bool:
+def is_theta_stable(rep: QuiverRep, theta: StabilityWeight, mode: str = "rank") -> bool:
     """Every proper nonzero subrepresentation pairs strictly positively.
 
     With the controllability weight this is equivalent to cc, with the
     observability weight to co.
     """
-    return all(x > 0 for x in _pairings(rep, theta, mode, limit))
+    return all(x > 0 for x in _pairings(rep, theta, mode))
 
 
-def is_theta_semistable(
-    rep: QuiverRep,
-    theta: StabilityWeight,
-    mode: str = "rank",
-    limit: int = DEFAULT_SUBSPACE_LIMIT,
-) -> bool:
+def is_theta_semistable(rep: QuiverRep, theta: StabilityWeight, mode: str = "rank") -> bool:
     """Like stability, with the pairing allowed to vanish."""
-    return all(x >= 0 for x in _pairings(rep, theta, mode, limit))
+    return all(x >= 0 for x in _pairings(rep, theta, mode))

@@ -129,10 +129,10 @@ def test_census_cli(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
-def test_census_cli_rejects_huge_modulus(monkeypatch, capsys):
+def test_census_cli_rejects_huge_modulus(capsys):
     # the state bound lets this cell through; the int64 kernel cannot take the modulus
-    monkeypatch.setenv("MODULI_SYS_CENSUS_BOUND", str(10 ** 20))
-    code, out, err = run(capsys, ["census", "--m", "1", "--p", "0", "--n-max", "1", "--q", "4294967311"])
+    code, out, err = run(capsys, ["census", "--m", "1", "--p", "0", "--n-max", "1", "--q", "4294967311",
+                                  "--bound", str(10 ** 20)])
     assert code == 1
     assert out == ""
     assert "INVALID_INPUT" in err and "1048576" in err
@@ -167,6 +167,71 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     assert code == 2
     assert out == ""
     assert "CensusTooLarge: 20 states exceed the bound 19" in err
+
+
+@pytest.mark.parametrize("extra, code, message", [
+    # a non-prime modulus is refused before the bound
+    (["--q", "4", "--bound", "0"], 1, "INVALID_INPUT: field modulus must be prime"),
+    # the modulus cap comes before the bound, at n = 1
+    (["--q", "4294967311", "--bound", "0"], 1, "INVALID_INPUT: census modulus 4294967311 is too large"),
+    # the default bound, 2^24
+    (["--m", "2", "--n-min", "4", "--n-max", "4", "--q", "3"], 2,
+     "CensusTooLarge: 86100003 states exceed the bound 16777216"),
+], ids=["non-prime", "modulus-before-bound", "default-bound"])
+def test_census_cli_refusals(extra, code, message, capsys):
+    argv = ["census", "--m", "1", "--p", "0", "--n-max", "1"]
+    got, out, err = run(capsys, argv + extra)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("value", ["abc", "3"])
+def test_census_cli_ignores_the_environment(value):
+    # the bound is --bound or its default; no environment variable sets it
+    import os
+    import subprocess
+    import sys
+
+    argv = [sys.executable, "-m", "moduli_sys", "census", "--m", "1", "--p", "1", "--n-max", "2", "--q", "2,3"]
+    env = {k: v for k, v in os.environ.items() if k != "MODULI_SYS_CENSUS_BOUND"}
+    unset = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert unset.returncode == 0, unset.stderr
+    env["MODULI_SYS_CENSUS_BOUND"] = value
+    got = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert (got.returncode, got.stdout, got.stderr) == (0, unset.stdout, "")
+
+
+def test_text_output_of_empty_matrices(tmp_path, capsys):
+    n0 = write_json(tmp_path / "n0.json", {"field": "Q", "m": 2, "n": 0, "p": 1, "A": [], "B": [], "C": []})
+    m0 = write_json(tmp_path / "m0.json",
+                    {"field": {"Fp": 3}, "m": 0, "n": 2, "p": 1, "A": [1, 2, 0, 1], "B": [], "C": [1, 0]})
+    expected = {
+        ("canon", n0): (
+            "g =\n  <empty 0x0>\n"
+            "A' =\n  <empty 0x0>\n"
+            "B' =\n  <empty 0x2>\n"
+            "C' =\n  <empty 1x0>\n"
+        ),
+        ("embed", n0): (
+            "moduli point: undefined for n = 0\n"
+            "relation plane in Gras_3(3), stratum n = 0\n"
+            "representative =\n  [1 0 0]\n  [0 1 0]\n  [0 0 1]\n"
+            "pivots J = {1, 2, 3}\n"
+            "classify: co=true canonical=true\n"
+            "locus membership: cc=true co=true canonical=true\n"
+        ),
+        ("analyze", m0): (
+            "field: F3\n"
+            "type (m,n,p): (0, 2, 1)\n"
+            "rank c = 0 of 2\n"
+            "rank o = 2 of 2\n"
+            "cc=false co=true canonical=false\n"
+            "simple as quiver representation: false\n"
+            "kalman code: undefined (system is not completely controllable)\n"
+        ),
+    }
+    for (command, path), text in expected.items():
+        assert run(capsys, [command, "--system", path]) == (0, text, ""), command
 
 
 def test_realize_cli(tmp_path, capsys):

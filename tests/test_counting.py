@@ -66,8 +66,11 @@ def test_count_formulas():
             for p in range(0, 4):
                 for q in (2, 3):
                     assert count_co_formula(m, n, p, q) == count_cc_formula(p, n, m, q)
-                    if m >= 1:
-                        assert count_cc_formula(m, n, p, q) == q ** (n * (p + 1)) * q_binomial(m + n - 1, n, q)
+                    # the explicit product, not q_binomial: the library computes the formula through it
+                    product = Fraction(q ** (n * (p + 1)))
+                    for i in range(1, n + 1):
+                        product *= Fraction(q ** (m + i - 1) - 1, q ** i - 1)
+                    assert count_cc_formula(m, n, p, q) == product
 
 
 def test_batched_rank_against_scalar_rank():
@@ -140,6 +143,47 @@ def test_census_rejects_negative_dimensions():
                 census(m, n, p, 2)
 
 
+BIG_PRIME = 4294967311  # above the census modulus cap
+
+
+@pytest.mark.parametrize("census, args, kwargs, error, message", [
+    # a negative dimension comes first, then primality, the mode, the modulus cap and the bound
+    (census_cc, (-1, 1, 1, 4), {"mode": "guess", "bound": 0}, ValueError, "census dimension m must be non-negative"),
+    (census_co, (1, 1, -1, 4), {"bound": 0}, ValueError, "census dimension p must be non-negative"),
+    (census_cc, (1, 1, 1, 4), {"mode": "guess", "bound": 0}, ValueError, "field modulus must be prime"),
+    (census_cc, (1, 1, 1, 2), {"mode": "guess", "bound": 0}, ValueError, "unknown census mode 'guess'"),
+    (census_cc, (1, 1, 1, BIG_PRIME), {"bound": 0}, ValueError, f"census modulus {BIG_PRIME} is too large"),
+    (census_co, (0, 1, 1, BIG_PRIME), {"bound": 0}, ValueError, f"census modulus {BIG_PRIME} is too large"),
+    (census_cc, (2, 4, 0, 3), {}, CensusTooLarge, f"^86100003 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    (census_co, (0, 4, 2, 3), {}, CensusTooLarge, f"^86100003 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    # without inputs there is no modulus cap: one state, the empty B
+    (census_cc, (0, 1, 0, BIG_PRIME), {"bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
+    (census_co, (1, 1, 0, BIG_PRIME), {"bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
+    # the canonical forms have no modulus cap and count all q^(n(n+m+p)) triples, n = 0 too
+    (census_cc, (1, 1, 1, BIG_PRIME), {"mode": "canonical-forms", "bound": 10 ** 20}, CensusTooLarge,
+     f"^{BIG_PRIME ** 3} states exceed the bound {10 ** 20}$"),
+    (census_cc, (1, 0, 1, 2), {"mode": "canonical-forms", "bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
+])
+def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
+    from moduli_sys import counting
+
+    def no_work(*_):
+        raise AssertionError("a refused cell reached the work")
+
+    for name in ("gl_order", "count_cc_formula", "_cc_pair_count", "all_systems"):
+        monkeypatch.setattr(counting, name, no_work)
+    with pytest.raises(error, match=message):
+        census(*args, **kwargs)
+
+
+def test_exhaustive_census_never_refuses_n_zero():
+    for m, p in ((0, 0), (2, 1), (1, 3)):
+        for q in (2, BIG_PRIME):
+            for bound in (-1, 0):
+                assert census_cc(m, 0, p, q, bound=bound).csv_row() == f"{m},0,{p},{q},1,1,1,1,true"
+                assert census_co(m, 0, p, q, bound=bound).csv_row() == f"{m},0,{p},{q},1,1,1,1,true"
+
+
 def test_census_mode_validation():
     with pytest.raises(ValueError):
         census_cc(1, 1, 1, 2, mode="guess")
@@ -170,7 +214,7 @@ CRITERION_1_PAIR_CELLS = sorted(
 
 def test_pair_count_against_full_pair_enumeration():
     for m, n, q in CRITERION_1_PAIR_CELLS + [(1, 3, 3), (3, 3, 2)]:
-        assert _cc_pair_count(m, n, q, DEFAULT_CENSUS_BOUND) == reference_cc_pair_count(m, n, q), (m, n, q)
+        assert _cc_pair_count(m, n, q) == reference_cc_pair_count(m, n, q), (m, n, q)
 
 
 def test_controllability_depends_on_b_only_through_its_rank():
@@ -192,9 +236,8 @@ def test_controllability_depends_on_b_only_through_its_rank():
             assert cc_count(b) == by_rank[rank(b)], (m, n, q, entries)
 
 
-def test_census_cells_beyond_full_pair_enumeration(monkeypatch):
+def test_census_cells_beyond_full_pair_enumeration():
     # cells a full (A, B) enumeration cannot afford: 2^24 pairs for (2,4,0,2) alone, 3^15 for (2,3,1,3)
-    monkeypatch.delenv("MODULI_SYS_CENSUS_BOUND", raising=False)
     for m, n, p, q in [(2, 4, 0, 2), (2, 3, 1, 3), (3, 3, 1, 3)]:
         cc = census_cc(m, n, p, q)
         assert cc.match and cc.formula_value == count_cc_formula(m, n, p, q), cc
@@ -216,14 +259,6 @@ def test_csv_format():
     assert lines[0] == CSV_HEADER
     assert lines[1] == "1,0,1,2,1,1,1,1,true"
     assert all(line.endswith("true") for line in lines[1:])
-
-
-def test_env_bound_override(monkeypatch):
-    monkeypatch.setenv("MODULI_SYS_CENSUS_BOUND", "3")
-    with pytest.raises(CensusTooLarge):
-        census_cc(1, 1, 1, 2)
-    monkeypatch.delenv("MODULI_SYS_CENSUS_BOUND")
-    assert census_cc(1, 1, 1, 2).match
 
 
 def test_pair_count_cache_is_bounded():

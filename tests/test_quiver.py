@@ -93,10 +93,25 @@ def test_theta_examples():
         is_theta_stable(rep, (1, 1))
 
 
-def test_oracle_guards():
+def test_oracle_guards(monkeypatch):
+    import moduli_sys.quiver as quiver
+
+    def no_enumeration(*_):
+        raise AssertionError("a refused system reached the enumeration")
+
+    monkeypatch.setattr(quiver, "iter_subspace_bases", no_enumeration)
+    # the bound counts subspaces, not vectors: F_2^8 has 256 vectors and 417 199 subspaces
+    for field, n, subspaces in ((F2, 8, 417199), (F3, 6, 56632)):
+        rep = QuiverRep.of(random_system(field, 1, n, 1, random.Random(n)))
+        with pytest.raises(OracleTooLarge, match=f"^{subspaces} subspaces of F_{field.q}\\^{n} exceed the limit 32768$"):
+            subrep_dimvectors(rep, mode="oracle")
+        with pytest.raises(OracleTooLarge):
+            is_simple(rep, mode="oracle")
+    monkeypatch.undo()
+    # F_3^5, the largest space over F_3 the bound admits, has 2 664 subspaces
+    rep = QuiverRep.of(random_system(F3, 1, 5, 1, random.Random(5)))
+    assert subrep_dimvectors(rep, mode="oracle") == subrep_dimvectors(rep)
     rep = QuiverRep.of(sys1x1(F2, 1, 1, 1))
-    with pytest.raises(OracleTooLarge):
-        subrep_dimvectors(rep, mode="oracle", limit=1)
     with pytest.raises(ValueError):
         subrep_dimvectors(QuiverRep.of(sys1x1(QQ, 1, 1, 1)), mode="oracle")
     with pytest.raises(ValueError):
