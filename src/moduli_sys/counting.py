@@ -26,10 +26,12 @@ then one over all ``q^(n^2)`` matrices ``A`` for each ``r = 1..min(n, m)``,
 testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  That is
 ``q^(nm) + min(n, m) q^(n^2)`` enumerated states when ``n > 0``, and
 the ``bound`` argument (``DEFAULT_CENSUS_BOUND`` unless given) applies
-to that number, once, before any enumeration.  The enumeration kernel
-is batched integer arithmetic mod q via numpy; it is exact, and tests
-cross-check it against the scalar rank routine and against a full
-``(A, B)`` enumeration.  numpy is imported inside the kernel functions,
+to that number, once, before any enumeration.  The rank kernel is a
+swap-free elimination in batched int64 numpy arithmetic that reduces mod
+q lazily, so entries grow to at most ``(q - 1) + cols (q - 1)^2``, exact
+below the modulus cap.  Tests cross-check it against the scalar rank
+routine and an independent swap-based kernel, and the pair count against
+a full ``(A, B)`` enumeration.  numpy is imported inside the kernel functions,
 so only a census that enumerates loads it.
 """
 
@@ -51,7 +53,8 @@ if TYPE_CHECKING:
 DEFAULT_CENSUS_BOUND = 1 << 24
 _CHUNK = 1 << 16
 _PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
-# The int64 kernel needs n * (q - 1)^2 < 2^63 and a q-entry inverse table.
+# int64 is exact below 2^20: the Krylov product needs n * (q - 1)^2 < 2^63,
+# the rank kernel (q - 1) + cols * (q - 1)^2 < 2^63, so cols < 2^23.
 _MAX_CENSUS_MODULUS = 1 << 20
 
 CSV_HEADER = "m,n,p,q,raw,gl_order,orbits,formula,match"
@@ -98,41 +101,31 @@ def _batched_rank_modq(mats: np.ndarray, q: int) -> np.ndarray:
     """Ranks over F_q of a batch of integer matrices, exactly.
 
     ``mats`` has shape (batch, rows, cols) with entries already reduced
-    mod q.  Plain forward elimination, vectorized across the batch.
+    mod q.  Swap-free forward elimination of the whole batch at once: in
+    each column the first row nonzero mod q pivots, and the column times
+    the pivot row (reduced, scaled by the pivot's inverse) is subtracted
+    from every row, which leaves the pivot row 0 mod q for good.  Only that
+    column and row are reduced, so no entry passes ``(q - 1) + cols (q - 1)^2``.
     """
     import numpy as np
     m = np.array(mats, dtype=np.int64, copy=True)
-    count, nrows, ncols = m.shape
-    ranks = np.zeros(count, dtype=np.int64)
-    if count == 0 or nrows == 0 or ncols == 0:
+    ranks = np.zeros(len(m), dtype=np.int64)
+    if m.size == 0:
         return ranks
-    inv = np.zeros(q, dtype=np.int64)
-    for x in range(1, q):
-        inv[x] = pow(x, q - 2, q)
-    row_ids = np.arange(nrows)
-    all_ids = np.arange(count)
-    for col in range(ncols):
-        active = ranks < nrows
-        if not active.any():
-            break
-        eligible = (row_ids[None, :] >= ranks[:, None]) & (m[:, :, col] != 0)
-        eligible &= active[:, None]
-        has = eligible.any(axis=1)
-        if not has.any():
-            continue
-        sel = all_ids[has]
-        r0 = ranks[has]
-        pr = eligible[has].argmax(axis=1)
-        top = m[sel, r0, :].copy()
-        m[sel, r0, :] = m[sel, pr, :]
-        m[sel, pr, :] = top
-        piv = m[sel, r0, col]
-        m[sel, r0, :] = (m[sel, r0, :] * inv[piv][:, None]) % q
-        sub = m[sel]
-        pivot_rows = sub[np.arange(len(sel)), r0, :]
-        factors = np.where(row_ids[None, :] > r0[:, None], sub[:, :, col], 0)
-        m[sel] = (sub - factors[:, :, None] * pivot_rows[:, None, :]) % q
-        ranks[has] = r0 + 1
+    inv, base, e = np.ones(q, dtype=np.int64), np.arange(q, dtype=np.int64), q - 2
+    while e:  # inv[x] = x^(q-2) = 1/x mod q, square-and-multiply on every x at once
+        if e & 1:
+            inv = inv * base % q
+        base, e = base * base % q, e >> 1
+    all_ids = np.arange(len(m))
+    for col in range(m.shape[2]):
+        column = m[:, :, col] % q
+        pivot_ids = (column != 0).argmax(axis=1)
+        pivots = column[all_ids, pivot_ids]
+        ranks += pivots != 0
+        rest = m[:, :, col + 1:]
+        pivot_rows = rest[all_ids, pivot_ids] % q * inv[pivots][:, None] % q
+        rest -= column[:, :, None] * pivot_rows[:, None, :]
     return ranks
 
 
@@ -257,7 +250,9 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     else:
         raise ValueError(f"unknown census mode {mode!r}")
     if states is not None and states > bound:
-        raise CensusTooLarge(f"{states} states exceed the bound {bound}")
+        # past 2^256 the count is named by its bit length: str() refuses ints past 4300 digits
+        shown = states if states.bit_length() <= 256 else f"more than 2^{(states - 1).bit_length() - 1}"
+        raise CensusTooLarge(f"{shown} states exceed the bound {bound}")
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
     if mode == "exhaustive":

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 import numpy as np
 
-from moduli_sys.counting import _batched_rank_modq, _digit_matrices
+from moduli_sys.counting import _digit_matrices
 from moduli_sys.errors import InconsistentData, NotControllable
 from moduli_sys.linalg import Field, Matrix, inverse, rank, rref_with_pivots
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
@@ -263,6 +264,56 @@ def reference_new_direction_walk(system: LinearSystem):
     return black, vectors
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(q: int) -> np.ndarray:
+    """``inv[x] = 1/x mod q`` for ``x`` in ``1..q-1`` (``inv[0] = 0``), one ``pow`` per entry."""
+    inv = np.zeros(q, dtype=np.int64)
+    for x in range(1, q):
+        inv[x] = pow(x, q - 2, q)
+    inv.flags.writeable = False
+    return inv
+
+
+def reference_batched_rank_modq(mats: np.ndarray, q: int) -> np.ndarray:
+    """Ranks over F_q of a batch of matrices with entries in ``0..q-1``.
+
+    Forward elimination with row swaps on the rows of the batch that
+    still have a pivot in the current column, reduced mod q after every
+    step: a second batched kernel, independent of the census's own.
+    """
+    m = np.array(mats, dtype=np.int64, copy=True)
+    count, nrows, ncols = m.shape
+    ranks = np.zeros(count, dtype=np.int64)
+    if count == 0 or nrows == 0 or ncols == 0:
+        return ranks
+    inv = _inverse_table(q)
+    row_ids = np.arange(nrows)
+    all_ids = np.arange(count)
+    for col in range(ncols):
+        active = ranks < nrows
+        if not active.any():
+            break
+        eligible = (row_ids[None, :] >= ranks[:, None]) & (m[:, :, col] != 0)
+        eligible &= active[:, None]
+        has = eligible.any(axis=1)
+        if not has.any():
+            continue
+        sel = all_ids[has]
+        r0 = ranks[has]
+        pr = eligible[has].argmax(axis=1)
+        top = m[sel, r0, :].copy()
+        m[sel, r0, :] = m[sel, pr, :]
+        m[sel, pr, :] = top
+        piv = m[sel, r0, col]
+        m[sel, r0, :] = (m[sel, r0, :] * inv[piv][:, None]) % q
+        sub = m[sel]
+        pivot_rows = sub[np.arange(len(sel)), r0, :]
+        factors = np.where(row_ids[None, :] > r0[:, None], sub[:, :, col], 0)
+        m[sel] = (sub - factors[:, :, None] * pivot_rows[:, None, :]) % q
+        ranks[has] = r0 + 1
+    return ranks
+
+
 def reference_cc_pair_count(m: int, n: int, q: int) -> int:
     """Controllable (A, B) pairs over F_q, by enumerating every pair at once."""
     states = q ** (n * (n + m))
@@ -276,5 +327,5 @@ def reference_cc_pair_count(m: int, n: int, q: int) -> int:
             cur = np.matmul(a, cur) % q
             blocks.append(cur)
         ctrb = np.concatenate(blocks, axis=2)
-        count += int((_batched_rank_modq(ctrb, q) == n).sum())
+        count += int((reference_batched_rank_modq(ctrb, q) == n).sum())
     return count

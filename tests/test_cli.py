@@ -177,7 +177,10 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     # the default bound, 2^24
     (["--m", "2", "--n-min", "4", "--n-max", "4", "--q", "3"], 2,
      "CensusTooLarge: 86100003 states exceed the bound 16777216"),
-], ids=["non-prime", "modulus-before-bound", "default-bound"])
+    # 2^120 + 2^14400 states, too many digits to print, named by bit length
+    (["--n-min", "120", "--n-max", "120", "--q", "2"], 2,
+     "CensusTooLarge: more than 2^14400 states exceed the bound 16777216"),
+], ids=["non-prime", "modulus-before-bound", "default-bound", "huge-cell"])
 def test_census_cli_refusals(extra, code, message, capsys):
     argv = ["census", "--m", "1", "--p", "0", "--n-max", "1"]
     got, out, err = run(capsys, argv + extra)

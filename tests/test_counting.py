@@ -25,7 +25,7 @@ from moduli_sys.errors import CensusTooLarge
 from moduli_sys.linalg import Field, Matrix, rank
 from moduli_sys.system import LinearSystem, all_systems, classify
 
-from helpers import reference_cc_pair_count
+from helpers import reference_batched_rank_modq, reference_cc_pair_count
 
 
 def test_gl_order():
@@ -83,6 +83,45 @@ def test_batched_rank_against_scalar_rank():
             for mat, expected in zip(batch, got):
                 m = Matrix.from_rows(field, mat.tolist())
                 assert rank(m) == expected
+
+
+LARGEST_CENSUS_PRIME = 1048573  # the largest prime below the census modulus cap
+
+
+def _rank_test_batch(rng, q, count, rows, cols):
+    """Uniform matrices, almost all of full rank, then products of thin factors of every inner size."""
+    uniform = rng.integers(0, q, size=(count, rows, cols))
+    thin = [
+        np.matmul(rng.integers(0, q, size=(count, rows, k)), rng.integers(0, q, size=(count, k, cols))) % q
+        for k in range(min(rows, cols))
+    ]
+    return np.concatenate([uniform] + thin)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, LARGEST_CENSUS_PRIME])
+def test_batched_rank_against_referee_kernel(q):
+    rng = np.random.default_rng(q)
+    field = Field.prime(q)
+    for rows, cols in ((0, 3), (3, 0), (1, 1), (3, 5), (4, 16), (16, 4), (1, 64)):
+        batch = _rank_test_batch(rng, q, 40, rows, cols)
+        got = _batched_rank_modq(batch, q)
+        assert got.tolist() == reference_batched_rank_modq(batch, q).tolist(), (q, rows, cols)
+        for mat, expected in zip(batch[::10], got[::10]):
+            assert rank(Matrix.from_rows(field, mat.tolist(), cols=cols)) == expected
+        if min(rows, cols):
+            # a rank-deficient share, not only full-rank matrices
+            assert (got < min(rows, cols)).sum() >= 40 * min(rows, cols), (q, rows, cols)
+    for shape in ((0, 4, 4), (0, 0, 0)):
+        assert _batched_rank_modq(np.zeros(shape, dtype=np.int64), q).tolist() == [0] * shape[0]
+
+
+def test_batched_rank_of_every_4x4_matrix_over_f2():
+    idx = np.arange(1 << 16, dtype=np.int64)
+    batch = ((idx[:, None] >> np.arange(16)) & 1).reshape(-1, 4, 4)
+    got = _batched_rank_modq(batch, 2)
+    assert got.tolist() == reference_batched_rank_modq(batch, 2).tolist()
+    # |GL_4(F_2)| = 20160 invertible matrices; 2^16 - 20160 singular ones
+    assert np.bincount(got).tolist() == [1, 225, 7350, 37800, 20160]
 
 
 def test_census_cc_small_grid():
@@ -163,6 +202,17 @@ BIG_PRIME = 4294967311  # above the census modulus cap
     (census_cc, (1, 1, 1, BIG_PRIME), {"mode": "canonical-forms", "bound": 10 ** 20}, CensusTooLarge,
      f"^{BIG_PRIME ** 3} states exceed the bound {10 ** 20}$"),
     (census_cc, (1, 0, 1, 2), {"mode": "canonical-forms", "bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
+    # counts are exact up to 256 bits, then "more than 2^k" with the largest true k:
+    # str() refuses ints past 4300 digits, such as the 2^120 + 2^14400 and 2^14520 states of n = 120
+    (census_cc, (17, 15, 0, 2), {"bound": 0}, CensusTooLarge, f"^{2 ** 255 + 15 * 2 ** 225} states exceed the bound 0$"),
+    (census_cc, (1, 16, 0, 2), {"bound": 0}, CensusTooLarge, r"^more than 2\^256 states exceed the bound 0$"),
+    (census_cc, (31, 31, 0, 2), {"bound": 0}, CensusTooLarge, r"^more than 2\^965 states exceed the bound 0$"),  # 2^966 exactly
+    (census_cc, (1, 120, 0, 2), {}, CensusTooLarge,
+     rf"^more than 2\^14400 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    (census_co, (0, 120, 1, 2), {}, CensusTooLarge,
+     rf"^more than 2\^14400 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    (census_cc, (1, 120, 0, 2), {"mode": "canonical-forms"}, CensusTooLarge,
+     rf"^more than 2\^14519 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting
