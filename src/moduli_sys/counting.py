@@ -97,26 +97,37 @@ def count_co_formula(m: int, n: int, p: int, q: int) -> int:
 # -- batched enumeration kernel ---------------------------------------------
 
 
-def _batched_rank_modq(mats: np.ndarray, q: int) -> np.ndarray:
+def _inverse_table(q: int) -> np.ndarray:
+    """``inv[x] = x^(q-2)``, the inverse of each nonzero ``x`` mod q, for every ``x`` at once.
+
+    One table serves a whole pair count: at the largest census moduli a
+    build costs more than ranking a chunk.
+    """
+    import numpy as np
+    inv, base, e = np.ones(q, dtype=np.int64), np.arange(q, dtype=np.int64), q - 2
+    while e:  # square-and-multiply on every residue at once
+        if e & 1:
+            inv = inv * base % q
+        base, e = base * base % q, e >> 1
+    return inv
+
+
+def _batched_rank_modq(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     """Ranks over F_q of a batch of integer matrices, exactly.
 
     ``mats`` has shape (batch, rows, cols) with entries already reduced
-    mod q.  Swap-free forward elimination of the whole batch at once: in
-    each column the first row nonzero mod q pivots, and the column times
-    the pivot row (reduced, scaled by the pivot's inverse) is subtracted
-    from every row, which leaves the pivot row 0 mod q for good.  Only that
-    column and row are reduced, so no entry passes ``(q - 1) + cols (q - 1)^2``.
+    mod q, and ``inv`` is :func:`_inverse_table` of ``q``.  Swap-free
+    forward elimination of the whole batch at once: in each column the
+    first row nonzero mod q pivots, and the column times the pivot row
+    (reduced, scaled by the pivot's inverse) is subtracted from every
+    row, which leaves the pivot row 0 mod q for good.  Only that column
+    and row are reduced, so no entry passes ``(q - 1) + cols (q - 1)^2``.
     """
     import numpy as np
     m = np.array(mats, dtype=np.int64, copy=True)
     ranks = np.zeros(len(m), dtype=np.int64)
     if m.size == 0:
         return ranks
-    inv, base, e = np.ones(q, dtype=np.int64), np.arange(q, dtype=np.int64), q - 2
-    while e:  # inv[x] = x^(q-2) = 1/x mod q, square-and-multiply on every x at once
-        if e & 1:
-            inv = inv * base % q
-        base, e = base * base % q, e >> 1
     all_ids = np.arange(len(m))
     for col in range(m.shape[2]):
         column = m[:, :, col] % q
@@ -153,12 +164,12 @@ def _chunks(count: int):
         yield np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
 
 
-def _rank_histogram(batches, q: int, n: int) -> np.ndarray:
+def _rank_histogram(batches, q: int, inv: np.ndarray, n: int) -> np.ndarray:
     """How many matrices of each rank ``0..n`` the batches of ``n``-row matrices hold."""
     import numpy as np
     hist = np.zeros(n + 1, dtype=np.int64)
     for mats in batches:
-        hist += np.bincount(_batched_rank_modq(mats, q), minlength=n + 1)
+        hist += np.bincount(_batched_rank_modq(mats, q, inv), minlength=n + 1)
     return hist
 
 
@@ -182,13 +193,14 @@ def _cc_pair_count(m: int, n: int, q: int) -> int:
         return 1
     top = min(n, m)
     import numpy as np
+    inv = _inverse_table(q)
     b_mats = (_digit_matrices(idx, q, [(n, m)])[0] for idx in _chunks(q ** (n * m)))
-    b_ranks = _rank_histogram(b_mats, q, n)
+    b_ranks = _rank_histogram(b_mats, q, inv, n)
     count = 0
     for r in range(1, top + 1):
         e = np.eye(n, r, dtype=np.int64)
         krylovs = (_krylov(_digit_matrices(idx, q, [(n, n)])[0], e, q) for idx in _chunks(q ** (n * n)))
-        count += int(b_ranks[r]) * int(_rank_histogram(krylovs, q, n)[n])
+        count += int(b_ranks[r]) * int(_rank_histogram(krylovs, q, inv, n)[n])
     return count
 
 

@@ -17,7 +17,10 @@ built only for results.  :func:`_eliminate` makes every row a primitive
 integer row and runs fraction-free (Bareiss) elimination, whose
 divisions are exact; a reduced form divides each entry once, at the
 end, by the last pivot.  A product clears one common denominator per
-operand, multiplies integers and divides each output entry once.  Rows
+operand, multiplies integers and divides each output entry once;
+``system.markov_parameters``, which multiplies by the same ``A`` and
+``B`` for every block, clears denominators once per call rather than
+once per product.  Rows
 that :func:`_eliminate` leaves unreduced are nonzero multiples of the
 echelon rows: a caller may read their pivot columns and row space, and
 :func:`minor_det` reads the determinant off the last pivot, but no

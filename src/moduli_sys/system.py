@@ -25,11 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
+from operator import mul
 from random import Random
 from typing import Iterator
 
 from .errors import SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, _as_int, hstack, inverse, pivot_columns
+from .linalg import Field, Matrix, _as_int, _integral, _ratio, hstack, inverse, pivot_columns
 
 
 MAX_DIM = 64
@@ -212,15 +214,44 @@ def dualize(system: LinearSystem) -> LinearSystem:
 
 
 def markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
-    """The ``p x m`` blocks ``C A^(j-1) B`` for ``j = 1..count``."""
+    """The ``p x m`` blocks ``C A^(j-1) B`` for ``j = 1..count``.
+
+    One pass over plain integer rows.  Over ``Q`` the denominators of
+    ``A``, ``B`` and ``C`` are cleared once per call, not once per
+    product: the rows of ``C A^(j-1)`` stay integral over one running
+    denominator, cut by the gcd of the rows at each step, and each output
+    entry is divided once.  Over ``F_q`` every entry is reduced mod ``q``.
+    Only the output blocks become matrices.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    f, m, n = system.field, system.m, system.n
+    q = f.q
+    (a, da), (b, db), (c, den) = (
+        _integral(x.entries) if q is None else (x.entries, 1) for x in (system.A, system.B, system.C)
+    )
+    a_cols = [a[k::n] for k in range(n)]
+    b_cols = [b[k::m] for k in range(m)]
+    rows = [c[i * n:(i + 1) * n] for i in range(system.p)]  # C A^(j-1) is rows / den
     out = []
-    cur = system.C
     for j in range(count):
         if j:
-            cur = cur @ system.A
-        out.append(cur @ system.B)
+            rows = [[sum(map(mul, row, col)) for col in a_cols] for row in rows]
+            if q is not None:
+                rows = [[x % q for x in row] for row in rows]
+            elif den * da != 1:
+                den *= da
+                g = gcd(den, *itertools.chain.from_iterable(rows))
+                if g != 1:
+                    den //= g
+                    rows = [[x // g for x in row] for row in rows]
+        blk = [sum(map(mul, row, col)) for row in rows for col in b_cols]
+        d = den * db
+        if q is not None:
+            blk = [x % q for x in blk]
+        elif d != 1:
+            blk = [_ratio(x, d) for x in blk]
+        out.append(Matrix(f, system.p, m, tuple(blk)))
     return out
 
 

@@ -13,7 +13,7 @@ from moduli_sys.counting import _digit_matrices
 from moduli_sys.errors import InconsistentData, NotControllable
 from moduli_sys.linalg import Field, Matrix, inverse, rank, rref_with_pivots
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
-from moduli_sys.system import LinearSystem, all_systems, markov_parameters
+from moduli_sys.system import LinearSystem, all_systems
 
 
 def unimodular(field: Field, n: int, rng: Random, bound: int = 2) -> Matrix:
@@ -223,9 +223,20 @@ def reference_realize_at(seq, r: int, s: int) -> LinearSystem:
         b_mat = rowspan.columns_at(range(m))
         c_mat = obs.rows_at(range(p))
     system = LinearSystem(f, m, n, p, a_mat, b_mat, c_mat)
-    if markov_parameters(system, len(seq)) != list(seq.blocks):
+    if reference_markov_parameters(system, len(seq)) != list(seq.blocks):
         raise InconsistentData("realized system does not reproduce the data window")
     return system
+
+
+def reference_markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
+    """``C A^(j-1) B`` for ``j = 1..count`` by matrix products, one block at a time."""
+    out = []
+    cur = system.C
+    for j in range(count):
+        if j:
+            cur = cur @ system.A
+        out.append(cur @ system.B)
+    return out
 
 
 def reference_new_direction_walk(system: LinearSystem):

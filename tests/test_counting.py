@@ -19,6 +19,7 @@ from moduli_sys.counting import (
     q_binomial,
     series_identity_check,
     _batched_rank_modq,
+    _inverse_table,
     _cc_pair_count,
 )
 from moduli_sys.errors import CensusTooLarge
@@ -79,7 +80,7 @@ def test_batched_rank_against_scalar_rank():
         field = Field.prime(q)
         for rows, cols in ((1, 1), (2, 3), (3, 2), (3, 6), (2, 4)):
             batch = rng.integers(0, q, size=(200, rows, cols))
-            got = _batched_rank_modq(batch, q)
+            got = _batched_rank_modq(batch, q, _inverse_table(q))
             for mat, expected in zip(batch, got):
                 m = Matrix.from_rows(field, mat.tolist())
                 assert rank(m) == expected
@@ -102,9 +103,10 @@ def _rank_test_batch(rng, q, count, rows, cols):
 def test_batched_rank_against_referee_kernel(q):
     rng = np.random.default_rng(q)
     field = Field.prime(q)
+    inv = _inverse_table(q)
     for rows, cols in ((0, 3), (3, 0), (1, 1), (3, 5), (4, 16), (16, 4), (1, 64)):
         batch = _rank_test_batch(rng, q, 40, rows, cols)
-        got = _batched_rank_modq(batch, q)
+        got = _batched_rank_modq(batch, q, inv)
         assert got.tolist() == reference_batched_rank_modq(batch, q).tolist(), (q, rows, cols)
         for mat, expected in zip(batch[::10], got[::10]):
             assert rank(Matrix.from_rows(field, mat.tolist(), cols=cols)) == expected
@@ -112,13 +114,13 @@ def test_batched_rank_against_referee_kernel(q):
             # a rank-deficient share, not only full-rank matrices
             assert (got < min(rows, cols)).sum() >= 40 * min(rows, cols), (q, rows, cols)
     for shape in ((0, 4, 4), (0, 0, 0)):
-        assert _batched_rank_modq(np.zeros(shape, dtype=np.int64), q).tolist() == [0] * shape[0]
+        assert _batched_rank_modq(np.zeros(shape, dtype=np.int64), q, inv).tolist() == [0] * shape[0]
 
 
 def test_batched_rank_of_every_4x4_matrix_over_f2():
     idx = np.arange(1 << 16, dtype=np.int64)
     batch = ((idx[:, None] >> np.arange(16)) & 1).reshape(-1, 4, 4)
-    got = _batched_rank_modq(batch, 2)
+    got = _batched_rank_modq(batch, 2, _inverse_table(2))
     assert got.tolist() == reference_batched_rank_modq(batch, 2).tolist()
     # |GL_4(F_2)| = 20160 invertible matrices; 2^16 - 20160 singular ones
     assert np.bincount(got).tolist() == [1, 225, 7350, 37800, 20160]
@@ -265,6 +267,16 @@ CRITERION_1_PAIR_CELLS = sorted(
 def test_pair_count_against_full_pair_enumeration():
     for m, n, q in CRITERION_1_PAIR_CELLS + [(1, 3, 3), (3, 3, 2)]:
         assert _cc_pair_count(m, n, q) == reference_cc_pair_count(m, n, q), (m, n, q)
+
+
+def test_pair_count_builds_one_inverse_table(monkeypatch):
+    from moduli_sys import counting
+
+    builds = []
+    monkeypatch.setattr(counting, "_inverse_table", lambda q: builds.append(q) or _inverse_table(q))
+    monkeypatch.setattr(counting, "_CHUNK", 8)  # 11 chunks in each of the three passes
+    assert counting._cc_pair_count.__wrapped__(2, 2, 3) == reference_cc_pair_count(2, 2, 3)
+    assert builds == [3]
 
 
 def test_controllability_depends_on_b_only_through_its_rank():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from moduli_sys.errors import SingularBaseChange
 from moduli_sys.grassmann import system_from_cell
 from moduli_sys.kalman import all_codes, multiindex_from_code
-from moduli_sys.linalg import Field, Matrix, det, rank
+from moduli_sys.linalg import Field, Matrix, det, inverse, rank
+from moduli_sys.realization import MarkovSequence, realize
 from moduli_sys.system import (
     LinearSystem,
     act,
@@ -26,7 +27,7 @@ from moduli_sys.system import (
     system_to_json,
 )
 
-from helpers import unimodular
+from helpers import reference_markov_parameters, unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -175,16 +176,37 @@ def test_markov_examples():
     assert [blk.entry(0, 0) for blk in doubling] == [1, 2, 4, 8, 16]
 
 
-def test_markov_parameters_take_two_products_per_block_but_the_first(monkeypatch):
-    # C A^(j-1) B for j = 1..count: count products with B, count - 1 with A, none after the last block
-    products = []
-    matmul = Matrix.__matmul__
-    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
-    s = sys1x1(QQ, 2, 1, 1)
-    for count in range(5):
-        products.clear()
-        assert len(markov_parameters(s, count)) == count
-        assert len(products) == max(2 * count - 1, 0)
+def _markov_cases():
+    """Systems over Q, F_2 and F_5, with empty dimensions, for the Markov referee."""
+    rng = random.Random(16)
+    shapes = [(0, 0, 0), (1, 0, 1), (0, 2, 1), (2, 2, 0), (0, 3, 0), (1, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 2)]
+    cases = [random_system(field, *shape, rng) for field in (QQ, F2, F5) for shape in shapes]
+    for shape in shapes[5:]:  # Q moved by an upper triangular g of determinant 2^n and by g^-1
+        n = shape[1]
+        g = Matrix.from_rows(QQ, [[2 if i == j else rng.randint(-2, 2) if i < j else 0
+                                   for j in range(n)] for i in range(n)])
+        cases += [act(h, random_system(QQ, *shape, rng)) for h in (g, inverse(g))]
+    for field in (QQ, F5):  # realized systems; over Q their entries are Fractions
+        for shape in shapes[5:]:
+            s = random_system(field, *shape, rng, require="canonical")
+            cases.append(realize(MarkovSequence.from_system(s, 2 * s.n + 1)))
+    return cases
+
+
+def test_markov_parameters_match_the_product_loop():
+    cases = _markov_cases()
+    for name in "ABC":
+        assert any(isinstance(x, Fraction) for s in cases for x in getattr(s, name).entries), name
+    for s in cases:
+        for count in sorted({0, 1, 2 * s.n + 1}):
+            got, want = markov_parameters(s, count), reference_markov_parameters(s, count)
+            assert len(got) == count
+            assert got == want, (s, count)
+            # the same scalar types too: int when integral over Q
+            assert [list(map(type, b.entries)) for b in got] == [list(map(type, b.entries)) for b in want]
+            assert all(b.field == s.field and (b.rows, b.cols) == (s.p, s.m) for b in got)
+    with pytest.raises(ValueError):
+        markov_parameters(cases[0], -1)
 
 
 def test_single_input_cc_iff_det(f2_sweep):
