@@ -53,6 +53,7 @@ if TYPE_CHECKING:
 DEFAULT_CENSUS_BOUND = 1 << 24
 _CHUNK = 1 << 16
 _PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
+_EXACT_COUNT_BITS = 1 << 16  # a refused state count of about this many bits is still cheap to compute
 # int64 is exact below 2^20: the Krylov product needs n * (q - 1)^2 < 2^63,
 # the rank kernel (q - 1) + cols * (q - 1)^2 < 2^63, so cols < 2^23.
 _MAX_CENSUS_MODULUS = 1 << 20
@@ -140,21 +141,15 @@ def _batched_rank_modq(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _digit_matrices(indices: np.ndarray, q: int, shapes) -> list[np.ndarray]:
-    """Decode base-q digit blocks of enumeration indices into matrices."""
+def _digit_matrices(indices: np.ndarray, q: int, rows: int, cols: int) -> np.ndarray:
+    """The ``rows x cols`` matrices whose entries are the base-q digits of the indices."""
     import numpy as np
-    total_digits = sum(r * c for r, c in shapes)
-    digits = np.empty((len(indices), total_digits), dtype=np.int64)
+    digits = np.empty((len(indices), rows * cols), dtype=np.int64)
     t = indices.copy()
-    for d in range(total_digits):
+    for d in range(rows * cols):
         digits[:, d] = t % q
         t //= q
-    out = []
-    offset = 0
-    for r, c in shapes:
-        out.append(digits[:, offset:offset + r * c].reshape(len(indices), r, c))
-        offset += r * c
-    return out
+    return digits.reshape(len(indices), rows, cols)
 
 
 def _chunks(count: int):
@@ -194,12 +189,12 @@ def _cc_pair_count(m: int, n: int, q: int) -> int:
     top = min(n, m)
     import numpy as np
     inv = _inverse_table(q)
-    b_mats = (_digit_matrices(idx, q, [(n, m)])[0] for idx in _chunks(q ** (n * m)))
+    b_mats = (_digit_matrices(idx, q, n, m) for idx in _chunks(q ** (n * m)))
     b_ranks = _rank_histogram(b_mats, q, inv, n)
     count = 0
     for r in range(1, top + 1):
         e = np.eye(n, r, dtype=np.int64)
-        krylovs = (_krylov(_digit_matrices(idx, q, [(n, n)])[0], e, q) for idx in _chunks(q ** (n * n)))
+        krylovs = (_krylov(_digit_matrices(idx, q, n, n), e, q) for idx in _chunks(q ** (n * n)))
         count += int(b_ranks[r]) * int(_rank_histogram(krylovs, q, inv, n)[n])
     return count
 
@@ -208,6 +203,28 @@ def _check_dimensions(**dims: int) -> None:
     for name, value in dims.items():
         if value < 0:
             raise ValueError(f"census dimension {name} must be non-negative, got {value}")
+
+
+def _check_state_count(terms, q: int, bound: int) -> None:
+    """Raise :class:`CensusTooLarge` if ``sum(c q^e for c, e in terms)`` states exceed ``bound``.
+
+    The count is computed exactly while ``q^e`` has at most about
+    ``_EXACT_COUNT_BITS`` bits.  Past that, the largest power alone has
+    more than ``low = e (b - 1)`` bits, ``b`` the bit length of ``q``, so a
+    bound of at most ``low`` bits is refused without the count, as ``more
+    than 2^(low - 1)``: true, though weaker than the exact bit length.
+    """
+    if not terms:
+        return
+    top = max(e for c, e in terms if c)
+    low = top * (q.bit_length() - 1)
+    if top * q.bit_length() > _EXACT_COUNT_BITS and bound.bit_length() <= low:
+        raise CensusTooLarge(f"more than 2^{low - 1} states exceed the bound {bound}")
+    states = sum(c * q ** e for c, e in terms)
+    if states > bound:
+        # past 2^256 the count is named by its bit length: str() refuses ints past 4300 digits
+        shown = states if states.bit_length() <= 256 else f"more than 2^{(states - 1).bit_length() - 1}"
+        raise CensusTooLarge(f"{shown} states exceed the bound {bound}")
 
 
 @dataclass(frozen=True)
@@ -252,19 +269,16 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     _check_dimensions(m=m, n=n, p=p)
     field = Field.prime(q)  # validates primality
     if mode == "exhaustive":
-        states = None  # n = 0: the one empty pair, counted without enumeration
+        terms = ()  # n = 0: the one empty pair, counted without enumeration
         if n:
             if m and q >= _MAX_CENSUS_MODULUS:
                 raise ValueError(f"census modulus {q} is too large; the census supports moduli below {_MAX_CENSUS_MODULUS}")
-            states = q ** (n * m) + min(n, m) * q ** (n * n)
+            terms = ((1, n * m), (min(n, m), n * n))
     elif mode == "canonical-forms":
-        states = q ** (n * (n + m + p))
+        terms = ((1, n * (n + m + p)),)
     else:
         raise ValueError(f"unknown census mode {mode!r}")
-    if states is not None and states > bound:
-        # past 2^256 the count is named by its bit length: str() refuses ints past 4300 digits
-        shown = states if states.bit_length() <= 256 else f"more than 2^{(states - 1).bit_length() - 1}"
-        raise CensusTooLarge(f"{shown} states exceed the bound {bound}")
+    _check_state_count(terms, q, bound)
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
     if mode == "exhaustive":

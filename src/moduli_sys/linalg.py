@@ -12,16 +12,19 @@ its canonical reduction keeps that true: each write stores the same
 values as any it replaces (``g`` aside), so threads racing on one
 system can repeat work but never see a wrong result.
 
-Over the rationals the work inside is integral, and ``Fraction`` is
-built only for results.  :func:`_eliminate` makes every row a primitive
-integer row and runs fraction-free (Bareiss) elimination, whose
-divisions are exact; a reduced form divides each entry once, at the
-end, by the last pivot.  A product clears one common denominator per
-operand, multiplies integers and divides each output entry once;
-``system.markov_parameters``, which multiplies by the same ``A`` and
-``B`` for every block, clears denominators once per call rather than
-once per product.  Rows
-that :func:`_eliminate` leaves unreduced are nonzero multiples of the
+:func:`_eliminate` runs one loop for both fields: fraction-free
+(Bareiss) elimination, whose divisions are exact.  Over ``F_q`` each
+pivot row is first scaled so that its pivot is 1, which makes every
+Bareiss division a division by 1.  Over the rationals the work inside
+is integral, and ``Fraction`` is built only for results: every row is
+first made a primitive integer row, and a reduced form divides each
+entry once, at the end, by the last pivot.  Either way the loop
+returns a unit whose product with the last pivot is the determinant.
+A product clears one common denominator per operand, multiplies
+integers and divides each output entry once; ``system.markov_parameters``,
+which multiplies by the same ``A`` and ``B`` for every block, clears
+denominators once per call rather than once per product.  Rows that
+:func:`_eliminate` leaves unreduced are nonzero multiples of the
 echelon rows: a caller may read their pivot columns and row space, and
 :func:`minor_det` reads the determinant off the last pivot, but no
 other value.
@@ -229,18 +232,6 @@ class Matrix:
         return cls(field, len(data), cols, ent)
 
     @classmethod
-    def from_cols(cls, field: Field, cols: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        data = [list(c) for c in cols]
-        if data:
-            rows = len(data[0])
-            if any(len(c) != rows for c in data):
-                raise ValueError("ragged columns")
-        elif rows is None:
-            rows = 0
-        ent = tuple(field.coerce(data[j][i]) for i in range(rows) for j in range(len(data)))
-        return cls(field, rows, len(data), ent)
-
-    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, (field.zero,) * (rows * cols))
 
@@ -258,14 +249,8 @@ class Matrix:
     def row_list(self, i: int) -> list:
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def col_list(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     def to_rows(self) -> list:
         return [self.row_list(i) for i in range(self.rows)]
-
-    def column(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1, tuple(self.col_list(j)))
 
     def columns_at(self, indices: Sequence[int]) -> "Matrix":
         ent = tuple(self.entries[i * self.cols + j] for i in range(self.rows) for j in indices)
@@ -283,27 +268,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         ent = tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
         return Matrix(self.field, self.cols, self.rows, ent)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        add = self.field.add
-        ent = tuple(add(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(self.field, self.rows, self.cols, ent)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        sub = self.field.sub
-        ent = tuple(sub(a, b) for a, b in zip(self.entries, other.entries))
-        return Matrix(self.field, self.rows, self.cols, ent)
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols, tuple(neg(a) for a in self.entries))
-
-    def scaled(self, s: Scalar) -> "Matrix":
-        mul = self.field.mul
-        s = self.field.coerce(s)
-        return Matrix(self.field, self.rows, self.cols, tuple(mul(s, a) for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
@@ -329,10 +293,6 @@ class Matrix:
         if den != 1:
             out = [_ratio(x, den) for x in out]
         return Matrix(self.field, self.rows, c, tuple(out))
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape/field mismatch")
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -380,33 +340,36 @@ def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[lis
     at or below the current row as the pivot, then clears the entries
     below it; with ``reduced`` it also clears the entries above.  Stops
     once every row holds a pivot.  Returns the (0-based) pivot columns
-    and a unit ``u`` for :func:`minor_det`.
+    and a unit ``u``: the determinant of a square input of full rank is
+    ``u`` times the last pivot, over either field.
 
-    Over ``F_q`` the pivot row is scaled to 1 when ``reduced``, and ``u``
-    is the sign (+1 or -1) of the row swaps.
+    One loop serves both fields, in the fraction-free form of Bareiss
+    (Math. Comp. 22, 1968): a row update is ``(p x - v y) / p_prev``,
+    with ``p`` the pivot, ``v`` the entry to clear and ``p_prev`` the
+    pivot before ``p``, and that division is exact.
+
+    Over ``F_q`` each pivot row is first scaled so that its pivot is 1,
+    and the pivot joins ``u``.  Then ``p == p_prev == 1`` and the update
+    is ``x - v y`` mod q.  ``u`` is the sign of the row swaps times the
+    product of the pivots.
 
     Over ``Q`` the work is integral.  Each row is first made a primitive
     integer row: its denominators are cleared and it is divided by the
-    gcd of its entries.  Bareiss elimination follows (Bareiss, Math.
-    Comp. 22, 1968): an update is ``(p x - v y) / p_prev`` with ``p`` the
-    pivot and ``p_prev`` the one before it, and that division is exact.
-    With ``reduced`` every other row is updated (fraction-free
-    Gauss-Jordan), so all pivot entries end equal to the last pivot
-    ``d``; each entry of the pivot rows is then divided once by ``d``,
-    which leaves the reduced row-echelon form in canonical scalars.
-    Without ``reduced`` the rows stay integral: each is a forward-eliminated
-    row of the input times a nonzero rational, so a caller may read the
-    pivot columns and the row space, not the values.  ``u`` is the sign
-    of the row swaps over the product of the row scales, so the
-    determinant of a square input of full rank is ``u`` times the last
-    pivot.
+    gcd of its entries.  With ``reduced`` every other row is updated
+    (fraction-free Gauss-Jordan), so all pivot entries end equal to the
+    last pivot ``d``; each entry of the pivot rows is then divided once
+    by ``d``, which leaves the reduced row-echelon form in canonical
+    scalars.  Without ``reduced`` the rows stay integral: each is a
+    forward-eliminated row of the input times a nonzero rational, so a
+    caller may read the pivot columns and the row space, not the values.
+    ``u`` is the sign of the row swaps over the product of the row
+    scales.
     """
     nrows = len(grid)
     pivots: list[int] = []
-    sign = 1
     q = field.q
+    sign, num, den, prev = 1, 1, 1, 1  # the row scales multiply to den / num; prev is the previous pivot
     if q is None:
-        prev, num, den = 1, 1, 1  # the previous pivot; the row scales multiply to den / num
         for i, row in enumerate(grid):
             ints, d = _integral(row)
             g = gcd(*ints)
@@ -415,7 +378,6 @@ def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[lis
             if g:
                 num, den = num * g, den * d
             grid[i] = ints
-    sub, mul = field.sub, field.mul
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -429,37 +391,30 @@ def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[lis
             grid[r], grid[piv] = grid[piv], grid[r]
             sign = -sign
         prow = grid[r]
-        if q is None:
-            p = prow[c]
-            for i in range(0 if reduced else r + 1, nrows):
-                if i == r:
-                    continue
-                row = grid[i]
-                v = row[c]
-                start = pivots[i] if i < r else c  # the row is zero left of start
-                if v:
-                    row[start:] = [(p * x - v * y) // prev for x, y in zip(row[start:], prow[start:])]
-                elif p != prev:  # every row scales by p / prev, or later divisions are inexact
+        p = prow[c]
+        if q is not None and p != 1:  # scale the pivot to 1; it moves into the unit
+            pinv = pow(p, q - 2, q)
+            prow[c:] = [pinv * x % q for x in prow[c:]]
+            num, p = num * p % q, 1
+        for i in range(0 if reduced else r + 1, nrows):
+            if i == r:
+                continue
+            row = grid[i]
+            v = row[c]
+            start = pivots[i] if i < r else c  # the row is zero left of start
+            if not v:
+                if p != prev:  # over Q every row scales by p / prev, or later divisions are inexact
                     row[start:] = [p * x // prev for x in row[start:]]
-            prev = p
-        else:
-            pivinv = field.inv(prow[c])
-            if reduced:
-                prow[c:] = [mul(pivinv, x) for x in prow[c:]]
-            for i in range(0 if reduced else r + 1, nrows):
-                row = grid[i]
-                v = row[c]
-                if i != r and v != 0:
-                    factor = v if reduced else mul(v, pivinv)
-                    for k in range(c, ncols):
-                        row[k] = sub(row[k], mul(factor, prow[k]))
+            elif q is None:
+                row[start:] = [(p * x - v * y) // prev for x, y in zip(row[start:], prow[start:])]
+            else:
+                row[start:] = [(x - v * y) % q for x, y in zip(row[start:], prow[start:])]
+        prev = p
         pivots.append(c)
-    if q is not None:
-        return pivots, sign
-    if reduced:
+    if reduced and prev != 1:
         for row in grid[:len(pivots)]:
             row[:] = [_ratio(x, prev) for x in row]
-    return pivots, _ratio(sign * num, den)
+    return pivots, _ratio(sign * num, den) if q is None else sign * num % q
 
 
 def pivot_columns(matrix: Matrix) -> tuple[int, ...]:
@@ -514,9 +469,8 @@ def minor_det(matrix: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
     """Determinant of the square submatrix selected by the index lists.
 
     Index lists must be strictly increasing and equally long.  One forward
-    elimination: over ``F_q`` the determinant is the sign of the row swaps
-    times the pivot product; over ``Q`` the rows are scaled, so it is the
-    last Bareiss pivot times the unit that :func:`_eliminate` returns.
+    elimination; the determinant is the last pivot times the unit that
+    :func:`_eliminate` returns.
     """
     row_idx, col_idx = list(row_idx), list(col_idx)
     if len(row_idx) != len(col_idx):
@@ -531,12 +485,7 @@ def minor_det(matrix: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) ->
     pivots, unit = _eliminate(f, grid, k, False)
     if len(pivots) < k:
         return f.zero
-    if f.q is None:  # Bareiss: the last pivot is the determinant of the scaled rows
-        return _ratio(unit.numerator * grid[-1][-1], unit.denominator) if k else f.one
-    out = f.one if unit > 0 else f.neg(f.one)
-    for r, c in enumerate(pivots):
-        out = f.mul(out, grid[r][c])
-    return out
+    return _ratio(unit.numerator * grid[-1][-1], unit.denominator) if k else f.one
 
 
 def det(matrix: Matrix) -> Scalar:

@@ -125,9 +125,6 @@ class NotStabilized:
     window: int
     ranks: tuple[tuple[int, int, int], ...]
 
-    def rank_table(self) -> dict[tuple[int, int], int]:
-        return {(i, j): rk for i, j, rk in self.ranks}
-
 
 def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStabilized]:
     """Smallest (r, s), scanned lexicographically, with stable rank.

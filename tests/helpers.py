@@ -9,7 +9,6 @@ from random import Random
 
 import numpy as np
 
-from moduli_sys.counting import _digit_matrices
 from moduli_sys.errors import InconsistentData, NotControllable
 from moduli_sys.linalg import Field, Matrix, inverse, rank, rref_with_pivots
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
@@ -28,6 +27,16 @@ def unimodular(field: Field, n: int, rng: Random, bound: int = 2) -> Matrix:
     l_mat = Matrix.from_rows(field, lower, cols=n)
     u_mat = Matrix.from_rows(field, upper, cols=n)
     return l_mat @ u_mat
+
+
+def col_list(matrix: Matrix, j: int) -> list:
+    """Column ``j`` of a matrix, as a list."""
+    return [matrix.entry(i, j) for i in range(matrix.rows)]
+
+
+def from_cols(field: Field, cols: list, rows: int) -> Matrix:
+    """The ``rows``-row matrix whose columns are the given lists."""
+    return Matrix.from_rows(field, cols, cols=rows).transpose()
 
 
 def sweep_shapes(n_max: int = 2, ms=(1, 2), ps=(0, 1, 2)):
@@ -88,6 +97,31 @@ def gauss_rank_oracle(grid: list, q: int) -> int:
             (row[k] - factor * grid[pi][k]) % q for k in range(len(row)) if k != pj
         ])
     return 1 + gauss_rank_oracle(reduced, q)
+
+
+def modq_rref(rows: list, q: int) -> tuple[list, list]:
+    """Reduced row-echelon form mod q and its pivot columns, by textbook Gauss-Jordan.
+
+    Each pivot row is divided by its pivot, a Fermat inverse, and then
+    subtracted from every other row.
+    """
+    grid = [[x % q for x in row] for row in rows]
+    ncols = len(grid[0]) if grid else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(grid)) if grid[i][c]), None)
+        if found is None:
+            continue
+        grid[r], grid[found] = grid[found], grid[r]
+        inv = pow(grid[r][c], q - 2, q)
+        grid[r] = [x * inv % q for x in grid[r]]
+        for i in range(len(grid)):
+            if i != r and grid[i][c]:
+                factor = grid[i][c]
+                grid[i] = [(x - factor * y) % q for x, y in zip(grid[i], grid[r])]
+        pivots.append(c)
+    return grid, pivots
 
 
 def leibniz_det(matrix: Matrix):
@@ -262,7 +296,7 @@ def reference_new_direction_walk(system: LinearSystem):
     block = system.B
     for i in range(n):
         for j in range(1, m + 1):
-            col = block.col_list(j - 1)
+            col = col_list(block, j - 1)
             if try_add(col):
                 black.add((i, j))
                 vectors[(i, j)] = col
@@ -326,12 +360,20 @@ def reference_batched_rank_modq(mats: np.ndarray, q: int) -> np.ndarray:
 
 
 def reference_cc_pair_count(m: int, n: int, q: int) -> int:
-    """Controllable (A, B) pairs over F_q, by enumerating every pair at once."""
-    states = q ** (n * (n + m))
+    """Controllable (A, B) pairs over F_q, by enumerating every pair at once.
+
+    Pair ``k`` reads ``A`` and then ``B``, row by row, off the base-q
+    digits of ``k``, lowest digit first.
+    """
+    digit_count = n * (n + m)
+    states = q ** digit_count
+    powers = q ** np.arange(digit_count, dtype=np.int64)
     count = 0
     for start in range(0, states, 1 << 16):
         idx = np.arange(start, min(start + (1 << 16), states), dtype=np.int64)
-        a, b = _digit_matrices(idx, q, [(n, n), (n, m)])
+        digits = idx[:, None] // powers % q
+        a = digits[:, :n * n].reshape(len(idx), n, n)
+        b = digits[:, n * n:].reshape(len(idx), n, m)
         blocks = [b]
         cur = b
         for _ in range(1, n):

@@ -49,7 +49,7 @@ from moduli_sys.quiver import (
 from moduli_sys.realization import MarkovSequence, realize, verify_realization
 from moduli_sys.system import classify, random_system, system_to_json
 
-from helpers import unimodular
+from helpers import col_list, unimodular
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -115,12 +115,12 @@ def _assert_structure_bullets(source, g, canon):
     prefixes = code.height_prefixes
     for t, j in enumerate(code.occupied_columns):
         expected = [f.one if r == prefixes[t] else f.zero for r in range(n)]
-        assert canon.B.col_list(j - 1) == expected
+        assert col_list(canon.B, j - 1) == expected
     ends = set(prefixes[1:])
     for i in range(1, n + 1):
         if i not in ends:
             expected = [f.one if r == i else f.zero for r in range(n)]
-            assert canon.A.col_list(i - 1) == expected
+            assert col_list(canon.A, i - 1) == expected
     assert canon.C == source.C @ inverse(g)
 
 

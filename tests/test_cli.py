@@ -188,6 +188,21 @@ def test_census_cli_refusals(extra, code, message, capsys):
     assert message in err
 
 
+def test_census_cli_refuses_a_huge_cell_at_once():
+    # about 2^(1.8 10^8) states: refused from the bit lengths, without computing the count
+    import subprocess
+    import sys
+    import time
+
+    argv = [sys.executable, "-m", "moduli_sys", "census", "--m", "1", "--p", "0",
+            "--n-min", "3000", "--n-max", "3000", "--q", "1048573"]
+    start = time.monotonic()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 5
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "CensusTooLarge: more than 2^170999999 states exceed the bound 16777216" in done.stderr
+
+
 @pytest.mark.parametrize("value", ["abc", "3"])
 def test_census_cli_ignores_the_environment(value):
     # the bound is --bound or its default; no environment variable sets it

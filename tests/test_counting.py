@@ -215,6 +215,12 @@ BIG_PRIME = 4294967311  # above the census modulus cap
      rf"^more than 2\^14400 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
     (census_cc, (1, 120, 0, 2), {"mode": "canonical-forms"}, CensusTooLarge,
      rf"^more than 2\^14519 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    # past about 2^16 bits the count is not computed: q^e > 2^(e (b - 1)), b the bit length of q,
+    # names a weaker k (the exact ones are near 2^(1.8 10^8) and 2^(1.6 10^6))
+    (census_cc, (1, 3000, 0, 1048573), {}, CensusTooLarge,
+     rf"^more than 2\^170999999 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    (census_cc, (1, 1000, 0, 3), {"mode": "canonical-forms"}, CensusTooLarge,
+     rf"^more than 2\^1000999 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting

@@ -21,7 +21,7 @@ from moduli_sys.kalman import MultiIndex, kalman_code, multiindex_from_code
 from moduli_sys.linalg import Field, Matrix, rank
 from moduli_sys.system import LinearSystem, act, classify, random_system
 
-from helpers import unimodular
+from helpers import col_list, unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -146,8 +146,8 @@ def test_system_from_cell_free_values_round_trip():
 def test_system_from_cell_companion_type():
     idx = MultiIndex((1, 2), ambient=2)
     s = system_from_cell(idx, 1, 2, QQ)
-    assert s.B.col_list(0) == [1, 0]
-    assert s.A.col_list(0) == [0, 1]
+    assert col_list(s.B, 0) == [1, 0]
+    assert col_list(s.A, 0) == [0, 1]
     assert classify(s).cc
 
 

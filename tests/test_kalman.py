@@ -22,7 +22,7 @@ from moduli_sys.kalman import (
 from moduli_sys.linalg import Field, Matrix, charpoly
 from moduli_sys.system import LinearSystem, act, markov_parameters, random_system
 
-from helpers import reference_new_direction_walk, unimodular
+from helpers import col_list, from_cols, reference_new_direction_walk, unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -36,14 +36,14 @@ def assert_canonical_structure(code: KalmanCode, canon: LinearSystem):
     n = canon.n
     prefixes = code.height_prefixes
     for t, j in enumerate(code.occupied_columns):
-        col = canon.B.col_list(j - 1)
+        col = col_list(canon.B, j - 1)
         expected = [f.one if r == prefixes[t] else f.zero for r in range(n)]
         assert col == expected, f"B column {j} not pinned"
     ends = set(prefixes[1:])
     for i in range(1, n + 1):
         if i in ends:
             continue
-        col = canon.A.col_list(i - 1)
+        col = col_list(canon.A, i - 1)
         expected = [f.one if r == i else f.zero for r in range(n)]
         assert col == expected, f"A column {i} not pinned"
 
@@ -195,12 +195,12 @@ def test_canonical_form_single_input_companion():
         s = random_system(QQ, 1, n, 1, rng, require="cc")
         g, canon = canonical_form(s)
         assert act(g, s) == canon
-        assert canon.B.col_list(0) == [QQ.one] + [QQ.zero] * (n - 1)
+        assert col_list(canon.B, 0) == [QQ.one] + [QQ.zero] * (n - 1)
         coeffs = charpoly(s.A)
-        last = canon.A.col_list(n - 1)
+        last = col_list(canon.A, n - 1)
         assert last == [QQ.neg(coeffs[n - k]) for k in range(n)]
         for i in range(1, n):
-            col = canon.A.col_list(i - 1)
+            col = col_list(canon.A, i - 1)
             assert col == [QQ.one if r == i else QQ.zero for r in range(n)]
 
 
@@ -281,9 +281,9 @@ def assert_walk_matches_reference(system: LinearSystem):
         return
     krylov, columns = _new_direction_walk(system)
     assert set(columns) == black
-    assert {box: krylov.col_list(c) for box, c in columns.items()} == vectors
+    assert {box: col_list(krylov, c) for box, c in columns.items()} == vectors
     ordered = [vectors[box] for box in sorted(black, key=lambda box: (box[1], box[0]))]
-    g = _inv(Matrix.from_cols(system.field, ordered, rows=system.n))
+    g = _inv(from_cols(system.field, ordered, system.n))
     assert canonical_form(system) == (g, act(g, system))
 
 

@@ -33,6 +33,7 @@ from helpers import (
     gauss_rank_oracle,
     is_canonical_rational,
     leibniz_det,
+    modq_rref,
     span_rank_oracle,
     unimodular,
 )
@@ -177,6 +178,69 @@ def test_kernel_against_enumeration_exhaustive_f2():
         assert solutions == 2 ** k.rows
 
 
+def prime_field_cases(field, rng):
+    """Seeded matrices over ``F_q``, many of whose pivots are not 1.
+
+    Random wide, tall, square and empty shapes with zeros mixed in, and
+    square ones whose pivots need row swaps: triangular matrices with
+    diagonal entries in ``2..q-1`` and the rows reversed, some with a
+    repeated row.
+    """
+    q = field.q
+    for r, c in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (3, 6), (6, 3), (4, 4), (5, 5)):
+        for _ in range(12):
+            density = rng.choice((0.3, 0.6, 1.0))
+            rows = [[rng.randrange(1, q) if rng.random() < density else 0 for _ in range(c)] for _ in range(r)]
+            yield Matrix.from_rows(field, rows, cols=c)
+    for n in range(1, 6):
+        for _ in range(4):
+            upper = [[rng.randrange(2, q) if i == j else (rng.randrange(q) if i < j else 0) for j in range(n)]
+                     for i in range(n)]
+            if n > 1 and rng.random() < 0.5:
+                upper[0] = upper[-1]
+            yield Matrix.from_rows(field, upper[::-1], cols=n)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 1048573])
+def test_prime_field_elimination_against_oracles(q):
+    import random
+
+    rng = random.Random(q)
+    field = Field.prime(q)
+    for m in prime_field_cases(field, rng):
+        rows = m.to_rows()
+        r = gauss_rank_oracle(rows, q)
+        assert rank(m) == r
+        prefix_ranks = [gauss_rank_oracle([row[:c] for row in rows], q) for c in range(m.cols + 1)]
+        assert pivot_columns(m) == tuple(c for c in range(m.cols) if prefix_ranks[c + 1] > prefix_ranks[c])
+        red, piv = modq_rref(rows, q)
+        assert rref_with_pivots(m) == (Matrix.from_rows(field, red, cols=m.cols), tuple(piv))
+        k = min(m.rows, m.cols)
+        if k:
+            ri = sorted(rng.sample(range(m.rows), k))
+            ci = sorted(rng.sample(range(m.cols), k))
+            value = minor_det(m, ri, ci)
+            assert value == leibniz_det(m.rows_at(ri).columns_at(ci)) and 0 <= value < q
+        if m.rows == m.cols:
+            assert det(m) == leibniz_det(m)
+            eye = Matrix.identity(field, m.rows)
+            if r == m.rows:
+                inv = inverse(m)
+                assert m @ inv == eye and inv @ m == eye
+            else:
+                with pytest.raises(SingularMatrix):
+                    inverse(m)
+        for cols in (0, 1, 2):
+            x = Matrix(field, m.cols, cols, tuple(rng.randrange(q) for _ in range(m.cols * cols)))
+            noise = Matrix(field, m.rows, cols, tuple(rng.randrange(q) for _ in range(m.rows * cols)))
+            for b in (m @ x, noise):
+                sol = solve_right(m, b)
+                if sol is None:
+                    assert gauss_rank_oracle([row + b.row_list(i) for i, row in enumerate(rows)], q) > r
+                else:
+                    assert m @ sol == b
+
+
 def test_det_against_leibniz():
     for m in all_f2_matrices(3, 3):
         if m.rows == m.cols:
@@ -244,7 +308,7 @@ def test_pivot_columns_are_the_independent_prefix_extensions(m):
     # column c is a pivot exactly when it lies outside the span of the columns before it
     piv = pivot_columns(m)
     for c in range(m.cols):
-        outside = solve_right(m.columns_at(range(c)), m.column(c)) is None
+        outside = solve_right(m.columns_at(range(c)), m.columns_at([c])) is None
         assert (c in piv) == outside
 
 
@@ -419,7 +483,9 @@ def test_charpoly_by_evaluation():
             assert len(coeffs) == n + 1 and coeffs[0] == field.one
             for t in (0, 1, 2, -1):
                 tval = field.coerce(t)
-                shifted = Matrix.identity(field, n).scaled(tval) - m
+                shifted = Matrix.from_rows(field, [
+                    [field.sub(tval if i == j else field.zero, entries[i][j]) for j in range(n)] for i in range(n)
+                ], cols=n)
                 expected = det(shifted)
                 value = field.zero
                 for c in coeffs:

@@ -20,7 +20,7 @@ from moduli_sys.quiver import (
 )
 from moduli_sys.system import LinearSystem, act, classify, controllability_matrix, dualize, random_system
 
-from helpers import unimodular
+from helpers import from_cols, unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -195,7 +195,7 @@ def test_modes_agree_on_an_unobservable_space_with_mixed_factor_degrees():
     for a, b, expected in cases:
         field, n = a.field, a.rows
         c = Matrix.from_rows(field, [[1] + [0] * (n - 1)])
-        s = LinearSystem(field, 1, n, 1, a, Matrix.from_cols(field, [b]), c)
+        s = LinearSystem(field, 1, n, 1, a, from_cols(field, [b], n), c)
         for t in (s, act(unimodular(field, n, rng), s)):
             rep = QuiverRep.of(t)
             assert subrep_dimvectors(rep, mode="rank") == expected
