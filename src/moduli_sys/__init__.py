@@ -60,6 +60,7 @@ from .quiver import (
     is_theta_stable,
     observability_weight,
     subrep_dimvectors,
+    subrep_dimvectors_by_enumeration,
 )
 from .realization import (
     HankelRankProfile,

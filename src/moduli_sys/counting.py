@@ -219,12 +219,18 @@ def _check_state_count(terms, q: int, bound: int) -> None:
     top = max(e for c, e in terms if c)
     low = top * (q.bit_length() - 1)
     if top * q.bit_length() > _EXACT_COUNT_BITS and bound.bit_length() <= low:
-        raise CensusTooLarge(f"more than 2^{low - 1} states exceed the bound {bound}")
+        raise CensusTooLarge(f"more than 2^{low - 1} states exceed the bound {_shown(bound)}")
     states = sum(c * q ** e for c, e in terms)
     if states > bound:
-        # past 2^256 the count is named by its bit length: str() refuses ints past 4300 digits
-        shown = states if states.bit_length() <= 256 else f"more than 2^{(states - 1).bit_length() - 1}"
-        raise CensusTooLarge(f"{shown} states exceed the bound {bound}")
+        raise CensusTooLarge(f"{_shown(states)} states exceed the bound {_shown(bound)}")
+
+
+def _shown(count: int) -> str:
+    """``count`` in decimal up to 256 bits, past that named by its bit length: str() refuses ints past 4300 digits."""
+    if count.bit_length() <= 256:
+        return str(count)
+    k = (abs(count) - 1).bit_length() - 1
+    return f"more than 2^{k}" if count > 0 else f"less than -2^{k}"
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ dimension vector ``(1, n)`` of the quiver with ``m`` arrows running
 left to right (the columns of ``B``), ``p`` arrows running right to
 left (the rows of ``C``) and one loop (``A``).  Simplicity of the
 representation and stability with respect to the two nontrivial weights
-translate exactly into the canonical / cc / co classification, and this
-module decides them two independent ways:
+translate exactly into the canonical / cc / co classification.  This
+module has two deciders, and neither calls the other (they share only
+the linear algebra of ``linalg``):
 
-* ``mode="rank"`` reads every verdict off the two ranks of ``classify``:
-  the reachable space and the unobservable space are one
-  subrepresentation of each kind, and one of each kind decides
-  simplicity and every stability question.  Only
-  ``subrep_dimvectors`` needs the exact set: the reachable space plus
+* the rank verdicts.  ``is_simple`` and the theta tests read every
+  verdict off the two ranks of ``classify``: the reachable space and
+  the unobservable space are one subrepresentation of each kind, and
+  one of each kind decides simplicity and every stability question.
+  ``subrep_dimvectors`` returns the exact set: the reachable space plus
   the invariant-subspace dimensions of the operator induced on the
   quotient by it (read off the factorization of its characteristic
   polynomial).  The unobservable side is the same question for the
@@ -20,19 +21,20 @@ module decides them two independent ways:
   exactly when ``W^perp``, which contains ``N^perp`` = reach
   ``(A^T, C^T)``, is ``A^T``-invariant, and
   ``dim W^perp / N^perp = n - rank_o - dim W``;
-* ``mode="oracle"`` enumerates every subspace of ``F_q^n`` and tests
-  the defining conditions directly.  It refuses, with
-  :class:`OracleTooLarge` and before enumerating, a system whose
-  ``sum_k [n choose k]_q`` subspaces exceed ``DEFAULT_SUBSPACE_LIMIT``
-  (``2^15``): it takes ``n <= 7`` over ``F_2``, ``n <= 5`` over
-  ``F_3`` and ``n <= 4`` over ``F_5`` and ``F_7``.
+* the enumeration referee.  ``subrep_dimvectors_by_enumeration``
+  enumerates every subspace of ``F_q^n`` and tests the defining
+  conditions directly; a test applies the stability definition to the
+  set it returns.  It refuses, with :class:`OracleTooLarge` and before
+  enumerating, a system whose ``sum_k [n choose k]_q`` subspaces exceed
+  ``DEFAULT_SUBSPACE_LIMIT`` (``2^15``): it takes ``n <= 7`` over
+  ``F_2``, ``n <= 5`` over ``F_3`` and ``n <= 4`` over ``F_5`` and
+  ``F_7``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .counting import q_binomial
@@ -87,8 +89,6 @@ def observability_weight(n: int) -> StabilityWeight:
 
 # -- invariant subspace dimensions ----------------------------------------
 
-_FACTOR_CACHE_SIZE = 2 ** 16  # entries of the _factor_degrees LRU cache
-
 
 def _invariant_subspace_dims(op: Matrix) -> frozenset[int]:
     """All dimensions of invariant subspaces of a square operator.
@@ -100,26 +100,20 @@ def _invariant_subspace_dims(op: Matrix) -> frozenset[int]:
     ``{0, d, 2d, ..., a*d}`` over the factorization ``prod p_i^{a_i}``
     of the characteristic polynomial.
     """
-    dims = {0}
-    for deg, mult in _factor_degrees(op.field, charpoly(op)):
-        dims = {x + t * deg for x in dims for t in range(mult + 1)}
-    return frozenset(dims)
-
-
-@lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _factor_degrees(field: Field, coeffs: tuple) -> tuple[tuple[int, int], ...]:
-    """(degree, multiplicity) pairs of the irreducible factors."""
+    field, coeffs = op.field, charpoly(op)
     if len(coeffs) == 1:
-        return ()
-    import sympy  # only subrep_dimvectors(mode="rank") factors; keep it off the import path
+        return frozenset({0})
+    import sympy  # only subrep_dimvectors factors; keep it off the import path
 
     x = sympy.Symbol("x")
     if field.q is None:
         poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x, domain="QQ")
     else:
         poly = sympy.Poly([int(c) for c in coeffs], x, modulus=field.q)
-    _, factors = poly.factor_list()
-    return tuple((f.degree(), mult) for f, mult in factors)
+    dims = {0}
+    for factor, mult in poly.factor_list()[1]:
+        dims = {d + t * factor.degree() for d in dims for t in range(mult + 1)}
+    return frozenset(dims)
 
 
 def _quotient_dims(a: Matrix, walk: KrylovWalk) -> tuple[int, frozenset[int]]:
@@ -144,7 +138,7 @@ def _quotient_dims(a: Matrix, walk: KrylovWalk) -> tuple[int, frozenset[int]]:
 # -- subrepresentation dimension vectors -----------------------------------
 
 
-def subrep_dimvectors(rep: QuiverRep, mode: str = "rank") -> frozenset[DimensionVector]:
+def subrep_dimvectors(rep: QuiverRep) -> frozenset[DimensionVector]:
     """Dimension vectors of all proper nonzero subrepresentations.
 
     A subrepresentation is a pair of subspaces fixed by every arrow.
@@ -152,15 +146,7 @@ def subrep_dimvectors(rep: QuiverRep, mode: str = "rank") -> frozenset[Dimension
     subspace containing the image of B; with zero left dimension it is
     an A-invariant subspace annihilated by C.
     """
-    if mode == "rank":
-        return _subreps_by_rank(rep.system)
-    if mode == "oracle":
-        return _subreps_by_enumeration(rep.system)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _subreps_by_rank(system: LinearSystem) -> frozenset[DimensionVector]:
-    n = system.n
+    system, n = rep.system, rep.system.n
     out: set[DimensionVector] = set()
     rank_c, dims = _quotient_dims(system.A, system._walk)
     out.update((1, rank_c + x) for x in dims if rank_c + x < n)
@@ -196,21 +182,26 @@ def iter_subspace_bases(field: Field, n: int) -> Iterator[Matrix]:
                 yield Matrix(field, k, n, tuple(ent))
 
 
-def _subreps_by_enumeration(system: LinearSystem) -> frozenset[DimensionVector]:
+def subrep_dimvectors_by_enumeration(rep: QuiverRep) -> frozenset[DimensionVector]:
+    """:func:`subrep_dimvectors` by testing every subspace of ``F_q^n``: the referee of the rank verdicts.
+
+    Raises :class:`OracleTooLarge` past ``DEFAULT_SUBSPACE_LIMIT``
+    subspaces, and ``ValueError`` over ``Q``.
+    """
+    system = rep.system
     field, n = system.field, system.n
     if field.q is None:
-        raise ValueError("oracle mode needs a finite field")
+        raise ValueError("subspace enumeration needs a finite field")
     subspaces = sum(q_binomial(n, k, field.q) for k in range(n + 1))
     if subspaces > DEFAULT_SUBSPACE_LIMIT:
         raise OracleTooLarge(
             f"{subspaces} subspaces of F_{field.q}^{n} exceed the limit {DEFAULT_SUBSPACE_LIMIT}"
         )
-    b_rows = system.B.transpose()
-    c_rows_t = system.C.transpose()
+    a_t, b_rows, c_rows_t = system.A.transpose(), system.B.transpose(), system.C.transpose()
     out: set[DimensionVector] = set()
     for basis in iter_subspace_bases(field, n):
         k = basis.rows
-        images = basis @ system.A.transpose()
+        images = basis @ a_t
         if rank(vstack([basis, images])) != k:
             continue
         if k < n and rank(vstack([basis, b_rows])) == k:
@@ -223,19 +214,16 @@ def _subreps_by_enumeration(system: LinearSystem) -> frozenset[DimensionVector]:
 # -- simplicity and stability ----------------------------------------------
 
 
-def _extremal_subreps(rep: QuiverRep, mode: str) -> frozenset[DimensionVector]:
+def _extremal_subreps(rep: QuiverRep) -> frozenset[DimensionVector]:
     """Enough subrepresentation dimension vectors to decide every verdict.
 
     Every legal weight is ``k * (-n, 1)``.  It pairs a ``(1, l)`` with
     ``l < n`` to ``k (l - n)``, of the sign of ``-k``, and a ``(0, l)``
     with ``l > 0`` to ``k l``, of the sign of ``k``.  So one proper
     nonzero subrepresentation of each kind, when there is one, decides
-    simplicity and stability for every weight.  In rank mode these are
-    the reachable space ``(1, rank_c)`` and the unobservable space
-    ``(0, n - rank_o)``; oracle mode returns the full enumerated set.
+    simplicity and stability for every weight: the reachable space
+    ``(1, rank_c)`` and the unobservable space ``(0, n - rank_o)``.
     """
-    if mode != "rank":
-        return subrep_dimvectors(rep, mode=mode)
     n, cls = rep.system.n, classify(rep.system)
     out: set[DimensionVector] = set()
     if cls.rank_c < n:
@@ -245,32 +233,32 @@ def _extremal_subreps(rep: QuiverRep, mode: str) -> frozenset[DimensionVector]:
     return frozenset(out)
 
 
-def is_simple(rep: QuiverRep, mode: str = "rank") -> bool:
+def is_simple(rep: QuiverRep) -> bool:
     """True when there is no proper nonzero subrepresentation.
 
     Equivalent to the underlying system being canonical.
     """
-    return not _extremal_subreps(rep, mode)
+    return not _extremal_subreps(rep)
 
 
-def _pairings(rep: QuiverRep, theta: StabilityWeight, mode: str) -> list[int]:
+def _pairings(rep: QuiverRep, theta: StabilityWeight) -> list[int]:
     """``theta`` paired with the subrepresentations that decide stability; needs ``theta . alpha = 0``."""
     alpha = rep.dimension_vector
     pairing = theta[0] * alpha[0] + theta[1] * alpha[1]
     if pairing != 0:
         raise NonzeroThetaAlpha(f"theta.alpha = {pairing} != 0 for theta={theta}, alpha={alpha}")
-    return [theta[0] * a + theta[1] * l for a, l in _extremal_subreps(rep, mode)]
+    return [theta[0] * a + theta[1] * l for a, l in _extremal_subreps(rep)]
 
 
-def is_theta_stable(rep: QuiverRep, theta: StabilityWeight, mode: str = "rank") -> bool:
+def is_theta_stable(rep: QuiverRep, theta: StabilityWeight) -> bool:
     """Every proper nonzero subrepresentation pairs strictly positively.
 
     With the controllability weight this is equivalent to cc, with the
     observability weight to co.
     """
-    return all(x > 0 for x in _pairings(rep, theta, mode))
+    return all(x > 0 for x in _pairings(rep, theta))
 
 
-def is_theta_semistable(rep: QuiverRep, theta: StabilityWeight, mode: str = "rank") -> bool:
+def is_theta_semistable(rep: QuiverRep, theta: StabilityWeight) -> bool:
     """Like stability, with the pairing allowed to vanish."""
-    return all(x >= 0 for x in _pairings(rep, theta, mode))
+    return all(x >= 0 for x in _pairings(rep, theta))

@@ -114,9 +114,6 @@ class HankelRankProfile:
     order: int
     ranks: tuple[tuple[int, int, int], ...]  # (i, j, rank) for inspected sizes
 
-    def rank_table(self) -> dict[tuple[int, int], int]:
-        return {(i, j): rk for i, j, rk in self.ranks}
-
 
 @dataclass(frozen=True)
 class NotStabilized:

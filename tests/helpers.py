@@ -51,6 +51,16 @@ def f2_systems(shapes) -> list[LinearSystem]:
     return out
 
 
+def stable_by_definition(subreps, theta) -> bool:
+    """King's definition on an enumerated set: every proper nonzero subrepresentation pairs to > 0."""
+    return all(theta[0] * a + theta[1] * l > 0 for a, l in subreps)
+
+
+def semistable_by_definition(subreps, theta) -> bool:
+    """The same, with the pairing allowed to vanish."""
+    return all(theta[0] * a + theta[1] * l >= 0 for a, l in subreps)
+
+
 # -- independent oracles ----------------------------------------------------
 
 

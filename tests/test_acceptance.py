@@ -45,11 +45,12 @@ from moduli_sys.quiver import (
     is_simple,
     is_theta_stable,
     observability_weight,
+    subrep_dimvectors_by_enumeration,
 )
 from moduli_sys.realization import MarkovSequence, realize, verify_realization
 from moduli_sys.system import classify, random_system, system_to_json
 
-from helpers import col_list, unimodular
+from helpers import col_list, stable_by_definition, unimodular
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
@@ -92,8 +93,9 @@ def test_criterion_02_simple_iff_canonical(f2_sweep):
     with criterion(2, "simple iff canonical, exhaustive F_2", budget=30.0):
         for s, cls in f2_sweep:
             rep = QuiverRep.of(s)
-            assert is_simple(rep, mode="rank") == cls.canonical, s
-            assert is_simple(rep, mode="oracle") == cls.canonical, s
+            assert is_simple(rep) == cls.canonical, s
+            # simple by definition: the enumeration finds no proper nonzero subrepresentation
+            assert (not subrep_dimvectors_by_enumeration(rep)) == cls.canonical, s
 
 
 def test_criterion_03_stability_iff_cc_co(f2_sweep):
@@ -102,10 +104,11 @@ def test_criterion_03_stability_iff_cc_co(f2_sweep):
             rep = QuiverRep.of(s)
             plus = controllability_weight(s.n)
             minus = observability_weight(s.n)
-            assert is_theta_stable(rep, plus, mode="rank") == cls.cc, s
-            assert is_theta_stable(rep, minus, mode="rank") == cls.co, s
-            assert is_theta_stable(rep, plus, mode="oracle") == cls.cc, s
-            assert is_theta_stable(rep, minus, mode="oracle") == cls.co, s
+            assert is_theta_stable(rep, plus) == cls.cc, s
+            assert is_theta_stable(rep, minus) == cls.co, s
+            subreps = subrep_dimvectors_by_enumeration(rep)  # once per system, for both weights
+            assert stable_by_definition(subreps, plus) == cls.cc, s
+            assert stable_by_definition(subreps, minus) == cls.co, s
 
 
 def _assert_structure_bullets(source, g, canon):

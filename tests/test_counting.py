@@ -221,6 +221,13 @@ BIG_PRIME = 4294967311  # above the census modulus cap
      rf"^more than 2\^170999999 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
     (census_cc, (1, 1000, 0, 3), {"mode": "canonical-forms"}, CensusTooLarge,
      rf"^more than 2\^1000999 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    # a bound past 256 bits is named by the same rule as a count: 10^5000 has 16610 bits
+    (census_cc, (1, 300, 0, 3), {"bound": 10 ** 5000}, CensusTooLarge,
+     r"^more than 2\^89999 states exceed the bound more than 2\^16609$"),
+    (census_cc, (1, 3000, 0, 3), {"bound": 10 ** 5000}, CensusTooLarge,
+     r"^more than 2\^8999999 states exceed the bound more than 2\^16609$"),
+    (census_cc, (1, 2, 0, 3), {"bound": -10 ** 5000}, CensusTooLarge,
+     r"^90 states exceed the bound less than -2\^16609$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting

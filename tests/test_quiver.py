@@ -1,4 +1,4 @@
-"""Quiver view: simplicity and stability against the subspace oracle."""
+"""Quiver view: the rank verdicts against the subspace enumeration referee."""
 
 import random
 
@@ -17,10 +17,11 @@ from moduli_sys.quiver import (
     iter_subspace_bases,
     observability_weight,
     subrep_dimvectors,
+    subrep_dimvectors_by_enumeration,
 )
-from moduli_sys.system import LinearSystem, act, classify, controllability_matrix, dualize, random_system
+from moduli_sys.system import LinearSystem, act, all_systems, classify, controllability_matrix, dualize, random_system
 
-from helpers import from_cols, unimodular
+from helpers import from_cols, semistable_by_definition, stable_by_definition, unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -104,18 +105,13 @@ def test_oracle_guards(monkeypatch):
     for field, n, subspaces in ((F2, 8, 417199), (F3, 6, 56632)):
         rep = QuiverRep.of(random_system(field, 1, n, 1, random.Random(n)))
         with pytest.raises(OracleTooLarge, match=f"^{subspaces} subspaces of F_{field.q}\\^{n} exceed the limit 32768$"):
-            subrep_dimvectors(rep, mode="oracle")
-        with pytest.raises(OracleTooLarge):
-            is_simple(rep, mode="oracle")
+            subrep_dimvectors_by_enumeration(rep)
     monkeypatch.undo()
     # F_3^5, the largest space over F_3 the bound admits, has 2 664 subspaces
     rep = QuiverRep.of(random_system(F3, 1, 5, 1, random.Random(5)))
-    assert subrep_dimvectors(rep, mode="oracle") == subrep_dimvectors(rep)
-    rep = QuiverRep.of(sys1x1(F2, 1, 1, 1))
-    with pytest.raises(ValueError):
-        subrep_dimvectors(QuiverRep.of(sys1x1(QQ, 1, 1, 1)), mode="oracle")
-    with pytest.raises(ValueError):
-        subrep_dimvectors(rep, mode="nonsense")
+    assert subrep_dimvectors_by_enumeration(rep) == subrep_dimvectors(rep)
+    with pytest.raises(ValueError, match="needs a finite field"):
+        subrep_dimvectors_by_enumeration(QuiverRep.of(sys1x1(QQ, 1, 1, 1)))
 
 
 def test_subspace_enumeration_counts():
@@ -133,39 +129,36 @@ def test_rank_mode_is_exact_not_an_interval():
     s = LinearSystem(F2, 1, 2, 1, a, Matrix.zeros(F2, 2, 1), Matrix.zeros(F2, 1, 2))
     rep = QuiverRep.of(s)
     expected = frozenset({(1, 0), (0, 2)})
-    assert subrep_dimvectors(rep, mode="rank") == expected
-    assert subrep_dimvectors(rep, mode="oracle") == expected
+    assert subrep_dimvectors(rep) == expected
+    assert subrep_dimvectors_by_enumeration(rep) == expected
 
 
 def test_modes_agree_exhaustively_f2(f2_sweep):
+    # one enumeration per system; every verdict of the rank path is
+    # checked against the definition applied to the enumerated set
     for s, cls in f2_sweep:
         rep = QuiverRep.of(s)
-        by_rank = subrep_dimvectors(rep, mode="rank")
-        by_oracle = subrep_dimvectors(rep, mode="oracle")
-        assert by_rank == by_oracle
-        assert is_simple(rep) == cls.canonical
+        by_oracle = subrep_dimvectors_by_enumeration(rep)
+        assert subrep_dimvectors(rep) == by_oracle
+        assert is_simple(rep) == cls.canonical == (not by_oracle)
         tp, tm = controllability_weight(s.n), observability_weight(s.n)
-        assert is_theta_stable(rep, tp) == cls.cc
-        assert is_theta_stable(rep, tm) == cls.co
-        assert is_theta_stable(rep, tp, mode="oracle") == cls.cc
-        assert is_theta_stable(rep, tm, mode="oracle") == cls.co
+        assert is_theta_stable(rep, tp) == cls.cc == stable_by_definition(by_oracle, tp)
+        assert is_theta_stable(rep, tm) == cls.co == stable_by_definition(by_oracle, tm)
         # no strictly-semistable boundary for this dimension vector
         assert is_theta_semistable(rep, tp) == is_theta_stable(rep, tp)
         assert is_theta_semistable(rep, tm) == is_theta_stable(rep, tm)
-        # every legal weight k * (-n, 1), k = 0 included, against the pairing definition
+        # every legal weight k * (-n, 1), k = 0 included
         for k in range(-2, 3):
             theta = (-s.n * k, k)
-            pairings = [theta[0] * a + theta[1] * l for a, l in by_oracle]
-            for mode in ("rank", "oracle"):
-                assert is_theta_stable(rep, theta, mode=mode) == all(x > 0 for x in pairings)
-                assert is_theta_semistable(rep, theta, mode=mode) == all(x >= 0 for x in pairings)
+            assert is_theta_stable(rep, theta) == stable_by_definition(by_oracle, theta)
+            assert is_theta_semistable(rep, theta) == semistable_by_definition(by_oracle, theta)
         assert is_theta_stable(rep, (0, 0)) == cls.canonical
         assert is_theta_semistable(rep, (0, 0))
 
 
 def test_modes_agree_with_proper_reachable_and_unobservable_spaces():
     # beyond the n <= 2 sweep: both spaces proper and nonzero, so both
-    # quotient computations of rank mode contribute
+    # quotient computations of the rank path contribute
     rng = random.Random(41)
     for field, n in ((F2, 3), (F2, 4), (F3, 3)):
         found = 0
@@ -175,15 +168,19 @@ def test_modes_agree_with_proper_reachable_and_unobservable_spaces():
             rank_o = rank(controllability_matrix(dualize(s)))
             if 0 < rank_c < n and 0 < rank_o < n:
                 rep = QuiverRep.of(s)
-                assert subrep_dimvectors(rep, mode="rank") == subrep_dimvectors(rep, mode="oracle")
+                assert subrep_dimvectors(rep) == subrep_dimvectors_by_enumeration(rep)
                 found += 1
 
 
-def test_modes_agree_on_an_unobservable_space_with_mixed_factor_degrees():
-    # N = span(e2, e3, e4) is unobservable (C = e1^T, first row of A zero
-    # off the diagonal) and A on N has charpoly (x^2 + x + 1)(x + 1) over
-    # F_2, so N holds invariant subspaces of dimensions 1, 2 and 3; over
-    # F_3, A on N = span(e2, e3) has the irreducible charpoly x^2 + 1
+def _mixed_degree_cases():
+    """Systems with their subrepresentation dimension vectors, built afresh on each call.
+
+    N = span(e2, e3, e4) is unobservable (C = e1^T, first row of A zero
+    off the diagonal) and A on N has charpoly (x^2 + x + 1)(x + 1) over
+    F_2, so N holds invariant subspaces of dimensions 1, 2 and 3; over
+    F_3, A on N = span(e2, e3) has the irreducible charpoly x^2 + 1.
+    Each system comes also under a random base change.
+    """
     a2 = Matrix.from_rows(F2, [[1, 0, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
     a3 = Matrix.from_rows(F3, [[1, 0, 0], [1, 0, 2], [0, 1, 0]])
     cases = [
@@ -192,14 +189,45 @@ def test_modes_agree_on_an_unobservable_space_with_mixed_factor_degrees():
         (a3, [0, 1, 0], {(0, 2), (1, 2)}),
     ]
     rng = random.Random(42)
+    out = []
     for a, b, expected in cases:
         field, n = a.field, a.rows
         c = Matrix.from_rows(field, [[1] + [0] * (n - 1)])
         s = LinearSystem(field, 1, n, 1, a, from_cols(field, [b], n), c)
-        for t in (s, act(unimodular(field, n, rng), s)):
-            rep = QuiverRep.of(t)
-            assert subrep_dimvectors(rep, mode="rank") == expected
-            assert subrep_dimvectors(rep, mode="oracle") == expected
+        out += [(s, expected), (act(unimodular(field, n, rng), s), expected)]
+    return out
+
+
+def test_modes_agree_on_an_unobservable_space_with_mixed_factor_degrees():
+    for s, expected in _mixed_degree_cases():
+        rep = QuiverRep.of(s)
+        assert subrep_dimvectors(rep) == expected
+        assert subrep_dimvectors_by_enumeration(rep) == expected
+
+
+def test_the_two_deciders_stay_separate(monkeypatch):
+    # the rank verdicts never enumerate, and the referee never walks;
+    # every system is built afresh, so none keeps a walk from earlier
+    import moduli_sys.quiver as quiver
+    import moduli_sys.system as system
+
+    def systems():
+        return [s for s, _ in _mixed_degree_cases()] + list(all_systems(F2, 1, 2, 1))
+
+    def refuse(*_):
+        raise AssertionError("a decider reached the other one's code")
+
+    monkeypatch.setattr(system, "_krylov_pivots", refuse)
+    by_enumeration = [subrep_dimvectors_by_enumeration(QuiverRep.of(s)) for s in systems()]
+    monkeypatch.undo()
+    monkeypatch.setattr(quiver, "iter_subspace_bases", refuse)
+    for s, subreps in zip(systems(), by_enumeration):
+        rep = QuiverRep.of(s)
+        assert subrep_dimvectors(rep) == subreps
+        assert is_simple(rep) == (not subreps)
+        for theta in (controllability_weight(s.n), observability_weight(s.n)):
+            assert is_theta_stable(rep, theta) == stable_by_definition(subreps, theta)
+            assert is_theta_semistable(rep, theta) == semistable_by_definition(subreps, theta)
 
 
 def test_simple_iff_canonical_random_rationals():
@@ -210,16 +238,3 @@ def test_simple_iff_canonical_random_rationals():
         p = rng.randint(0, 2)
         s = random_system(QQ, m, n, p, rng, bound=2)
         assert is_simple(QuiverRep.of(s)) == classify(s).canonical
-
-
-def test_factor_cache_is_bounded():
-    from moduli_sys import quiver
-
-    info = quiver._factor_degrees.cache_info()
-    assert info.maxsize == quiver._FACTOR_CACHE_SIZE == 2 ** 16
-    ops = [Matrix.from_rows(field, [[k, 0], [1, k]]) for field in (QQ, F3) for k in range(6)]
-    first = [quiver._invariant_subspace_dims(op) for op in ops]
-    assert 0 < quiver._factor_degrees.cache_info().currsize <= info.maxsize
-    # values recomputed from an empty cache are the same
-    quiver._factor_degrees.cache_clear()
-    assert [quiver._invariant_subspace_dims(op) for op in ops] == first

@@ -73,7 +73,7 @@ def test_realizability_order_examples():
 
     prof = realizability_order(scalar_seq([1, 1, 2, 3, 5, 8]))
     assert prof.order == 2
-    assert prof.rank_table()[(prof.r, prof.s)] == 2
+    assert (prof.r, prof.s, 2) in prof.ranks
 
 
 def test_realizability_not_stabilized():

@@ -14,7 +14,7 @@ from moduli_sys.counting import census_cc
 from moduli_sys.grassmann import locus_membership, moduli_point, stratum_point
 from moduli_sys.kalman import canonical_form, kalman_code
 from moduli_sys.linalg import Field, Matrix, charpoly, hstack, kernel_basis
-from moduli_sys.quiver import QuiverRep, is_simple, subrep_dimvectors
+from moduli_sys.quiver import QuiverRep, is_simple, subrep_dimvectors, subrep_dimvectors_by_enumeration
 from moduli_sys.realization import MarkovSequence, realize, verify_realization
 from moduli_sys.system import (
     LinearSystem,
@@ -137,5 +137,5 @@ def test_pipeline_coerces_only_its_input(payload, monkeypatch):
 def test_census_and_oracle_coerce_nothing(monkeypatch):
     system = system_from_json(F2_SYSTEM)
     refuse_coerce(monkeypatch)
-    assert subrep_dimvectors(QuiverRep.of(system), mode="oracle") == subrep_dimvectors(QuiverRep.of(system))
+    assert subrep_dimvectors_by_enumeration(QuiverRep.of(system)) == subrep_dimvectors(QuiverRep.of(system))
     assert census_cc(1, 2, 1, 3, mode="canonical-forms").match
