@@ -1,11 +1,17 @@
 """Exact dense linear algebra over the rationals and over prime fields.
 
-Over ``F_q`` scalars are ``int`` values in ``[0, q)``.  Over the
-rationals a scalar is an ``int`` when integral and a
-``fractions.Fraction`` otherwise; equal ``int`` and ``Fraction`` values
-compare, hash and print alike.  ``0`` and ``1`` serve every field, and
-only outside data passes through :meth:`Field.coerce`.  All arithmetic
-is exact; there is no floating point anywhere.  Matrices are immutable
+Scalars are plain Python numbers.  Over ``F_q`` they are ``int``
+values in ``[0, q)``.  Over the rationals a scalar is an ``int`` when
+integral and a ``fractions.Fraction`` otherwise; equal ``int`` and
+``Fraction`` values compare, hash and print alike.  ``0`` and ``1``
+serve every field, and only outside data passes through
+:meth:`Field.coerce`.  All arithmetic is exact; there is no floating
+point anywhere.
+
+One discipline covers every kernel: it computes on plain ``int``
+values, reduced mod ``q`` over ``F_q``, and over ``Q`` on integers
+over a common denominator, so ``Fraction`` is built only for results.
+:class:`Field` does no arithmetic of its own.  Matrices are immutable
 and every operation is a pure function, so values can be shared freely
 between threads.  The memo a ``LinearSystem`` keeps of its walks and
 its canonical reduction keeps that true: each write stores the same
@@ -23,7 +29,8 @@ returns a unit whose product with the last pivot is the determinant.
 A product clears one common denominator per operand, multiplies
 integers and divides each output entry once; ``system.markov_parameters``,
 which multiplies by the same ``A`` and ``B`` for every block, clears
-denominators once per call rather than once per product.  Rows that
+denominators once per call rather than once per product, and
+:func:`charpoly` clears them once for the whole recursion.  Rows that
 :func:`_eliminate` leaves unreduced are nonzero multiples of the
 echelon rows: a caller may read their pivot columns and row space, and
 :func:`minor_det` reads the determinant off the last pivot, but no
@@ -47,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import IndexOutOfRange, NonSquareSelection, SingularMatrix
@@ -113,8 +121,10 @@ def _integral(entries) -> tuple:
 class Field:
     """The rationals (``q is None``) or a prime field ``F_q``.
 
-    :meth:`coerce` makes a scalar an ``int`` in ``[0, q)`` over ``F_q``,
-    over ``Q`` an ``int`` when integral and a ``Fraction`` otherwise.
+    A field is its modulus and the boundary to outside data; it does no
+    arithmetic, which the kernels do on plain numbers.  :meth:`coerce`
+    makes a scalar an ``int`` in ``[0, q)`` over ``F_q``, over ``Q`` an
+    ``int`` when integral and a ``Fraction`` otherwise.
     """
 
     q: int | None = None
@@ -156,18 +166,6 @@ class Field:
             return (value.numerator * self.inv(value.denominator % self.q)) % self.q
         return int(value) % self.q
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.q if self.q is not None else a + b
-
-    def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.q if self.q is not None else a - b
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.q if self.q is not None else a * b
-
-    def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.q if self.q is not None else -a
-
     def inv(self, a: Scalar) -> Scalar:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -175,12 +173,6 @@ class Field:
             a = Fraction(a)
             return _ratio(a.denominator, a.numerator)
         return pow(int(a), self.q - 2, self.q)
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        if self.q is None:
-            x = Fraction(a) * self.inv(b)
-            return _ratio(x.numerator, x.denominator)
-        return self.mul(a, self.inv(b))
 
     def scalar_to_json(self, a: Scalar):
         return str(a) if self.q is None else int(a)
@@ -451,7 +443,7 @@ def kernel_basis(matrix: Matrix) -> Matrix:
     The rows span ``{v : M v^T = 0}``; the row count is
     ``cols - rank(M)``.
     """
-    f = matrix.field
+    f, q = matrix.field, matrix.field.q
     red, pivots = rref_with_pivots(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(matrix.cols) if c not in pivot_set]
@@ -460,7 +452,8 @@ def kernel_basis(matrix: Matrix) -> Matrix:
         vec = [f.zero] * matrix.cols
         vec[fc] = f.one
         for ri, pc in enumerate(pivots):
-            vec[pc] = f.neg(red.entry(ri, fc))
+            x = red.entry(ri, fc)
+            vec[pc] = -x % q if q is not None else -x
         rows.extend(vec)
     return Matrix(f, len(free), matrix.cols, tuple(rows))
 
@@ -526,41 +519,33 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
 def charpoly(matrix: Matrix) -> tuple:
     """Coefficients of ``det(xI - M)``, leading coefficient first.
 
-    Uses the division-free Berkowitz recursion, so it works verbatim
-    over both supported fields.
+    The division-free recursion of Berkowitz (Inf. Proc. Letters 18,
+    1984) on plain integers: the polynomial of each leading ``(i+1) x
+    (i+1)`` block is a Toeplitz product with the one before it.  Over
+    ``F_q`` every step is reduced mod ``q``.  Over ``Q`` it runs on
+    ``N = d M``, with ``d`` the common denominator of the entries, and
+    coefficient ``k`` is that of ``N`` over ``d^k``.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    f = matrix.field
-    n = matrix.rows
-    if n == 0:
-        return (f.one,)
-    a = matrix.to_rows()
-
-    def dot(u, v):
-        s = f.zero
-        for x, y in zip(u, v):
-            s = f.add(s, f.mul(x, y))
-        return s
-
-    coeffs = [f.one, f.neg(a[0][0])]
-    for i in range(1, n):
-        prev = [row[:i] for row in a[:i]]
-        r = a[i][:i]
-        col = [a[t][i] for t in range(i)]
-        toeplitz = [f.one, f.neg(a[i][i])]
-        v = col
-        for step in range(i):
-            if step > 0:
-                v = [dot(prev[t], v) for t in range(i)]
-            toeplitz.append(f.neg(dot(r, v)))
-        new = []
-        for s in range(i + 2):
-            acc = f.zero
-            for j, cj in enumerate(coeffs):
-                k = s - j
-                if 0 <= k < len(toeplitz):
-                    acc = f.add(acc, f.mul(toeplitz[k], cj))
-            new.append(acc)
-        coeffs = new
+    q, n = matrix.field.q, matrix.rows
+    ent, d = _integral(matrix.entries) if q is None else (matrix.entries, 1)
+    rows = [ent[i * n:(i + 1) * n] for i in range(n)]
+    coeffs = [1]
+    for i in range(n):
+        lead = [row[:i] for row in rows[:i]]  # the leading i x i block
+        r, v = rows[i][:i], [row[i] for row in rows[:i]]
+        toeplitz = [1, -rows[i][i]]  # 1, -a_ii, then -r lead^k v for k = 0..i-1
+        for k in range(i):
+            if k:
+                v = [sum(map(mul, row, v)) for row in lead]
+                if q is not None:
+                    v = [x % q for x in v]
+            toeplitz.append(-sum(map(mul, r, v)))
+        coeffs = [sum(toeplitz[s - j] * coeffs[j] for j in range(max(0, s - i - 1), min(s, i) + 1))
+                  for s in range(i + 2)]
+        if q is not None:
+            coeffs = [x % q for x in coeffs]
+    if d != 1:
+        coeffs = [_ratio(c, d ** k) for k, c in enumerate(coeffs)]
     return tuple(coeffs)

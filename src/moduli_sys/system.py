@@ -77,10 +77,6 @@ class LinearSystem:
             if mat.field != self.field:
                 raise ValueError(f"{name} is over {mat.field}, system is over {self.field}")
 
-    @classmethod
-    def from_matrices(cls, A: Matrix, B: Matrix, C: Matrix) -> "LinearSystem":
-        return cls(A.field, B.cols, A.rows, C.rows, A, B, C)
-
     def shape(self) -> tuple[int, int, int]:
         return (self.m, self.n, self.p)
 

@@ -135,22 +135,17 @@ def modq_rref(rows: list, q: int) -> tuple[list, list]:
 
 
 def leibniz_det(matrix: Matrix):
-    """Determinant by the permutation-sum formula."""
-    f = matrix.field
-    n = matrix.rows
+    """Determinant by the permutation-sum formula, reduced mod ``q`` over ``F_q``."""
+    q, n = matrix.field.q, matrix.rows
     assert matrix.cols == n
-    total = f.zero
+    rows = matrix.to_rows()
+    total = 0
     for perm in itertools.permutations(range(n)):
-        sign = 1
+        term = -1 if sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2 else 1
         for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = f.one
-        for i in range(n):
-            term = f.mul(term, matrix.entry(i, perm[i]))
-        total = f.add(total, term if sign > 0 else f.neg(term))
-    return total
+            term = term * rows[i][perm[i]]
+        total += term
+    return total % q if q is not None else total
 
 
 # Fraction-only referees: plain lists of rows, no library linear algebra.
@@ -284,8 +279,11 @@ def reference_markov_parameters(system: LinearSystem, count: int) -> list[Matrix
 
 
 def reference_new_direction_walk(system: LinearSystem):
-    """The Kalman walk column by column: reduce each ``A^i B_j`` against the basis so far."""
-    f = system.field
+    """The Kalman walk column by column: reduce each ``A^i B_j`` against the basis so far.
+
+    The reduction runs in ``Fraction`` over ``Q`` and mod ``q`` over ``F_q``.
+    """
+    q = system.field.q
     n, m = system.n, system.m
     black: set[tuple[int, int]] = set()
     vectors: dict[tuple[int, int], list] = {}
@@ -296,8 +294,12 @@ def reference_new_direction_walk(system: LinearSystem):
         for b in basis:
             lead = next(i for i, x in enumerate(b) if x != 0)
             if v[lead] != 0:
-                factor = f.div(v[lead], b[lead])
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, b)]
+                if q is None:
+                    factor = Fraction(v[lead]) / b[lead]
+                    v = [x - factor * y for x, y in zip(v, b)]
+                else:
+                    factor = v[lead] * pow(b[lead], q - 2, q) % q
+                    v = [(x - factor * y) % q for x, y in zip(v, b)]
         if all(x == 0 for x in v):
             return False
         basis.append(v)

@@ -300,7 +300,7 @@ def test_controllability_depends_on_b_only_through_its_rank():
         all_a = [Matrix(field, n, n, e) for e in itertools.product(range(q), repeat=n * n)]
 
         def cc_count(b):
-            return sum(classify(LinearSystem.from_matrices(a, b, no_output)).cc for a in all_a)
+            return sum(classify(LinearSystem(field, m, n, 0, a, b, no_output)).cc for a in all_a)
 
         by_rank = {
             r: cc_count(Matrix(field, n, m, tuple(int(i == j < r) for i in range(n) for j in range(m))))

@@ -273,6 +273,32 @@ def test_co_column_test_is_a_dual_side_property():
     assert dual_membership.in_cc
 
 
+def test_no_chart_union_decides_co_past_n1(f2_sweep):
+    # "Columns S are independent" holds exactly when some Plucker coordinate
+    # p_I with I a superset of S is nonzero, so every column test on the
+    # relation plane is a union of charts.  F is the set of charts whose
+    # minor vanishes on every cc system that is not co: the largest union
+    # that never accepts such a system.  Over F_2, F decides co at
+    # (1,1,1) only (notes/decisions.md).
+    expected = {  # shape: (cc systems, co among them, F, does F decide co)
+        (1, 1, 1): (4, 2, {(1, 3)}, True),
+        (1, 2, 1): (96, 48, set(), False),
+        (2, 2, 1): (672, 288, set(), False),
+        (1, 2, 2): (384, 288, {(1, 4, 5)}, False),
+    }
+    for (m, n, p), (cc_count, co_count, charts, decides) in expected.items():
+        subsets = list(itertools.combinations(range(1, m + p + n + 1), m + p))
+        nonzero = {True: [], False: []}  # per system, its charts with a nonzero minor, keyed by co
+        for s, cls in f2_sweep:
+            if s.shape() == (m, n, p) and cls.cc:
+                point = stratum_point(s).point
+                nonzero[cls.co].append({idx for idx in subsets if point.minor(idx) != 0})
+        assert (len(nonzero[True]) + len(nonzero[False]), len(nonzero[True])) == (cc_count, co_count)
+        union = set(subsets).difference(*nonzero[False])
+        assert union == charts, (m, n, p)
+        assert all(found & union for found in nonzero[True]) == decides, (m, n, p)
+
+
 def test_locus_membership_zero_columns_false():
     rep = Matrix.from_rows(QQ, [[1, 0, 0, 1], [0, 0, 1, 0]])
     point = InfiniteGrassmannPoint(point_from_matrix(rep), 2)

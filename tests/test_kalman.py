@@ -198,7 +198,7 @@ def test_canonical_form_single_input_companion():
         assert col_list(canon.B, 0) == [QQ.one] + [QQ.zero] * (n - 1)
         coeffs = charpoly(s.A)
         last = col_list(canon.A, n - 1)
-        assert last == [QQ.neg(coeffs[n - k]) for k in range(n)]
+        assert last == [-coeffs[n - k] for k in range(n)]
         for i in range(1, n):
             col = col_list(canon.A, i - 1)
             assert col == [QQ.one if r == i else QQ.zero for r in range(n)]

@@ -64,17 +64,25 @@ def test_integral_rationals_are_int():
         assert type(field.one) is int and field.one == 1
 
 
-def test_field_inv_and_div_over_q_return_canonical_scalars():
-    assert QQ.div(4, 2) == 2 and type(QQ.div(4, 2)) is int
+def test_field_inv_over_q_returns_canonical_scalars():
     assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
     values = [-3, -1, 1, 2, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 3), Fraction(-1, 6)]
-    for a in values + [0]:
-        for b in values:
-            assert QQ.div(a, b) == Fraction(a) / Fraction(b)
-            assert is_canonical_rational(QQ.div(a, b)), (a, b)
-        assert a == 0 or QQ.inv(a) == 1 / Fraction(a) and is_canonical_rational(QQ.inv(a))
+    for a in values:
+        assert QQ.inv(a) == 1 / Fraction(a) and is_canonical_rational(QQ.inv(a))
     with pytest.raises(ZeroDivisionError):
-        QQ.div(1, 0)
+        QQ.inv(0)
+
+
+def test_charpoly_over_q_returns_canonical_scalars():
+    coeffs = charpoly(Matrix(QQ, 2, 2, (Fraction(1, 2), 0, 0, 2)))
+    assert coeffs == (1, Fraction(-5, 2), 1)
+    assert type(coeffs[0]) is int and type(coeffs[2]) is int
+    rng = random.Random(19)
+    for n in range(7):
+        for _ in range(10):
+            entries = tuple(QQ.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 4))) for _ in range(n * n))
+            coeffs = charpoly(Matrix(QQ, n, n, entries))
+            assert all(is_canonical_rational(c) for c in coeffs), coeffs
 
 
 def test_integer_systems_stay_int():
