@@ -5,9 +5,10 @@ the columns ``A^i B_j`` introduce a new direction when the columns are
 scanned in lexicographic order of ``(i, j)``.  It is an ``n x m`` box
 diagram with exactly ``n`` black boxes, top-justified in every column,
 and it only depends on the base-change orbit of the system.  The black
-boxes are read off the system's memoized Krylov walk
-(``system._krylov_pivots``), and the canonical reduction is kept on the
-system the same way.
+boxes and their vectors ``A^i B_j`` are the system's memoized Krylov
+walk (``system._krylov_pivots``): the code is the set of the boxes, and
+the canonical reduction takes the vectors in the order of the boxes
+by column.  That reduction is kept on the system the same way.
 
 Conventions: box rows (powers ``i``) are 0-based, box columns (inputs
 ``j``) are 1-based; multi-indices are 1-based throughout.
@@ -46,9 +47,6 @@ class MultiIndex:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.values
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(v) for v in self.values) + "}"
@@ -94,10 +92,6 @@ class KalmanCode:
             out.append(out[-1] + h)
         return tuple(out)
 
-    @property
-    def k(self) -> int:
-        return len(self.occupied_columns)
-
     def ascii_art(self) -> str:
         """One text row per power, '#' for black boxes, '.' otherwise."""
         if self.n == 0 or self.m == 0:
@@ -115,14 +109,6 @@ class KalmanCode:
             "column_heights": list(self.column_heights),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "KalmanCode":
-        cols = [_as_int(j, "occupied column") for j in obj["occupied_columns"]]
-        heights = [_as_int(h, "column height") for h in obj["column_heights"]]
-        if len(cols) != len(heights):
-            raise ValueError("occupied_columns and column_heights differ in length")
-        return _code(_as_int(obj["m"], "m"), _as_int(obj["n"], "n"), cols, heights)
-
 
 def _code(m: int, n: int, columns, heights) -> KalmanCode:
     """The code whose occupied ``columns`` hold ``heights`` black boxes each."""
@@ -132,14 +118,15 @@ def _code(m: int, n: int, columns, heights) -> KalmanCode:
 def _new_direction_walk(system: LinearSystem):
     """Black boxes: the pivot columns of the Krylov matrix ``[B, AB, A^2 B, ...]``.
 
-    Returns that Krylov matrix and the column of each black box in it,
-    keyed by box.  Raises when there are fewer than ``n`` black boxes
-    (the system is not completely controllable).
+    Returns the system's walk ``(black, basis)``: the boxes in
+    lexicographic order and the ``n x n`` matrix of their vectors.
+    Raises when there are fewer than ``n`` black boxes (the system is not
+    completely controllable).
     """
-    krylov, boxes, pivots = system._walk
-    if len(pivots) < system.n:
-        raise NotControllable(f"controllability rank is {len(pivots)} < n = {system.n}")
-    return krylov, {boxes[c]: c for c in pivots}
+    black, basis = system._walk
+    if len(black) < system.n:
+        raise NotControllable(f"controllability rank is {len(black)} < n = {system.n}")
+    return black, basis
 
 
 def kalman_code(system: LinearSystem) -> KalmanCode:
@@ -149,8 +136,8 @@ def kalman_code(system: LinearSystem) -> KalmanCode:
     every column that precedes it lexicographically.  Invariant under
     base change.
     """
-    _, columns = _new_direction_walk(system)
-    return KalmanCode(system.m, system.n, frozenset(columns))
+    black, _ = _new_direction_walk(system)
+    return KalmanCode(system.m, system.n, frozenset(black))
 
 
 def _canonical(system: LinearSystem, with_g: bool = False) -> tuple[Matrix, LinearSystem, Matrix | None]:
@@ -166,10 +153,11 @@ def _canonical(system: LinearSystem, with_g: bool = False) -> tuple[Matrix, Line
     memo = system.__dict__.get("_canonical")
     if memo is not None and (memo[2] is not None or not with_g):
         return memo
-    krylov, columns = _new_direction_walk(system)
-    boxes = [(i, j) for j, i in sorted((j, i) for i, j in columns)]
-    basis = krylov.columns_at([columns[box] for box in boxes])
-    tops = [k for k, (i, j) in enumerate(boxes) if (i + 1, j) not in columns]
+    black, vectors = _new_direction_walk(system)
+    order = sorted(range(len(black)), key=lambda c: (black[c][1], black[c][0]))
+    boxes = [black[c] for c in order]
+    basis = vectors.columns_at(order)
+    tops = [k for k, (i, j) in enumerate(boxes) if (i + 1, j) not in black]
     f, m, n = system.field, system.m, system.n
     rhs = [system.B, system.A @ basis.columns_at(tops)]
     if with_g:

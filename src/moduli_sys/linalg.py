@@ -149,6 +149,8 @@ class Field:
 
     def coerce(self, value: Scalar | str) -> Scalar:
         """Convert an int / Fraction / string ``"a"`` or ``"a/b"`` into a canonical scalar."""
+        if isinstance(value, bool):
+            raise TypeError(f"boolean {value!r} is not a scalar")
         if isinstance(value, float):
             raise TypeError("floating point values are not accepted; arithmetic is exact")
         if isinstance(value, str):

@@ -13,8 +13,9 @@ the linear algebra of ``linalg``):
   verdict off the two ranks of ``classify``: the reachable space and
   the unobservable space are one subrepresentation of each kind, and
   one of each kind decides simplicity and every stability question.
-  ``subrep_dimvectors`` returns the exact set: the reachable space plus
-  the invariant-subspace dimensions of the operator induced on the
+  ``subrep_dimvectors`` returns the exact set: the reachable space, the
+  span of the black-box vectors that the system's Krylov walk keeps,
+  plus the invariant-subspace dimensions of the operator induced on the
   quotient by it (read off the factorization of its characteristic
   polynomial).  The unobservable side is the same question for the
   dual: ``W`` inside the unobservable space ``N`` is ``A``-invariant
@@ -40,7 +41,7 @@ from typing import Iterator
 from .counting import q_binomial
 from .errors import NonzeroThetaAlpha, OracleTooLarge
 from .linalg import Field, Matrix, charpoly, hstack, pivot_columns, rank, solve_right, vstack
-from .system import KrylovWalk, LinearSystem, classify
+from .system import LinearSystem, classify
 
 DEFAULT_SUBSPACE_LIMIT = 1 << 15
 
@@ -116,19 +117,17 @@ def _invariant_subspace_dims(op: Matrix) -> frozenset[int]:
     return frozenset(dims)
 
 
-def _quotient_dims(a: Matrix, walk: KrylovWalk) -> tuple[int, frozenset[int]]:
-    """Rank of the Krylov walk of ``(a, b)`` and the invariant-subspace dimensions of ``a`` modulo its reachable space.
+def _quotient_dims(a: Matrix, reach: Matrix) -> tuple[int, frozenset[int]]:
+    """Dimension of the reachable space and the invariant-subspace dimensions of ``a`` modulo it.
 
-    ``walk`` is one of the two walks a system keeps.  Its pivot columns
-    are a basis of the reachable space, an ``a``-invariant subspace of
-    dimension the rank ``d``.  Completing it greedily with standard
-    basis vectors and conjugating makes ``a`` block upper triangular;
-    the bottom-right block is the operator induced on the quotient.
+    ``reach`` is the basis of one of the two walks a system keeps: its
+    columns span the reachable space, an ``a``-invariant subspace of
+    dimension ``d``.  Completing it greedily with standard basis vectors
+    and conjugating makes ``a`` block upper triangular; the bottom-right
+    block is the operator induced on the quotient.
     """
-    f, n = a.field, a.rows
-    krylov, _, pivots = walk
-    d = len(pivots)
-    ext = hstack([krylov.columns_at(pivots), Matrix.identity(f, n)])
+    f, n, d = a.field, a.rows, reach.cols
+    ext = hstack([reach, Matrix.identity(f, n)])
     basis = ext.columns_at(pivot_columns(ext))
     conj = solve_right(basis, a @ basis)
     quotient = Matrix(f, n - d, n - d, tuple(conj.entry(i, j) for i in range(d, n) for j in range(d, n)))
@@ -148,9 +147,9 @@ def subrep_dimvectors(rep: QuiverRep) -> frozenset[DimensionVector]:
     """
     system, n = rep.system, rep.system.n
     out: set[DimensionVector] = set()
-    rank_c, dims = _quotient_dims(system.A, system._walk)
+    rank_c, dims = _quotient_dims(system.A, system._walk[1])
     out.update((1, rank_c + x) for x in dims if rank_c + x < n)
-    rank_o, dims = _quotient_dims(system.A.transpose(), system._dual_walk)
+    rank_o, dims = _quotient_dims(system.A.transpose(), system._dual_walk[1])
     out.update((0, n - rank_o - x) for x in dims if n - rank_o - x > 0)
     return frozenset(out)
 

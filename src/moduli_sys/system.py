@@ -6,14 +6,17 @@ by ``g`` in ``GL_n`` sends it to ``(g A g^-1, g B, C g^-1)``; everything
 of interest here is a function of that orbit.
 
 Every reachability question reads one lazy Krylov walk,
-``_krylov_pivots``: ``classify`` counts its pivots, the Kalman code
-reads which columns they are and the quiver view the space they span.
-The co side is the cc side of the dual ``(A^T, C^T, B^T)``.  Both
-walks are computed at most once per system object and kept on it, as is
-the canonical reduction (``kalman._canonical``), so the classification,
-simplicity, the Kalman code, the canonical form and both embeddings of
-one system share them.  The memo is not a field: equality, hashing,
-``repr``, JSON and ``dataclasses.replace`` never see it.
+``_krylov_pivots``, which keeps only its result: the black boxes
+``(i, j)`` whose columns ``A^i B_j`` are pivots, and those columns.
+``classify`` counts the boxes, the Kalman code is the set of them, the
+canonical reduction reorders the columns and the quiver view completes
+them to a basis.  The co side is the cc side of the dual
+``(A^T, C^T, B^T)``.  Both walks are computed at most once per system
+object and kept on it, as is the canonical reduction
+(``kalman._canonical``), so the classification, simplicity, the Kalman
+code, the canonical form and both embeddings of one system share them.
+The memo is not a field: equality, hashing, ``repr``, JSON and
+``dataclasses.replace`` never see it.
 
 Degenerate shapes are allowed on purpose: ``n = 0`` is the empty system
 (canonical by convention), ``p = 0`` means no outputs, and ``m = 0`` is
@@ -126,7 +129,7 @@ def observability_matrix(system: LinearSystem) -> Matrix:
     return controllability_matrix(dualize(system)).transpose()
 
 
-KrylovWalk = tuple[Matrix, tuple[tuple[int, int], ...], tuple[int, ...]]
+KrylovWalk = tuple[tuple[tuple[int, int], ...], Matrix]
 
 
 def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
@@ -141,8 +144,9 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
     full blocks to start, all a generic pair needs) before the next
     elimination.  Stops at ``n`` pivots or when the last block holds
     none, so the pivot count is the controllability rank of ``(a, b)``.
-    Returns ``(krylov, boxes, pivots)``, all immutable, since a system
-    shares its memoized walks between callers.
+    Returns ``(black, basis)``: the box of each pivot, in Krylov column
+    order, and the ``n x rank`` matrix of those pivot columns.  Both are
+    immutable, since a system shares its memoized walks between callers.
     """
     n, m = b.rows, b.cols
     krylov, blocks, boxes, pivots = b, [], [], ()
@@ -162,19 +166,19 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
                 break
             live = [live[c] for c in newest]
             frontier = frontier.columns_at(newest)
-    return krylov, tuple(boxes), pivots
+    return tuple(boxes[c] for c in pivots), krylov.columns_at(pivots)
 
 
 def classify(system: LinearSystem) -> SystemClass:
     """Controllability / observability via the two rank tests.
 
-    ``rank_c`` is the pivot count of the Krylov walk on ``(A, B)`` and
-    ``rank_o`` that of the walk on ``(A^T, C^T)``, the controllability
+    ``rank_c`` is the black-box count of the Krylov walk on ``(A, B)``
+    and ``rank_o`` that of the walk on ``(A^T, C^T)``, the controllability
     rank of the dual.  For ``n = 0`` both ranks are trivially maximal,
     so the empty system is canonical.
     """
-    rank_c = len(system._walk[2])
-    rank_o = len(system._dual_walk[2])
+    rank_c = len(system._walk[0])
+    rank_o = len(system._dual_walk[0])
     cc = rank_c == system.n
     co = rank_o == system.n
     return SystemClass(cc=cc, co=co, canonical=cc and co, rank_c=rank_c, rank_o=rank_o)

@@ -10,7 +10,7 @@ from random import Random
 import numpy as np
 
 from moduli_sys.errors import InconsistentData, NotControllable
-from moduli_sys.linalg import Field, Matrix, inverse, rank, rref_with_pivots
+from moduli_sys.linalg import Field, Matrix, inverse, rref_with_pivots
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
 from moduli_sys.system import LinearSystem, all_systems
 
@@ -192,6 +192,11 @@ def fraction_product(a: list, b: list, cols: int) -> list:
     return [[sum((Fraction(x) * row_b[j] for x, row_b in zip(row, b)), Fraction(0)) for j in range(cols)] for row in a]
 
 
+def modq_product(a: list, b: list, cols: int, q: int) -> list:
+    """``a @ b`` mod ``q`` for row lists, ``b`` with ``cols`` columns, one reduced sum per entry."""
+    return [[sum(x * row_b[j] for x, row_b in zip(row, b)) % q for j in range(cols)] for row in a]
+
+
 def is_canonical_rational(x) -> bool:
     """An ``int`` when integral, a ``Fraction`` otherwise: the scalar format over ``Q``."""
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
@@ -208,9 +213,11 @@ def all_f2_matrices(max_rows: int = 3, max_cols: int = 3):
 def reference_realizability_order(seq):
     """The order certification scan with one elimination per inspected H_ij.
 
-    Over ``Q`` each rank comes from the Fraction-only :func:`fraction_rank`.
+    Each rank comes from a referee of its own, not from the library's
+    elimination: :func:`fraction_rank` over ``Q`` and
+    :func:`gauss_rank_oracle` over ``F_q``.
     """
-    L = len(seq)
+    L, q = len(seq), seq.field.q
     if L < 2:
         raise ValueError("need at least two blocks to certify anything")
     cache = {}
@@ -218,7 +225,7 @@ def reference_realizability_order(seq):
     def rk(i, j):
         if (i, j) not in cache:
             h = hankel(seq, i, j)
-            cache[(i, j)] = fraction_rank(h.to_rows()) if seq.field.q is None else rank(h)
+            cache[(i, j)] = fraction_rank(h.to_rows()) if q is None else gauss_rank_oracle(h.to_rows(), q)
         return cache[(i, j)]
 
     for r in range(1, L - 1):
@@ -281,11 +288,14 @@ def reference_markov_parameters(system: LinearSystem, count: int) -> list[Matrix
 def reference_new_direction_walk(system: LinearSystem):
     """The Kalman walk column by column: reduce each ``A^i B_j`` against the basis so far.
 
-    The reduction runs in ``Fraction`` over ``Q`` and mod ``q`` over ``F_q``.
+    Returns the vector of each black box, keyed by box.  The blocks
+    ``A^i B`` come from :func:`fraction_product` over ``Q`` and
+    :func:`modq_product` over ``F_q``, and the reduction runs in
+    ``Fraction`` over ``Q`` and mod ``q`` over ``F_q``.
     """
     q = system.field.q
     n, m = system.n, system.m
-    black: set[tuple[int, int]] = set()
+    a_rows = system.A.to_rows()
     vectors: dict[tuple[int, int], list] = {}
     basis: list[list] = []  # forward-eliminated copies, leading entries known
 
@@ -305,20 +315,19 @@ def reference_new_direction_walk(system: LinearSystem):
         basis.append(v)
         return True
 
-    block = system.B
+    block = system.B.to_rows()
     for i in range(n):
         for j in range(1, m + 1):
-            col = col_list(block, j - 1)
+            col = [row[j - 1] for row in block]
             if try_add(col):
-                black.add((i, j))
                 vectors[(i, j)] = col
-                if len(black) == n:
-                    return black, vectors
+                if len(vectors) == n:
+                    return vectors
         if i + 1 < n:
-            block = system.A @ block
-    if len(black) < n:
-        raise NotControllable(f"controllability rank is {len(black)} < n = {n}")
-    return black, vectors
+            block = fraction_product(a_rows, block, m) if q is None else modq_product(a_rows, block, m, q)
+    if len(vectors) < n:
+        raise NotControllable(f"controllability rank is {len(vectors)} < n = {n}")
+    return vectors
 
 
 @lru_cache(maxsize=None)

@@ -401,6 +401,15 @@ def test_non_integer_dimension_is_refused(key, value, tmp_path, capsys):
     assert f"INVALID_INPUT: {key} must be an integer, got {value!r}" in err
 
 
+@pytest.mark.parametrize("field, entry", [("Q", True), ({"Fp": 5}, False), ({"Fp": 5}, True)],
+                         ids=["Q-true", "F5-false", "F5-true"])
+def test_boolean_scalar_is_refused(field, entry, tmp_path, capsys):
+    payload = {"field": field, "m": 1, "n": 1, "p": 1, "A": [entry], "B": [1], "C": [3]}
+    code, out, err = run(capsys, ["analyze", "--system", write_json(tmp_path / "sys.json", payload)])
+    assert code == 1 and out == ""
+    assert f"INVALID_INPUT: boolean {entry!r} is not a scalar" in err
+
+
 def test_markov_dimensions_must_be_integers(tmp_path, capsys):
     doc = MarkovSequence.from_scalars(Field.prime(5), [1, 1, 2, 3, 5, 8]).to_json()
     code, _, _ = run(capsys, ["realize", "--markov", write_json(tmp_path / "ok.json", dict(doc, m="1"))])

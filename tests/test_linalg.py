@@ -82,8 +82,12 @@ def test_coercion():
     assert F5.coerce(-1) == 4
     assert F5.coerce("7") == 2
     assert F5.coerce(Fraction(1, 2)) == 3  # 1/2 = inverse of 2 mod 5
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="floating point values are not accepted"):
         QQ.coerce(0.5)
+    with pytest.raises(TypeError, match="boolean True is not a scalar"):
+        Field(5).coerce(True)
+    with pytest.raises(TypeError, match="boolean False is not a scalar"):
+        Field.rationals().coerce(False)
 
 
 def test_field_json_roundtrip():

@@ -116,6 +116,19 @@ def test_moduli_point_before_canonical_form_adds_g_once(field, monkeypatch):
         assert reductions == [width - n, width]
 
 
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=str)
+def test_each_walk_keeps_its_black_boxes_and_their_vectors(field):
+    # the kept walk is its result only: one box and one n-vector per unit of rank
+    rng = random.Random(1900 + (field.q or 0))
+    for shape in SHAPES:
+        for system in sample(field, shape, rng):
+            cls = classify(system)
+            for key, rank in (("_walk", cls.rank_c), ("_dual_walk", cls.rank_o)):
+                black, basis = system.__dict__[key]
+                assert len(black) == len(set(black)) == rank, (shape, key)
+                assert (basis.rows, basis.cols) == (system.n, rank), (shape, key)
+
+
 def test_replace_starts_without_a_memo():
     rng = random.Random(11)
     for field in (QQ, F2, F5):
