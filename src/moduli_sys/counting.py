@@ -43,7 +43,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge, NotControllable
-from .kalman import _canonical
 from .linalg import Field, Matrix
 from .system import all_systems
 
@@ -299,7 +298,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
         forms, raw = set(), 0
         for pair in all_systems(field, m, n, 0):
             try:
-                basis, canon, _ = _canonical(pair)
+                basis, canon, _ = pair._reduction
             except NotControllable:
                 continue
             forms.update((canon.A, canon.B, c @ basis) for c in outputs)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotControllable, NotInLocus, RankDeficient
-from .kalman import MultiIndex, _canonical, code_from_multiindex
+from .kalman import MultiIndex, code_from_multiindex
 from .linalg import Field, Matrix, hstack, kernel_basis, minor_det, rank, rref_with_pivots
 from .system import LinearSystem
 
@@ -99,7 +99,7 @@ def moduli_point(system: LinearSystem) -> GrassmannPoint:
     """
     if system.n < 1:
         raise ValueError("the finite embedding needs state dimension n >= 1")
-    _, canon, _ = _canonical(system)
+    _, canon, _ = system._reduction
     m, n = system.m, system.n
     blocks = [canon.B]
     if n > 1:
@@ -228,7 +228,7 @@ def stratum_point(system: LinearSystem) -> InfiniteGrassmannPoint:
     plane of the representative at hand.
     """
     try:
-        _, system, _ = _canonical(system)
+        _, system, _ = system._reduction
     except NotControllable:
         pass
     L = hstack([system.B, system.C.transpose(), system.A])

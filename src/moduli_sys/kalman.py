@@ -7,8 +7,9 @@ diagram with exactly ``n`` black boxes, top-justified in every column,
 and it only depends on the base-change orbit of the system.  The black
 boxes and their vectors ``A^i B_j`` are the system's memoized Krylov
 walk (``system._krylov_pivots``): the code is the set of the boxes, and
-the canonical reduction takes the vectors in the order of the boxes
-by column.  That reduction is kept on the system the same way.
+the canonical reduction (``system._reduction``) takes the vectors in
+the order of the boxes by column.  Both are kept on the system, and
+both raise :class:`~moduli_sys.errors.NotControllable` below full rank.
 
 Conventions: box rows (powers ``i``) are 0-based, box columns (inputs
 ``j``) are 1-based; multi-indices are 1-based throughout.
@@ -20,8 +21,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidMultiIndex, NotControllable
-from .linalg import Matrix, _as_int, hstack, solve_right
+from .errors import InvalidMultiIndex
+from .linalg import Matrix, _as_int
 from .system import LinearSystem
 
 
@@ -115,20 +116,6 @@ def _code(m: int, n: int, columns, heights) -> KalmanCode:
     return KalmanCode(m, n, frozenset((i, j) for j, h in zip(columns, heights) for i in range(h)))
 
 
-def _new_direction_walk(system: LinearSystem):
-    """Black boxes: the pivot columns of the Krylov matrix ``[B, AB, A^2 B, ...]``.
-
-    Returns the system's walk ``(black, basis)``: the boxes in
-    lexicographic order and the ``n x n`` matrix of their vectors.
-    Raises when there are fewer than ``n`` black boxes (the system is not
-    completely controllable).
-    """
-    black, basis = system._walk
-    if len(black) < system.n:
-        raise NotControllable(f"controllability rank is {len(black)} < n = {system.n}")
-    return black, basis
-
-
 def kalman_code(system: LinearSystem) -> KalmanCode:
     """Kalman code of a completely controllable system.
 
@@ -136,58 +123,22 @@ def kalman_code(system: LinearSystem) -> KalmanCode:
     every column that precedes it lexicographically.  Invariant under
     base change.
     """
-    black, _ = _new_direction_walk(system)
+    black, _ = system._full_walk()
     return KalmanCode(system.m, system.n, frozenset(black))
-
-
-def _canonical(system: LinearSystem, with_g: bool = False) -> tuple[Matrix, LinearSystem, Matrix | None]:
-    """``(P, canonical system, g)``, read off as in :func:`canonical_form`.
-
-    The reduction runs at most once per system object and is kept in its
-    ``__dict__``, next to the memoized walks.  ``g = P^-1`` is ``None``
-    unless ``with_g``; then it is the right block of the same reduction,
-    ``P X = [B | A P_tops | I]``.  A ``with_g`` call that finds a kept
-    reduction without ``g`` reduces once more, with ``I``, and keeps that
-    one, so callers that need no ``g`` never pay for it.
-    """
-    memo = system.__dict__.get("_canonical")
-    if memo is not None and (memo[2] is not None or not with_g):
-        return memo
-    black, vectors = _new_direction_walk(system)
-    order = sorted(range(len(black)), key=lambda c: (black[c][1], black[c][0]))
-    boxes = [black[c] for c in order]
-    basis = vectors.columns_at(order)
-    tops = [k for k, (i, j) in enumerate(boxes) if (i + 1, j) not in black]
-    f, m, n = system.field, system.m, system.n
-    rhs = [system.B, system.A @ basis.columns_at(tops)]
-    if with_g:
-        rhs.append(Matrix.identity(f, n))
-    x = solve_right(basis, hstack(rhs))
-    solved, w, xe = {k: m + t for t, k in enumerate(tops)}, x.cols, x.entries
-    a = tuple(xe[r * w + solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
-    g = x.columns_at(range(w - n, w)) if with_g else None
-    canon = LinearSystem(f, m, n, system.p, Matrix(f, n, n, a), x.columns_at(range(m)), system.C @ basis)
-    memo = system.__dict__["_canonical"] = (basis, canon, g)
-    return memo
 
 
 def canonical_form(system: LinearSystem) -> tuple[Matrix, LinearSystem]:
     """The unique base change ``g`` putting a cc system in canonical form.
 
-    The columns of ``P`` are the black-box vectors ``A^i B_j``, grouped
-    by occupied column, by increasing power inside each group.  ``A P_k``
-    is ``P_(k+1)`` unless box ``k`` tops its chain, so one solve of
-    ``P X = [B | A P_tops]`` gives ``B'`` and the chain-top columns of
-    ``A'``, whose free entries are the orbit moduli; the other columns of
-    ``A'`` are shifted basis vectors and ``C' = C P``.  ``g = P^-1`` is
-    computed only here, as the right block of that same reduction of
-    ``[P | B | A P_tops | I]``.  Returns ``(g, (g A P, g B, C P))``.
-    Constant on orbits: equivalent systems produce the identical canonical system.
-    The reduction is kept on ``system``: a second call, or
-    :func:`~moduli_sys.grassmann.moduli_point` and
-    :func:`~moduli_sys.grassmann.stratum_point` after this one, reuse it.
+    Returns ``(g, (g A P, g B, C P))`` with ``g = P^-1``, read off the
+    system's one kept reduction ``system._reduction``, which is shared
+    with :func:`~moduli_sys.grassmann.moduli_point` and
+    :func:`~moduli_sys.grassmann.stratum_point`.  The columns of ``P``
+    are the black-box vectors ``A^i B_j``, grouped by occupied column, by
+    increasing power inside each group.  Constant on orbits: equivalent
+    systems produce the identical canonical system.
     """
-    _, canon, g = _canonical(system, with_g=True)
+    _, canon, g = system._reduction
     return g, canon
 
 

@@ -15,8 +15,8 @@ over a common denominator, so ``Fraction`` is built only for results.
 and every operation is a pure function, so values can be shared freely
 between threads.  The memo a ``LinearSystem`` keeps of its walks and
 its canonical reduction keeps that true: each write stores the same
-values as any it replaces (``g`` aside), so threads racing on one
-system can repeat work but never see a wrong result.
+values as any it replaces, so threads racing on one system can repeat
+work but never see a wrong result.
 
 :func:`_eliminate` runs one loop for both fields: fraction-free
 (Bareiss) elimination, whose divisions are exact.  Over ``F_q`` each

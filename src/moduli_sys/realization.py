@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import Field, Matrix, _eliminate, _as_int, rref_with_pivots
-from .system import MAX_DIM, LinearSystem, _check_input_size, markov_parameters
+from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, markov_parameters
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,13 @@ class MarkovSequence:
     def from_json(obj: dict) -> "MarkovSequence":
         field = Field.from_json(obj["field"])
         m, p = _as_int(obj["m"], "m"), _as_int(obj["p"], "p")
-        window = obj["blocks"]
+        window = _json_array(obj["blocks"], "blocks")
         _check_input_size({"m": m, "p": p}, len(window) * p * m)
         if len(window) > 2 * MAX_DIM + 1:
             raise ValueError(f"a window of {len(window)} blocks is too long; at most {2 * MAX_DIM + 1} are supported")
         blocks = []
         for raw in window:
-            if len(raw) != p * m:
+            if len(_json_array(raw, "a block")) != p * m:
                 raise ValueError(f"block needs {p * m} entries, got {len(raw)}")
             blocks.append(Matrix(field, p, m, tuple(field.coerce(x) for x in raw)))
         return MarkovSequence(field, m, p, tuple(blocks))

@@ -9,13 +9,13 @@ Every reachability question reads one lazy Krylov walk,
 ``_krylov_pivots``, which keeps only its result: the black boxes
 ``(i, j)`` whose columns ``A^i B_j`` are pivots, and those columns.
 ``classify`` counts the boxes, the Kalman code is the set of them, the
-canonical reduction reorders the columns and the quiver view completes
-them to a basis.  The co side is the cc side of the dual
-``(A^T, C^T, B^T)``.  Both walks are computed at most once per system
-object and kept on it, as is the canonical reduction
-(``kalman._canonical``), so the classification, simplicity, the Kalman
-code, the canonical form and both embeddings of one system share them.
-The memo is not a field: equality, hashing, ``repr``, JSON and
+canonical reduction (``_reduction``) reorders the columns and the quiver
+view completes them to a basis.  The co side is the cc side of the dual
+``(A^T, C^T, B^T)``.  Both walks and the canonical reduction are
+``cached_property`` values, computed at most once per system object and
+kept on it, so the classification, simplicity, the Kalman code, the
+canonical form and both embeddings of one system share them.  The memo
+is not a field: equality, hashing, ``repr``, JSON and
 ``dataclasses.replace`` never see it.
 
 Degenerate shapes are allowed on purpose: ``n = 0`` is the empty system
@@ -33,8 +33,8 @@ from operator import mul
 from random import Random
 from typing import Iterator
 
-from .errors import SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, _as_int, _integral, _ratio, hstack, inverse, pivot_columns
+from .errors import NotControllable, SingularBaseChange, SingularMatrix
+from .linalg import Field, Matrix, _as_int, _integral, _ratio, hstack, inverse, pivot_columns, solve_right
 
 
 MAX_DIM = 64
@@ -55,6 +55,16 @@ def _check_input_size(dims: dict, entries: int) -> None:
             raise ValueError(f"{key} = {value} is too large; at most {MAX_DIM} is supported")
     if entries > MAX_ENTRIES:
         raise ValueError(f"{entries} scalars are too many; at most {MAX_ENTRIES} are supported")
+
+
+def _json_array(raw, what: str) -> list:
+    """``raw`` if it is a JSON array; a ``ValueError`` for a string, object or scalar.
+
+    ``len`` and iteration would read a string character by character and
+    an object key by key, so neither may stand in for an array."""
+    if not isinstance(raw, list):
+        raise ValueError(f"{what} must be an array, got {type(raw).__name__}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -83,11 +93,10 @@ class LinearSystem:
     def shape(self) -> tuple[int, int, int]:
         return (self.m, self.n, self.p)
 
-    # The memo: ``cached_property`` stores each walk in the instance
-    # ``__dict__``, past the frozen ``__setattr__``, and
-    # ``kalman._canonical`` keeps the canonical reduction there the same
-    # way.  The matrices are immutable, so a value computed once stays
-    # true for the life of the object.
+    # The memo: ``cached_property`` stores each walk and the canonical
+    # reduction in the instance ``__dict__``, past the frozen
+    # ``__setattr__``.  The matrices are immutable, so a value computed
+    # once stays true for the life of the object.
 
     @cached_property
     def _walk(self) -> KrylovWalk:
@@ -98,6 +107,37 @@ class LinearSystem:
     def _dual_walk(self) -> KrylovWalk:
         """The Krylov walk of ``(A^T, C^T)``, the cc side of the dual, computed once."""
         return _krylov_pivots(self.A.transpose(), self.C.transpose())
+
+    def _full_walk(self) -> KrylovWalk:
+        """:attr:`_walk`, raising :class:`NotControllable` when it has fewer than ``n`` boxes."""
+        black, basis = self._walk
+        if len(black) < self.n:
+            raise NotControllable(f"controllability rank is {len(black)} < n = {self.n}")
+        return black, basis
+
+    @cached_property
+    def _reduction(self) -> tuple[Matrix, LinearSystem, Matrix]:
+        """``(P, canonical system, g = P^-1)`` of a cc system, from one solve, computed once.
+
+        The columns of ``P`` are the black-box vectors ``A^i B_j``, grouped
+        by occupied column, by increasing power inside each group.  ``A P_k``
+        is ``P_(k+1)`` unless box ``k`` tops its chain, so one solve of
+        ``P X = [B | A P_tops | I]`` gives ``B'``, the chain-top columns of
+        ``A'`` (whose free entries are the orbit moduli) and ``g``; the
+        other columns of ``A'`` are shifted basis vectors and ``C' = C P``.
+        Raises :class:`NotControllable` below full rank.
+        """
+        black, vectors = self._full_walk()
+        order = sorted(range(len(black)), key=lambda c: (black[c][1], black[c][0]))
+        boxes = [black[c] for c in order]
+        basis = vectors.columns_at(order)
+        tops = [k for k, (i, j) in enumerate(boxes) if (i + 1, j) not in black]
+        f, m, n = self.field, self.m, self.n
+        x = solve_right(basis, hstack([self.B, self.A @ basis.columns_at(tops), Matrix.identity(f, n)]))
+        solved, w, xe = {k: m + t for t, k in enumerate(tops)}, x.cols, x.entries
+        a = tuple(xe[r * w + solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
+        canon = LinearSystem(f, m, n, self.p, Matrix(f, n, n, a), x.columns_at(range(m)), self.C @ basis)
+        return basis, canon, x.columns_at(range(w - n, w))
 
 
 @dataclass(frozen=True)
@@ -282,7 +322,7 @@ def system_from_json(obj: dict) -> LinearSystem:
     _check_input_size({"m": m, "n": n, "p": p}, n * (n + m) + p * n)
 
     def grid(key: str, rows: int, cols: int) -> Matrix:
-        raw = obj[key]
+        raw = _json_array(obj[key], key)
         if len(raw) != rows * cols:
             raise ValueError(f"{key} must have {rows * cols} entries, got {len(raw)}")
         return Matrix(field, rows, cols, tuple(field.coerce(x) for x in raw))
@@ -318,8 +358,11 @@ def random_system(
     """Random system; optionally resample until cc or canonical.
 
     Rational entries are integers in ``[-bound, bound]``.  Deterministic
-    for a fixed ``rng`` state.
+    for a fixed ``rng`` state.  Shapes past :data:`MAX_DIM` or
+    :data:`MAX_ENTRIES`, which no system file may hold, are refused
+    before any entry is drawn.
     """
+    _check_input_size({"m": m, "n": n, "p": p}, n * (n + m) + p * n)
     if require not in ("any", "cc", "canonical"):
         raise ValueError(f"unknown requirement {require!r}")
     if require in ("cc", "canonical") and n > 0 and m == 0:

@@ -10,7 +10,7 @@ from random import Random
 import numpy as np
 
 from moduli_sys.errors import InconsistentData, NotControllable
-from moduli_sys.linalg import Field, Matrix, inverse, rref_with_pivots
+from moduli_sys.linalg import Field, Matrix
 from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
 from moduli_sys.system import LinearSystem, all_systems
 
@@ -239,19 +239,26 @@ def reference_realizability_order(seq):
 
 
 def reference_realize_at(seq, r: int, s: int) -> LinearSystem:
-    """Ho-Kalman at (r, s) through ``H_rs``, anchor rows and an inverse.
+    """Ho-Kalman at (r, s) through ``H_rs``, anchor rows and a second reduction.
 
     Factors ``H_rs = O R`` through its reduced echelon form, solves
-    ``O X = H^`` on ``n`` independent rows of ``O`` (found by a second
-    elimination, of ``O^T``) and checks the solution on every row, with
-    the shifted Hankel matrix ``H^`` built block by block from ``F_(a+b)``.
+    ``O X = H^`` on ``n`` independent rows of ``O`` (found by an
+    elimination of ``O^T``) by reducing ``[O_anchor | H^_anchor]`` to
+    ``[I | X]``, and checks the solution on every row, with the shifted
+    Hankel matrix ``H^`` built block by block from ``F_(a+b)``.  Every
+    elimination is :func:`fraction_rref` over ``Q`` and :func:`modq_rref`
+    over ``F_q``, never the library's.
     """
-    f, m, p = seq.field, seq.m, seq.p
+    f, m, p, q = seq.field, seq.m, seq.p, seq.field.q
+
+    def rref(rows):
+        return fraction_rref(rows) if q is None else modq_rref(rows, q)
+
     h = hankel(seq, r, s)
-    red, pivots = rref_with_pivots(h)
+    red, pivots = rref(h.to_rows())
     n = len(pivots)
     obs = h.columns_at(pivots)
-    rowspan = red.rows_at(range(n))
+    rowspan = Matrix.from_rows(f, red[:n], cols=m * s)
     shifted = Matrix.from_rows(f, [
         [x for b in range(s) for x in seq.blocks[a + b + 1].row_list(row)]
         for a in range(r) for row in range(p)
@@ -259,8 +266,9 @@ def reference_realize_at(seq, r: int, s: int) -> LinearSystem:
     if n == 0:
         a_mat, b_mat, c_mat = Matrix.zeros(f, 0, 0), Matrix.zeros(f, 0, m), Matrix.zeros(f, p, 0)
     else:
-        _, anchor = rref_with_pivots(obs.transpose())
-        x = inverse(obs.rows_at(anchor)) @ shifted.rows_at(anchor)
+        _, anchor = rref(obs.transpose().to_rows())
+        solved, _ = rref([obs.row_list(i) + shifted.row_list(i) for i in anchor])
+        x = Matrix.from_rows(f, [row[n:] for row in solved], cols=m * s)
         if obs @ x != shifted:
             raise InconsistentData("shift equation O X = H^ has no solution")
         a_mat = x.columns_at(pivots)

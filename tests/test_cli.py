@@ -453,3 +453,34 @@ def test_inputs_at_the_caps_are_read():
     # the caps are inclusive: the largest accepted shapes still load
     assert system_from_json(_system_payload(1, MAX_DIM, 1)).n == MAX_DIM
     assert len(MarkovSequence.from_json(_markov_payload(1, 1, 2 * MAX_DIM + 1))) == 2 * MAX_DIM + 1
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("A", "1234", "str"), ("A", {"2": 0}, "dict"), ("B", "10", "str"), ("C", 1, "int"),
+], ids=["A-string", "A-object", "B-string", "C-scalar"])
+def test_system_entries_must_be_arrays(key, value, kind, tmp_path, capsys):
+    # a string or object has a length and iterates, so it used to load character by character
+    payload = dict(_system_payload(1, 2, 1), **{key: value})
+    code, out, err = run(capsys, ["analyze", "--system", write_json(tmp_path / "sys.json", payload)])
+    assert code == 1 and out == ""
+    assert f"INVALID_INPUT: {key} must be an array, got {kind}" in err
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (["1", "1", "2", "3", "5"], "a block must be an array, got str"),
+    ([[1], {"1": 1}, [2]], "a block must be an array, got dict"),
+    ("11235", "blocks must be an array, got str"),
+    ({"1": [1], "2": [1]}, "blocks must be an array, got dict"),
+], ids=["string-blocks", "object-block", "string-window", "object-window"])
+def test_markov_blocks_must_be_arrays(blocks, message, tmp_path, capsys):
+    payload = dict(_markov_payload(1, 1, 5), blocks=blocks)
+    code, out, err = run(capsys, ["realize", "--markov", write_json(tmp_path / "seq.json", payload)])
+    assert code == 1 and out == ""
+    assert f"INVALID_INPUT: {message}" in err
+
+
+def test_random_refuses_a_shape_no_command_reads(capsys):
+    # n = MAX_DIM + 1 only: the shape is refused before any entry is drawn
+    code, out, err = run(capsys, ["random", "--m", "1", "--n", str(MAX_DIM + 1), "--p", "1"])
+    assert code == 1 and out == ""
+    assert f"INVALID_INPUT: n = {MAX_DIM + 1} is too large" in err

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from moduli_sys import kalman
+from moduli_sys import system as system_module
 from moduli_sys.counting import census_cc
 from moduli_sys.errors import InvalidMultiIndex, NotControllable
 from moduli_sys.grassmann import moduli_point, stratum_point, system_from_cell
@@ -13,7 +13,6 @@ from moduli_sys.kalman import (
     KalmanCode,
     MultiIndex,
     _code,
-    _new_direction_walk,
     all_codes,
     canonical_form,
     code_from_multiindex,
@@ -274,11 +273,11 @@ def assert_walk_matches_reference(system: LinearSystem):
         vectors = reference_new_direction_walk(system)
     except NotControllable:
         with pytest.raises(NotControllable):
-            _new_direction_walk(system)
+            kalman_code(system)
         with pytest.raises(NotControllable):
             canonical_form(system)
         return
-    black, basis = _new_direction_walk(system)
+    black, basis = system._walk
     assert len(black) == basis.cols == system.n and list(black) == sorted(black)
     assert dict(zip(black, (col_list(basis, c) for c in range(basis.cols)))) == vectors
     ordered = [vectors[box] for box in sorted(vectors, key=lambda box: (box[1], box[0]))]
@@ -320,31 +319,31 @@ def test_walk_matches_reference_on_random_systems():
 
 
 def test_canonical_system_is_read_off_without_inverting(monkeypatch):
-    # only canonical_form computes g = P^-1, from an identity block in its one
-    # solve; the embeddings and the census referee solve without that block
-    # and never invert, and the census walks once per pair (A, B), not once
-    # per triple
-    def refuse(cls, field, n):
-        raise AssertionError("g = P^-1 on the canonical-system path")
-
-    walks = []
-    walk = kalman._new_direction_walk
-    monkeypatch.setattr(Matrix, "identity", classmethod(refuse))  # inverse(M) is solve_right(M, I) too
-    monkeypatch.setattr(kalman, "_new_direction_walk", lambda s: walks.append(s) or walk(s))
+    # the canonical system and g = P^-1 come from one solve, whose identity
+    # block is the only one a system builds on the canonical and embedding
+    # paths (inverse(M) is solve_right(M, I), so no inverse is taken), and
+    # the census walks once per pair (A, B), not once per triple
+    blocks, walks = [], []
+    identity, walk = Matrix.identity.__func__, system_module._krylov_pivots
+    monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, f, n: blocks.append(n) or identity(cls, f, n)))
+    monkeypatch.setattr(system_module, "_krylov_pivots", lambda a, b: walks.append(b.cols) or walk(a, b))
     rng = random.Random(15)
     for field in (QQ, F2, F5):
         s = random_system(field, 2, 4, 1, rng, require="cc")
+        blocks.clear()
         assert moduli_point(s).k == 4
         assert stratum_point(s).stratum == 4
-        with pytest.raises(AssertionError, match="g = P"):
-            canonical_form(s)
+        g, canon = canonical_form(s)
+        assert blocks == [4]
+        assert g @ s.A @ s._reduction[0] == canon.A
     walks.clear()
     assert census_cc(1, 2, 1, 3, mode="canonical-forms").match
     assert len(walks) == 3 ** (2 * (2 + 1))
 
 
 def test_canonical_form_reduces_the_chain_basis_once(monkeypatch):
-    # g is the right block of the reduction that reads off the canonical system
+    # g is the right block of the one reduction that reads off the canonical
+    # system, and every later reader of that reduction finds it kept
     from moduli_sys import linalg
 
     calls = []
@@ -355,10 +354,11 @@ def test_canonical_form_reduces_the_chain_basis_once(monkeypatch):
         for m, n in ((1, 2), (2, 4), (3, 6)):
             s = random_system(field, m, n, 1, rng, require="cc")
             calls.clear()
-            basis, canon, _ = kalman._canonical(s)
-            read_off = list(calls)
+            g, canon = canonical_form(s)
+            assert calls.count(True) == 1
             calls.clear()
-            g, canon_g = canonical_form(s)
-            assert calls == read_off and calls.count(True) == 1
-            assert canon_g == canon
+            assert canonical_form(s) == (g, canon) and kalman_code(s).n == n
+            assert calls == []
+            basis, kept, kept_g = s._reduction
+            assert kept is canon and kept_g is g
             assert g @ basis == Matrix.identity(field, n) == basis @ g

@@ -3,17 +3,18 @@
 Every public result must be the same whatever was asked of the object
 before, equal to the result on a fresh, equal system; the memo must be
 invisible to equality, hashing, ``repr``, JSON and
-``dataclasses.replace``; and one system must walk each side once.
+``dataclasses.replace``; and one system must walk each side once and
+reduce once.
 """
 
 import dataclasses
+import itertools
 import random
 import sys
 import threading
 
 import pytest
 
-from moduli_sys import kalman
 from moduli_sys import system as system_module
 from moduli_sys.errors import ModuliError
 from moduli_sys.grassmann import locus_membership, moduli_point, stratum_point
@@ -35,7 +36,7 @@ QQ = Field.rationals()
 F2 = Field.prime(2)
 F5 = Field.prime(5)
 
-MEMO_KEYS = ("_walk", "_dual_walk", "_canonical")
+MEMO_KEYS = ("_walk", "_dual_walk", "_reduction")
 
 RESULTS = {
     "classify": classify,
@@ -93,27 +94,26 @@ def test_results_do_not_depend_on_call_order(field):
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=str)
-def test_moduli_point_before_canonical_form_adds_g_once(field, monkeypatch):
+def test_one_reduction_carries_g_whatever_the_order(field, monkeypatch):
+    # each system solves P X = [B | A P_tops | I] once, whichever reader asks first
     rng = random.Random(7)
-    reductions = []
-    solve = kalman.solve_right
-    monkeypatch.setattr(kalman, "solve_right", lambda p, rhs: reductions.append(rhs.cols) or solve(p, rhs))
+    solves = []
+    solve = system_module.solve_right
+    monkeypatch.setattr(system_module, "solve_right", lambda p, rhs: solves.append(rhs) or solve(p, rhs))
+    readers = (canonical_form, moduli_point, stratum_point, kalman_code)
     for shape in ((1, 2, 1), (2, 4, 2), (3, 5, 1)):
-        system = fresh(random_system(field, *shape, rng, require="cc"))
+        system = random_system(field, *shape, rng, require="cc")
         n = shape[1]
-        twin = fresh(system)
-        reductions.clear()
-        g, canon = canonical_form(twin)
-        point, big = moduli_point(twin), stratum_point(twin)
-        assert len(reductions) == 1
-        width = reductions.pop()
-        assert moduli_point(system) == point and stratum_point(system) == big
-        assert system.__dict__["_canonical"][2] is None
-        assert canonical_form(system) == (g, canon)
-        assert system.__dict__["_canonical"][2] == g
-        assert canonical_form(system) == (g, canon)
-        assert moduli_point(system) == point and stratum_point(system) == big
-        assert reductions == [width - n, width]
+        expected = [reader(fresh(system)) for reader in readers]
+        for order in itertools.permutations(range(len(readers))):
+            one = fresh(system)
+            solves.clear()
+            for k in order + order:
+                assert readers[k](one) == expected[k], (shape, order)
+            assert len(solves) == 1, (shape, order)
+            rhs = solves[0]
+            assert rhs.columns_at(range(rhs.cols - n, rhs.cols)) == Matrix.identity(field, n)
+            assert one._reduction[2] == expected[0][0]
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F5], ids=str)
@@ -155,7 +155,7 @@ def test_memo_is_invisible_to_eq_hash_repr_and_json():
             before = (hash(system), repr(system), system_to_json(system))
             for name in RESULTS:
                 outcome(name, system)
-            assert "_canonical" in system.__dict__
+            assert "_reduction" in system.__dict__
             twin = fresh(system)
             assert system == twin and twin == system
             assert (hash(system), repr(system), system_to_json(system)) == before
