@@ -33,6 +33,10 @@ below the modulus cap.  Tests cross-check it against the scalar rank
 routine and an independent swap-based kernel, and the pair count against
 a full ``(A, B)`` enumeration.  numpy is imported inside the kernel functions,
 so only a census that enumerates loads it.
+
+The ``canonical-forms`` mode of :func:`census_cc` is a referee of another
+kind: it still enumerates and reduces every pair ``(A, B)``, and counts
+the distinct canonical triples ``(A', B', C P)`` keyed on their entries.
 """
 
 from __future__ import annotations
@@ -40,17 +44,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge, NotControllable
-from .linalg import Field, Matrix
+from .linalg import Field
 from .system import all_systems
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_CENSUS_BOUND = 1 << 24
-_CHUNK = 1 << 16
+# states per int64 batch: the batches and their temporaries set the census
+# peak memory, and at 2^14 a pass is no slower than at 2^16 with a third less of it
+_CHUNK = 1 << 14
 _PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
 _EXACT_COUNT_BITS = 1 << 16  # a refused state count of about this many bits is still cheap to compute
 # int64 is exact below 2^20: the Krylov product needs n * (q - 1)^2 < 2^63,
@@ -263,6 +270,9 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     ``mode="canonical-forms"`` instead reduces each cc pair (A, B) once and
     counts the distinct canonical triples ``(A', B', C P)`` over all output
     maps ``C``, which checks the orbit count without the stabilizer division.
+    Every pair is still enumerated and reduced; a triple is keyed on the
+    entry tuples of ``A'`` and ``B'`` and on those of ``C P``, formed on
+    ints from the columns of ``P``, so no matrix is built per triple.
 
     Refusals come before any work, in this order: ``ValueError`` for a
     negative dimension, a non-prime ``q``, an unknown mode, or a modulus
@@ -294,14 +304,15 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
             )
         orbits = raw // glq
     else:
-        outputs = [Matrix(field, p, n, c) for c in itertools.product(range(q), repeat=p * n)]
+        outputs = [[c[i * n:(i + 1) * n] for i in range(p)] for c in itertools.product(range(q), repeat=p * n)]
         forms, raw = set(), 0
         for pair in all_systems(field, m, n, 0):
             try:
                 basis, canon, _ = pair._reduction
             except NotControllable:
                 continue
-            forms.update((canon.A, canon.B, c @ basis) for c in outputs)
+            a, b, cols = canon.A.entries, canon.B.entries, [basis.entries[k::n] for k in range(n)]
+            forms.update((a, b, tuple(sum(map(mul, row, col)) % q for row in c for col in cols)) for c in outputs)
             raw += len(outputs)
         orbits = len(forms)
         if orbits * glq != raw:

@@ -41,10 +41,11 @@ follow the usual conventions (empty products are 1, empty sums are 0).
 
 :func:`_eliminate` is the one Gaussian elimination routine: rank, the
 column rank profile, reduced echelon form, kernels, determinants and
-solving all call it (:func:`inverse` is ``solve_right(M, I)``).  The
-Kalman walk, basis completion and Ho-Kalman realization reach it through
-those; the Hankel rank profile calls it directly, to extend one echelon
-a block row at a time.  The census keeps its own
+solving all call it (:func:`inverse` is ``solve_right(M, I)``).  Basis
+completion and Ho-Kalman realization reach it through those.  The Kalman
+walk and the canonical reduction call it directly on their plain rows,
+and so does the Hankel rank profile, to extend one echelon a block row
+at a time.  The census keeps its own
 vectorized kernel (``counting._batched_rank_modq``) on purpose; tests
 cross-check it against :func:`rank`.
 """

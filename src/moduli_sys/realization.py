@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import Field, Matrix, _eliminate, _as_int, rref_with_pivots
-from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, markov_parameters
+from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, _json_object, markov_parameters
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ class MarkovSequence:
 
     @staticmethod
     def from_json(obj: dict) -> "MarkovSequence":
+        obj = _json_object(obj, "a Markov sequence", ("field", "m", "p", "blocks"))
         field = Field.from_json(obj["field"])
         m, p = _as_int(obj["m"], "m"), _as_int(obj["p"], "p")
         window = _json_array(obj["blocks"], "blocks")

@@ -18,6 +18,11 @@ canonical form and both embeddings of one system share them.  The memo
 is not a field: equality, hashing, ``repr``, JSON and
 ``dataclasses.replace`` never see it.
 
+The walk and the reduction compute on plain rows of scalars, as
+``markov_parameters`` does, and only the values they return become
+matrices.  Over ``Q`` the walk runs on integers: ``A`` and ``B`` are
+cleared of their denominators once.
+
 Degenerate shapes are allowed on purpose: ``n = 0`` is the empty system
 (canonical by convention), ``p = 0`` means no outputs, and ``m = 0`` is
 admitted so that dualizing a ``p = 0`` system stays total.
@@ -34,7 +39,7 @@ from random import Random
 from typing import Iterator
 
 from .errors import NotControllable, SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, _as_int, _integral, _ratio, hstack, inverse, pivot_columns, solve_right
+from .linalg import Field, Matrix, _as_int, _eliminate, _integral, _ratio, hstack, inverse
 
 
 MAX_DIM = 64
@@ -64,6 +69,19 @@ def _json_array(raw, what: str) -> list:
     an object key by key, so neither may stand in for an array."""
     if not isinstance(raw, list):
         raise ValueError(f"{what} must be an array, got {type(raw).__name__}")
+    return raw
+
+
+def _json_object(raw, what: str, keys: tuple[str, ...]) -> dict:
+    """``raw`` if it is a JSON object holding every key; a ``ValueError`` naming ``what`` or the missing key.
+
+    Indexing would read an array or a string with a confusing error, and
+    a missing key would surface as a bare ``KeyError`` that names no document."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    for key in keys:
+        if key not in raw:
+            raise ValueError(f"{what} has no {key!r} key")
     return raw
 
 
@@ -121,23 +139,33 @@ class LinearSystem:
 
         The columns of ``P`` are the black-box vectors ``A^i B_j``, grouped
         by occupied column, by increasing power inside each group.  ``A P_k``
-        is ``P_(k+1)`` unless box ``k`` tops its chain, so one solve of
-        ``P X = [B | A P_tops | I]`` gives ``B'``, the chain-top columns of
+        is ``P_(k+1)`` unless box ``k`` tops its chain, so one reduction of
+        ``[P | B | A P_tops | I]`` gives ``B'``, the chain-top columns of
         ``A'`` (whose free entries are the orbit moduli) and ``g``; the
         other columns of ``A'`` are shifted basis vectors and ``C' = C P``.
-        Raises :class:`NotControllable` below full rank.
+        The solve runs on plain rows; only ``P`` and the canonical system
+        and ``g`` become matrices.  Raises :class:`NotControllable` below
+        full rank.
         """
         black, vectors = self._full_walk()
-        order = sorted(range(len(black)), key=lambda c: (black[c][1], black[c][0]))
-        boxes = [black[c] for c in order]
-        basis = vectors.columns_at(order)
-        tops = [k for k, (i, j) in enumerate(boxes) if (i + 1, j) not in black]
-        f, m, n = self.field, self.m, self.n
-        x = solve_right(basis, hstack([self.B, self.A @ basis.columns_at(tops), Matrix.identity(f, n)]))
-        solved, w, xe = {k: m + t for t, k in enumerate(tops)}, x.cols, x.entries
-        a = tuple(xe[r * w + solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
-        canon = LinearSystem(f, m, n, self.p, Matrix(f, n, n, a), x.columns_at(range(m)), self.C @ basis)
-        return basis, canon, x.columns_at(range(w - n, w))
+        f, m, n, q = self.field, self.m, self.n, self.field.q
+        order = sorted(range(n), key=lambda c: (black[c][1], black[c][0]))
+        tops = [k for k, c in enumerate(order) if (black[c][0] + 1, black[c][1]) not in black]
+        p_rows = [[vectors.entries[r * n + c] for c in order] for r in range(n)]
+        (ae, da), (te, dt) = _cleared(self.A.entries, q), _cleared([row[k] for k in tops for row in p_rows], q)
+        a_tops = _apply([ae[r * n:(r + 1) * n] for r in range(n)], [te[k * n:(k + 1) * n] for k in range(len(tops))], q)
+        if da * dt != 1:
+            a_tops = [[_ratio(x, da * dt) for x in col] for col in a_tops]
+        be, width = self.B.entries, 2 * n + m + len(tops)
+        grid = [p_rows[r] + list(be[r * m:(r + 1) * m]) + [col[r] for col in a_tops] + [int(r == k) for k in range(n)]
+                for r in range(n)]
+        _eliminate(f, grid, width, True)  # P is invertible: row r of X is grid[r][n:]
+        solved = {k: n + m + t for t, k in enumerate(tops)}
+        a = tuple(grid[r][solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
+        basis = Matrix(f, n, n, tuple(x for row in p_rows for x in row))
+        b = Matrix(f, n, m, tuple(x for row in grid for x in row[n:n + m]))
+        g = Matrix(f, n, n, tuple(x for row in grid for x in row[width - n:]))
+        return basis, LinearSystem(f, m, n, self.p, Matrix(f, n, n, a), b, self.C @ basis), g
 
 
 @dataclass(frozen=True)
@@ -172,6 +200,18 @@ def observability_matrix(system: LinearSystem) -> Matrix:
 KrylovWalk = tuple[tuple[tuple[int, int], ...], Matrix]
 
 
+def _cleared(entries, q: int | None) -> tuple:
+    """``(ints, den)`` with ``entries == ints / den``: :func:`_integral` over ``Q``, as they are over ``F_q``."""
+    return _integral(entries) if q is None else (entries, 1)
+
+
+def _apply(a_rows: list, cols: list, q: int | None) -> list:
+    """The integer matrix with rows ``a_rows`` times each integer column, reduced mod ``q`` over ``F_q``."""
+    if q is None:
+        return [[sum(map(mul, row, col)) for row in a_rows] for col in cols]
+    return [[sum(map(mul, row, col)) % q for row in a_rows] for col in cols]
+
+
 def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
     """The pivot columns of the Krylov matrix ``[b, ab, a^2 b, ...]``, built lazily.
 
@@ -184,29 +224,40 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
     full blocks to start, all a generic pair needs) before the next
     elimination.  Stops at ``n`` pivots or when the last block holds
     none, so the pivot count is the controllability rank of ``(a, b)``.
+
+    The columns are plain integer lists.  Over ``Q``, ``a`` and ``b`` are
+    cleared to integers ``d_a a`` and ``d_b b`` once, so column ``(i, j)``
+    holds ``d_a^i d_b a^i b_j``: a nonzero multiple of the true column,
+    with the same pivots.  Only the pivot columns are divided back.
     Returns ``(black, basis)``: the box of each pivot, in Krylov column
     order, and the ``n x rank`` matrix of those pivot columns.  Both are
     immutable, since a system shares its memoized walks between callers.
     """
-    n, m = b.rows, b.cols
-    krylov, blocks, boxes, pivots = b, [], [], ()
+    f, n, m = b.field, b.rows, b.cols
+    q = f.q
+    (ae, da), (be, db) = _cleared(a.entries, q), _cleared(b.entries, q)
+    a_rows = [ae[r * n:(r + 1) * n] for r in range(n)]
+    cols, boxes, pivots = [], [], []
     if n and m:
-        frontier, live = b, list(range(1, m + 1))
+        frontier, live, power = [be[j::m] for j in range(m)], list(range(1, m + 1)), 0
         while True:
             for _ in range(-(-(n - len(pivots)) // len(live))):
-                if blocks:
-                    frontier = a @ frontier
-                blocks.append(frontier)
-                boxes += [(len(blocks) - 1, j) for j in live]
-            krylov = hstack(blocks)
-            pivots = pivot_columns(krylov)
-            first = len(boxes) - frontier.cols
+                if cols:
+                    frontier, power = _apply(a_rows, frontier, q), power + 1
+                cols += frontier
+                boxes += [(power, j) for j in live]
+            pivots, _ = _eliminate(f, [list(row) for row in zip(*cols)], len(cols), False)
+            first = len(cols) - len(frontier)
             newest = [c - first for c in pivots if c >= first]
             if len(pivots) == n or not newest:
                 break
             live = [live[c] for c in newest]
-            frontier = frontier.columns_at(newest)
-    return tuple(boxes[c] for c in pivots), krylov.columns_at(pivots)
+            frontier = [frontier[c] for c in newest]
+    black = tuple(boxes[c] for c in pivots)
+    kept = [cols[c] for c in pivots]
+    if da != 1 or db != 1:
+        kept = [[_ratio(x, da ** i * db) for x in col] for col, (i, _) in zip(kept, black)]
+    return black, Matrix(f, n, len(kept), tuple(col[r] for r in range(n) for col in kept))
 
 
 def classify(system: LinearSystem) -> SystemClass:
@@ -267,9 +318,7 @@ def markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
         raise ValueError("count must be nonnegative")
     f, m, n = system.field, system.m, system.n
     q = f.q
-    (a, da), (b, db), (c, den) = (
-        _integral(x.entries) if q is None else (x.entries, 1) for x in (system.A, system.B, system.C)
-    )
+    (a, da), (b, db), (c, den) = (_cleared(x.entries, q) for x in (system.A, system.B, system.C))
     a_cols = [a[k::n] for k in range(n)]
     b_cols = [b[k::m] for k in range(m)]
     rows = [c[i * n:(i + 1) * n] for i in range(system.p)]  # C A^(j-1) is rows / den
@@ -317,6 +366,7 @@ def system_to_json(system: LinearSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> LinearSystem:
+    obj = _json_object(obj, "a system", ("field", "m", "n", "p", "A", "B", "C"))
     field = Field.from_json(obj["field"])
     m, n, p = (_as_int(obj[key], key) for key in ("m", "n", "p"))
     _check_input_size({"m": m, "n": n, "p": p}, n * (n + m) + p * n)

@@ -479,6 +479,24 @@ def test_markov_blocks_must_be_arrays(blocks, message, tmp_path, capsys):
     assert f"INVALID_INPUT: {message}" in err
 
 
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    (["analyze", "--system"], [1, 2], "a system must be a JSON object, got list"),
+    (["realize", "--markov"], [1, 2], "a Markov sequence must be a JSON object, got list"),
+    (["analyze", "--system"], "abc", "a system must be a JSON object, got str"),
+    (["analyze", "--system"], _without(_system_payload(1, 2, 1), "C"), "a system has no 'C' key"),
+    (["realize", "--markov"], _without(_markov_payload(1, 1, 5), "field"), "a Markov sequence has no 'field' key"),
+], ids=["system-array", "markov-array", "system-string", "system-without-C", "markov-without-field"])
+def test_documents_must_be_objects_with_every_key(command, payload, message, tmp_path, capsys):
+    # indexing an array or a string, or a missing key, used to fail with a message that named no field
+    code, out, err = run(capsys, command + [write_json(tmp_path / "doc.json", payload)])
+    assert code == 1 and out == ""
+    assert f"INVALID_INPUT: {message}" in err
+
+
 def test_random_refuses_a_shape_no_command_reads(capsys):
     # n = MAX_DIM + 1 only: the shape is refused before any entry is drawn
     code, out, err = run(capsys, ["random", "--m", "1", "--n", str(MAX_DIM + 1), "--p", "1"])

@@ -1,7 +1,9 @@
 """Kalman codes, the multi-index bijection, and canonical forms."""
 
+import dataclasses
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,8 +21,8 @@ from moduli_sys.kalman import (
     kalman_code,
     multiindex_from_code,
 )
-from moduli_sys.linalg import Field, Matrix, charpoly
-from moduli_sys.system import LinearSystem, act, markov_parameters, random_system
+from moduli_sys.linalg import Field, Matrix, charpoly, pivot_columns
+from moduli_sys.system import LinearSystem, act, controllability_matrix, markov_parameters, random_system
 
 from helpers import col_list, from_cols, reference_new_direction_walk, unimodular
 
@@ -268,10 +270,17 @@ def test_canonical_form_n0():
 
 
 def assert_walk_matches_reference(system: LinearSystem):
-    """Same black boxes, same vectors and the same canonical form as the reference walk."""
+    """Same black boxes, same vectors and the same canonical form as the reference walk.
+
+    Below full rank the boxes and vectors are the pivot columns of the
+    whole Krylov matrix, and the code and the canonical form refuse.
+    """
     try:
         vectors = reference_new_direction_walk(system)
     except NotControllable:
+        krylov = controllability_matrix(system)
+        pivots = pivot_columns(krylov)
+        assert system._walk == (tuple((c // system.m, c % system.m + 1) for c in pivots), krylov.columns_at(pivots))
         with pytest.raises(NotControllable):
             kalman_code(system)
         with pytest.raises(NotControllable):
@@ -283,6 +292,29 @@ def assert_walk_matches_reference(system: LinearSystem):
     ordered = [vectors[box] for box in sorted(vectors, key=lambda box: (box[1], box[0]))]
     g = _inv(from_cols(system.field, ordered, system.n))
     assert canonical_form(system) == (g, act(g, system))
+    p, canon, g = system._reduction
+    assert (g @ system.A @ p, g @ system.B, system.C @ p) == (canon.A, canon.B, canon.C)
+
+
+def fractional(system: LinearSystem, rng: random.Random) -> LinearSystem:
+    """``system`` moved by a rational base change of non-unit determinant, with ``B`` scaled by a fraction.
+
+    The diagonal factor has numerators prime to its denominators 2 and 7,
+    so its determinant is never a unit."""
+    n = system.n
+    scales = [Fraction(rng.choice((1, -1, 3, -5)), rng.choice((2, 7))) for _ in range(n)]
+    diag = Matrix(QQ, n, n, tuple(QQ.coerce(scales[i]) if i == j else 0 for i in range(n) for j in range(n)))
+    moved = act(diag @ unimodular(QQ, n, rng), system)
+    factor = Fraction(rng.choice((2, -3, 5)), rng.choice((3, 4, 7)))
+    return dataclasses.replace(moved, B=Matrix(QQ, n, system.m, tuple(QQ.coerce(factor * x) for x in moved.B.entries)))
+
+
+def uncontrollable(m: int, n: int, p: int, rng: random.Random) -> LinearSystem:
+    """A system over ``Q`` whose reachable space lies in the first ``n - 1`` coordinates."""
+    s = random_system(QQ, m, n, p, rng)
+    a = tuple(0 if k // n == n - 1 and k % n < n - 1 else x for k, x in enumerate(s.A.entries))
+    b = tuple(0 if k // m == n - 1 else x for k, x in enumerate(s.B.entries))
+    return dataclasses.replace(s, A=Matrix(QQ, n, n, a), B=Matrix(QQ, n, m, b))
 
 
 def test_walk_matches_reference_on_f2_sweep(f2_sweep):
@@ -316,25 +348,44 @@ def test_walk_matches_reference_on_random_systems():
             for _ in range(4):
                 m, p = rng.randint(1, 3), rng.randint(0, 2)
                 assert_walk_matches_reference(random_system(field, m, n, p, rng))
+    # over Q the walk scales A and B to integers and divides its pivot
+    # columns back, so the entries must carry denominators here
+    for n in (2, 3, 6, 10):
+        for _ in range(4):
+            m, p = rng.randint(1, 3), rng.randint(0, 2)
+            for s in (random_system(QQ, m, n, p, rng), uncontrollable(m, n, p, rng)):
+                s = fractional(s, rng)
+                assert any(isinstance(x, Fraction) for x in s.A.entries + s.B.entries)
+                assert_walk_matches_reference(s)
 
 
 def test_canonical_system_is_read_off_without_inverting(monkeypatch):
-    # the canonical system and g = P^-1 come from one solve, whose identity
-    # block is the only one a system builds on the canonical and embedding
-    # paths (inverse(M) is solve_right(M, I), so no inverse is taken), and
-    # the census walks once per pair (A, B), not once per triple
-    blocks, walks = [], []
-    identity, walk = Matrix.identity.__func__, system_module._krylov_pivots
+    # the canonical system and g = P^-1 come from one reduction of
+    # [P | B | A P_tops | I], whose right block is the only identity a system
+    # builds on the canonical and embedding paths (inverse(M) would build
+    # Matrix.identity for solve_right(M, I)), and the census walks once per
+    # pair (A, B), not once per triple
+    blocks, right_blocks, walks = [], [], []
+    identity, eliminate, walk = Matrix.identity.__func__, system_module._eliminate, system_module._krylov_pivots
+
+    def recording(field, grid, ncols, reduced):
+        if reduced:
+            right_blocks.append([row[ncols - len(grid):] for row in grid])
+        return eliminate(field, grid, ncols, reduced)
+
     monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, f, n: blocks.append(n) or identity(cls, f, n)))
+    monkeypatch.setattr(system_module, "_eliminate", recording)
     monkeypatch.setattr(system_module, "_krylov_pivots", lambda a, b: walks.append(b.cols) or walk(a, b))
     rng = random.Random(15)
     for field in (QQ, F2, F5):
         s = random_system(field, 2, 4, 1, rng, require="cc")
         blocks.clear()
+        right_blocks.clear()
         assert moduli_point(s).k == 4
         assert stratum_point(s).stratum == 4
         g, canon = canonical_form(s)
-        assert blocks == [4]
+        assert blocks == []
+        assert right_blocks == [[[int(r == k) for k in range(4)] for r in range(4)]]
         assert g @ s.A @ s._reduction[0] == canon.A
     walks.clear()
     assert census_cc(1, 2, 1, 3, mode="canonical-forms").match
@@ -348,7 +399,8 @@ def test_canonical_form_reduces_the_chain_basis_once(monkeypatch):
 
     calls = []
     eliminate = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args[3]) or eliminate(*args))
+    for module in (linalg, system_module):  # the walk and the reduction call it from system
+        monkeypatch.setattr(module, "_eliminate", lambda *args: calls.append(args[3]) or eliminate(*args))
     rng = random.Random(16)
     for field in (QQ, F5):
         for m, n in ((1, 2), (2, 4), (3, 6)):
