@@ -44,11 +44,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge, NotControllable
-from .linalg import Field
+from .linalg import Field, _dots
 from .system import all_systems
 
 if TYPE_CHECKING:
@@ -271,8 +270,9 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     counts the distinct canonical triples ``(A', B', C P)`` over all output
     maps ``C``, which checks the orbit count without the stabilizer division.
     Every pair is still enumerated and reduced; a triple is keyed on the
-    entry tuples of ``A'`` and ``B'`` and on those of ``C P``, formed on
-    ints from the columns of ``P``, so no matrix is built per triple.
+    entry tuples of ``A'`` and ``B'`` and on those of ``C P``, formed for
+    every ``C`` of a pair by one ``linalg._dots`` call on the columns of
+    ``P``, so no matrix is built per triple.
 
     Refusals come before any work, in this order: ``ValueError`` for a
     negative dimension, a non-prime ``q``, an unknown mode, or a modulus
@@ -304,16 +304,18 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
             )
         orbits = raw // glq
     else:
-        outputs = [[c[i * n:(i + 1) * n] for i in range(p)] for c in itertools.product(range(q), repeat=p * n)]
+        outputs = q ** (p * n)  # output k is rows k p .. k p + p - 1 of output_rows
+        output_rows = [c[i * n:(i + 1) * n] for c in itertools.product(range(q), repeat=p * n) for i in range(p)]
         forms, raw = set(), 0
         for pair in all_systems(field, m, n, 0):
             try:
                 basis, canon, _ = pair._reduction
             except NotControllable:
                 continue
-            a, b, cols = canon.A.entries, canon.B.entries, [basis.entries[k::n] for k in range(n)]
-            forms.update((a, b, tuple(sum(map(mul, row, col)) % q for row in c for col in cols)) for c in outputs)
-            raw += len(outputs)
+            a, b = canon.A.entries, canon.B.entries
+            cp = _dots(output_rows, [basis.entries[k::n] for k in range(n)], q)
+            forms.update((a, b, tuple(itertools.chain.from_iterable(cp[k * p:(k + 1) * p]))) for k in range(outputs))
+            raw += outputs
         orbits = len(forms)
         if orbits * glq != raw:
             raise ArithmeticError(

@@ -26,15 +26,19 @@ is integral, and ``Fraction`` is built only for results: every row is
 first made a primitive integer row, and a reduced form divides each
 entry once, at the end, by the last pivot.  Either way the loop
 returns a unit whose product with the last pivot is the determinant.
-A product clears one common denominator per operand, multiplies
-integers and divides each output entry once; ``system.markov_parameters``,
-which multiplies by the same ``A`` and ``B`` for every block, clears
-denominators once per call rather than once per product, and
-:func:`charpoly` clears them once for the whole recursion.  Rows that
-:func:`_eliminate` leaves unreduced are nonzero multiples of the
-echelon rows: a caller may read their pivot columns and row space, and
-:func:`minor_det` reads the determinant off the last pivot, but no
+Rows that :func:`_eliminate` leaves unreduced are nonzero multiples of
+the echelon rows: a caller may read their pivot columns and row space,
+and :func:`minor_det` reads the determinant off the last pivot, but no
 other value.
+
+:func:`_dots` is the one product loop: every dot product of a row of
+one list of integer rows with a row of another, reduced mod ``q`` over
+``F_q``.  ``@``, the power step of :func:`charpoly`, the Markov blocks,
+the Krylov walk, the canonical reduction and the census's ``C P`` call
+it.  Over ``Q`` :func:`_cleared` first makes each operand integral over
+one common denominator, and each output entry is divided once;
+``system.markov_parameters`` clears ``A`` and ``B`` once per call and
+:func:`charpoly` once for the whole recursion.
 
 Zero-sized matrices (``0 x k`` and ``k x 0``) are legal everywhere and
 follow the usual conventions (empty products are 1, empty sums are 0).
@@ -42,10 +46,10 @@ follow the usual conventions (empty products are 1, empty sums are 0).
 :func:`_eliminate` is the one Gaussian elimination routine: rank, the
 column rank profile, reduced echelon form, kernels, determinants and
 solving all call it (:func:`inverse` is ``solve_right(M, I)``).  Basis
-completion and Ho-Kalman realization reach it through those.  The Kalman
-walk and the canonical reduction call it directly on their plain rows,
-and so does the Hankel rank profile, to extend one echelon a block row
-at a time.  The census keeps its own
+completion reaches it through those.  The Kalman walk, the canonical
+reduction and Ho-Kalman realization call it directly on their plain
+rows, and so does the Hankel rank profile, to extend one echelon a block
+row at a time.  The census keeps its own
 vectorized kernel (``counting._batched_rank_modq``) on purpose; tests
 cross-check it against :func:`rank`.
 """
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence, Union
@@ -95,10 +100,15 @@ def _is_prime(q: int) -> bool:
 
 
 def _as_int(value, what: str) -> int:
-    """``value`` as an int; floats and booleans are refused, not truncated."""
+    """``value`` as an int; floats, booleans and non-integral numbers are refused, not truncated."""
     if isinstance(value, (bool, float)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, str):
+        return int(value)
+    ivalue = int(value)
+    if ivalue != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return ivalue
 
 
 def _ratio(a: int, b: int) -> Scalar:
@@ -116,6 +126,18 @@ def _integral(entries) -> tuple:
         return entries, 1
     den = lcm(*[x.denominator for x in entries])
     return [x.numerator * (den // x.denominator) for x in entries], den
+
+
+def _cleared(entries, q: int | None) -> tuple:
+    """``(ints, den)`` with ``entries == ints / den``: :func:`_integral` over ``Q``, as they are over ``F_q``."""
+    return _integral(entries) if q is None else (entries, 1)
+
+
+def _dots(xs, ys, q: int | None) -> list:
+    """``[[x . y for y in ys] for x in xs]`` on integer rows, reduced mod ``q`` over ``F_q``: the one product loop."""
+    if q is None:
+        return [[sum(map(mul, x, y)) for y in ys] for x in xs]
+    return [[sum(map(mul, x, y)) % q for y in ys] for x in xs]
 
 
 @dataclass(frozen=True)
@@ -251,10 +273,6 @@ class Matrix:
         ent = tuple(self.entries[i * self.cols + j] for i in range(self.rows) for j in indices)
         return Matrix(self.field, self.rows, len(indices), ent)
 
-    def rows_at(self, indices: Sequence[int]) -> "Matrix":
-        ent = tuple(self.entries[i * self.cols + j] for i in indices for j in range(self.cols))
-        return Matrix(self.field, len(indices), self.cols, ent)
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
 
@@ -269,24 +287,12 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        q = self.field.q
-        inner, c = self.cols, other.cols
-        se, oe, den = self.entries, other.entries, 1
-        if q is None:  # integers over one common denominator per operand
-            (se, sd), (oe, od) = _integral(se), _integral(oe)
-            den = sd * od
-        zero = self.field.zero
-        out = []
-        for i in range(self.rows):
-            base = i * inner
-            arow = se[base:base + inner]
-            for j in range(c):
-                s = zero
-                for k in range(inner):
-                    s = s + arow[k] * oe[k * c + j]
-                out.append(s % q if q is not None else s)
-        if den != 1:
-            out = [_ratio(x, den) for x in out]
+        q, inner, c = self.field.q, self.cols, other.cols
+        (se, sd), (oe, od) = _cleared(self.entries, q), _cleared(other.entries, q)
+        out = chain.from_iterable(_dots([se[i * inner:(i + 1) * inner] for i in range(self.rows)],
+                                        [oe[j::c] for j in range(c)], q))
+        if sd * od != 1:
+            out = (_ratio(x, sd * od) for x in out)
         return Matrix(self.field, self.rows, c, tuple(out))
 
     def __str__(self) -> str:
@@ -532,7 +538,7 @@ def charpoly(matrix: Matrix) -> tuple:
     if matrix.rows != matrix.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     q, n = matrix.field.q, matrix.rows
-    ent, d = _integral(matrix.entries) if q is None else (matrix.entries, 1)
+    ent, d = _cleared(matrix.entries, q)
     rows = [ent[i * n:(i + 1) * n] for i in range(n)]
     coeffs = [1]
     for i in range(n):
@@ -541,9 +547,7 @@ def charpoly(matrix: Matrix) -> tuple:
         toeplitz = [1, -rows[i][i]]  # 1, -a_ii, then -r lead^k v for k = 0..i-1
         for k in range(i):
             if k:
-                v = [sum(map(mul, row, v)) for row in lead]
-                if q is not None:
-                    v = [x % q for x in v]
+                v = _dots([v], lead, q)[0]
             toeplitz.append(-sum(map(mul, r, v)))
         coeffs = [sum(toeplitz[s - j] * coeffs[j] for j in range(max(0, s - i - 1), min(s, i) + 1))
                   for s in range(i + 2)]

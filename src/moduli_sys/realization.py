@@ -6,7 +6,8 @@ When some ``H_rs`` has the same rank as every available ``H_(r+1),(s+j)``
 the order is certified inside the window and the sequence is realized by
 a canonical system of state dimension ``rank H_rs`` via exact rank
 factorization (Ho-Kalman): ``H_rs = O R`` through the pivot columns, and
-``A``, ``B`` and ``C`` are read off one reduced echelon form of ``H_(r,s+1)``.
+``A``, ``B`` and ``C`` are read off one reduced ``linalg._eliminate`` of
+the block rows of ``H_(r,s+1)``, with no Hankel ``Matrix`` on the way.
 
 Certification never extrapolates: if the window is too short to check a
 single shift, the outcome is the :class:`NotStabilized` value.
@@ -30,7 +31,7 @@ from .errors import (
     NotStabilizedError,
     ShapeMismatch,
 )
-from .linalg import Field, Matrix, _eliminate, _as_int, rref_with_pivots
+from .linalg import Field, Matrix, _eliminate, _as_int
 from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, _json_object, markov_parameters
 
 
@@ -167,32 +168,37 @@ def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStab
 
 
 def _realize_at(seq: MarkovSequence, r: int, s: int) -> LinearSystem:
-    """Read ``(A, B, C)`` off one reduced echelon form of ``H_(r,s+1)``.
+    """Read ``(A, B, C)`` off the reduced rows of ``H_(r,s+1)``.
 
     ``H_(r,s+1)`` is ``[H_rs | next block column]`` and also ``[first
-    block column | H^]``, with ``H^`` the shifted blocks ``F_(a+b)``.  Its
-    first ``n`` reduced rows are ``[R | *]``, ``R`` the reduced ``H_rs``.
-    ``O X = H^`` is solvable exactly when no pivot lies in the last block
-    column, and ``X`` is then columns ``m..m(s+1)-1`` of those rows.  ``A``
-    is ``X`` at the pivot columns, ``B`` the first ``m`` columns of ``R``,
-    ``C`` the first ``p`` rows of ``O`` (``H`` at the pivot columns).
-    Raises :class:`InconsistentData` when ``O X = H^`` or ``A R = X`` has
-    no solution or the result fails to reproduce every supplied block.
+    block column | H^]``, with ``H^`` the shifted blocks ``F_(a+b)``.  One
+    reduced :func:`~moduli_sys.linalg._eliminate` of its block rows gives
+    ``n`` rows ``[R | *]``, ``R`` the reduced ``H_rs``.  ``O X = H^`` is
+    solvable exactly when no pivot lies in the last block column, and
+    ``X`` is then columns ``m..m(s+1)-1`` of those rows.  ``A`` is ``X``
+    at the pivot columns, ``B`` the first ``m`` columns of ``R``, ``C``
+    the first ``p`` rows of ``O`` (block row 1 at the pivot columns).
+    Raises :class:`InsufficientData` when the window holds fewer than
+    ``r + s`` blocks, and :class:`InconsistentData` when ``O X = H^`` or
+    ``A R = X`` has no solution or the result fails to reproduce every
+    supplied block.
     """
     f, m, p = seq.field, seq.m, seq.p
-    h = hankel(seq, r, s + 1)
-    red, pivots = rref_with_pivots(h)
+    if r + s > len(seq):
+        raise InsufficientData(f"H_{r}{s + 1} needs {r + s} blocks, sequence has {len(seq)}")
+    rows = [row for a in range(r) for row in _block_rows(seq, a, s + 1)]
+    pivots, _ = _eliminate(f, rows, m * (s + 1), True)
     n = len(pivots)
     if pivots and pivots[-1] >= m * s:
         raise InconsistentData("shift equation O X = H^ has no solution")
-    rows = red.rows_at(range(n))
-    rowspan = rows.columns_at(range(m * s))    # R: n x (m s), full row rank
-    x = rows.columns_at(range(m, m * (s + 1)))
-    a = x.columns_at(pivots)                   # pivot columns of R are I_n
-    if a @ rowspan != x:
+    del rows[n:]
+    x = tuple(v for row in rows for v in row[m:])
+    a = Matrix(f, n, n, tuple(row[m + k] for row in rows for k in pivots))  # pivot columns of R are I_n
+    rowspan = Matrix(f, n, m * s, tuple(v for row in rows for v in row[:m * s]))  # R: full row rank
+    if (a @ rowspan).entries != x:
         raise InconsistentData("shift equation A R = X has no solution")
-    b = rowspan.columns_at(range(m))
-    c = h.rows_at(range(p)).columns_at(pivots)
+    b = Matrix(f, n, m, tuple(v for row in rows for v in row[:m]))
+    c = Matrix(f, p, n, tuple(row[k] for row in _block_rows(seq, 0, s) for k in pivots))
     system = LinearSystem(f, m, n, p, a, b, c)
     if not verify_realization(system, seq):
         raise InconsistentData("realized system does not reproduce the data window")

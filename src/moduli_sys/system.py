@@ -19,9 +19,9 @@ is not a field: equality, hashing, ``repr``, JSON and
 ``dataclasses.replace`` never see it.
 
 The walk and the reduction compute on plain rows of scalars, as
-``markov_parameters`` does, and only the values they return become
-matrices.  Over ``Q`` the walk runs on integers: ``A`` and ``B`` are
-cleared of their denominators once.
+``markov_parameters`` does, with the one product loop ``linalg._dots``,
+and only the values they return become matrices.  Over ``Q`` the walk
+runs on integers: ``A`` and ``B`` are cleared of their denominators once.
 
 Degenerate shapes are allowed on purpose: ``n = 0`` is the empty system
 (canonical by convention), ``p = 0`` means no outputs, and ``m = 0`` is
@@ -34,12 +34,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import mul
 from random import Random
 from typing import Iterator
 
 from .errors import NotControllable, SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, _as_int, _eliminate, _integral, _ratio, hstack, inverse
+from .linalg import Field, Matrix, _as_int, _cleared, _dots, _eliminate, _ratio, hstack, inverse
 
 
 MAX_DIM = 64
@@ -153,7 +152,7 @@ class LinearSystem:
         tops = [k for k, c in enumerate(order) if (black[c][0] + 1, black[c][1]) not in black]
         p_rows = [[vectors.entries[r * n + c] for c in order] for r in range(n)]
         (ae, da), (te, dt) = _cleared(self.A.entries, q), _cleared([row[k] for k in tops for row in p_rows], q)
-        a_tops = _apply([ae[r * n:(r + 1) * n] for r in range(n)], [te[k * n:(k + 1) * n] for k in range(len(tops))], q)
+        a_tops = _dots([te[k * n:(k + 1) * n] for k in range(len(tops))], [ae[r * n:(r + 1) * n] for r in range(n)], q)
         if da * dt != 1:
             a_tops = [[_ratio(x, da * dt) for x in col] for col in a_tops]
         be, width = self.B.entries, 2 * n + m + len(tops)
@@ -200,18 +199,6 @@ def observability_matrix(system: LinearSystem) -> Matrix:
 KrylovWalk = tuple[tuple[tuple[int, int], ...], Matrix]
 
 
-def _cleared(entries, q: int | None) -> tuple:
-    """``(ints, den)`` with ``entries == ints / den``: :func:`_integral` over ``Q``, as they are over ``F_q``."""
-    return _integral(entries) if q is None else (entries, 1)
-
-
-def _apply(a_rows: list, cols: list, q: int | None) -> list:
-    """The integer matrix with rows ``a_rows`` times each integer column, reduced mod ``q`` over ``F_q``."""
-    if q is None:
-        return [[sum(map(mul, row, col)) for row in a_rows] for col in cols]
-    return [[sum(map(mul, row, col)) % q for row in a_rows] for col in cols]
-
-
 def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
     """The pivot columns of the Krylov matrix ``[b, ab, a^2 b, ...]``, built lazily.
 
@@ -243,7 +230,7 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
         while True:
             for _ in range(-(-(n - len(pivots)) // len(live))):
                 if cols:
-                    frontier, power = _apply(a_rows, frontier, q), power + 1
+                    frontier, power = _dots(frontier, a_rows, q), power + 1
                 cols += frontier
                 boxes += [(power, j) for j in live]
             pivots, _ = _eliminate(f, [list(row) for row in zip(*cols)], len(cols), False)
@@ -307,11 +294,12 @@ def dualize(system: LinearSystem) -> LinearSystem:
 def markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
     """The ``p x m`` blocks ``C A^(j-1) B`` for ``j = 1..count``.
 
-    One pass over plain integer rows.  Over ``Q`` the denominators of
-    ``A``, ``B`` and ``C`` are cleared once per call, not once per
-    product: the rows of ``C A^(j-1)`` stay integral over one running
-    denominator, cut by the gcd of the rows at each step, and each output
-    entry is divided once.  Over ``F_q`` every entry is reduced mod ``q``.
+    One pass over plain integer rows, whose products are the one product
+    loop ``linalg._dots`` (reduced mod ``q`` over ``F_q``).  Over ``Q`` the
+    denominators of ``A``, ``B`` and ``C`` are cleared once per call, not
+    once per product: the rows of ``C A^(j-1)`` stay integral over one
+    running denominator, cut by the gcd of the rows at each step, and each
+    output entry is divided once.  Over ``F_q`` every denominator is 1.
     Only the output blocks become matrices.
     """
     if count < 0:
@@ -325,21 +313,16 @@ def markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
     out = []
     for j in range(count):
         if j:
-            rows = [[sum(map(mul, row, col)) for col in a_cols] for row in rows]
-            if q is not None:
-                rows = [[x % q for x in row] for row in rows]
-            elif den * da != 1:
+            rows = _dots(rows, a_cols, q)
+            if den * da != 1:
                 den *= da
                 g = gcd(den, *itertools.chain.from_iterable(rows))
                 if g != 1:
                     den //= g
                     rows = [[x // g for x in row] for row in rows]
-        blk = [sum(map(mul, row, col)) for row in rows for col in b_cols]
-        d = den * db
-        if q is not None:
-            blk = [x % q for x in blk]
-        elif d != 1:
-            blk = [_ratio(x, d) for x in blk]
+        blk = itertools.chain.from_iterable(_dots(rows, b_cols, q))
+        if den * db != 1:
+            blk = (_ratio(x, den * db) for x in blk)
         out.append(Matrix(f, system.p, m, tuple(blk)))
     return out
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from moduli_sys.errors import InconsistentData, NotControllable
 from moduli_sys.linalg import Field, Matrix
-from moduli_sys.realization import HankelRankProfile, NotStabilized, hankel
+from moduli_sys.realization import HankelRankProfile, NotStabilized
 from moduli_sys.system import LinearSystem, all_systems
 
 
@@ -197,6 +197,11 @@ def modq_product(a: list, b: list, cols: int, q: int) -> list:
     return [[sum(x * row_b[j] for x, row_b in zip(row, b)) % q for j in range(cols)] for row in a]
 
 
+def exact_product(a: list, b: list, cols: int, q) -> list:
+    """:func:`fraction_product` over ``Q`` (``q is None``), :func:`modq_product` over ``F_q``."""
+    return fraction_product(a, b, cols) if q is None else modq_product(a, b, cols, q)
+
+
 def is_canonical_rational(x) -> bool:
     """An ``int`` when integral, a ``Fraction`` otherwise: the scalar format over ``Q``."""
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
@@ -208,6 +213,12 @@ def all_f2_matrices(max_rows: int = 3, max_cols: int = 3):
         for c in range(1, max_cols + 1):
             for bits in itertools.product((0, 1), repeat=r * c):
                 yield Matrix(field, r, c, bits)
+
+
+def hankel_rows(seq, i: int, j: int, shift: int = 0) -> list:
+    """The rows of the block Hankel matrix with block (a, b) equal to ``F_(a+b-1+shift)``, from ``seq.blocks``."""
+    return [[x for b in range(j) for x in seq.blocks[a + b + shift].row_list(row)]
+            for a in range(i) for row in range(seq.p)]
 
 
 def reference_realizability_order(seq):
@@ -224,8 +235,8 @@ def reference_realizability_order(seq):
 
     def rk(i, j):
         if (i, j) not in cache:
-            h = hankel(seq, i, j)
-            cache[(i, j)] = fraction_rank(h.to_rows()) if q is None else gauss_rank_oracle(h.to_rows(), q)
+            h = hankel_rows(seq, i, j)
+            cache[(i, j)] = fraction_rank(h) if q is None else gauss_rank_oracle(h, q)
         return cache[(i, j)]
 
     for r in range(1, L - 1):
@@ -244,52 +255,52 @@ def reference_realize_at(seq, r: int, s: int) -> LinearSystem:
     Factors ``H_rs = O R`` through its reduced echelon form, solves
     ``O X = H^`` on ``n`` independent rows of ``O`` (found by an
     elimination of ``O^T``) by reducing ``[O_anchor | H^_anchor]`` to
-    ``[I | X]``, and checks the solution on every row, with the shifted
-    Hankel matrix ``H^`` built block by block from ``F_(a+b)``.  Every
-    elimination is :func:`fraction_rref` over ``Q`` and :func:`modq_rref`
-    over ``F_q``, never the library's.
+    ``[I | X]``, and checks the solution on every row.  ``H_rs`` and the
+    shifted Hankel matrix ``H^`` are built by :func:`hankel_rows` from
+    ``F_(a+b-1)`` and ``F_(a+b)``.  Every elimination is
+    :func:`fraction_rref` over ``Q`` and :func:`modq_rref` over ``F_q``,
+    and every product :func:`exact_product`, never the library's.
     """
     f, m, p, q = seq.field, seq.m, seq.p, seq.field.q
 
     def rref(rows):
         return fraction_rref(rows) if q is None else modq_rref(rows, q)
 
-    h = hankel(seq, r, s)
-    red, pivots = rref(h.to_rows())
+    h, shifted = hankel_rows(seq, r, s), hankel_rows(seq, r, s, shift=1)
+    red, pivots = rref(h)
     n = len(pivots)
-    obs = h.columns_at(pivots)
-    rowspan = Matrix.from_rows(f, red[:n], cols=m * s)
-    shifted = Matrix.from_rows(f, [
-        [x for b in range(s) for x in seq.blocks[a + b + 1].row_list(row)]
-        for a in range(r) for row in range(p)
-    ], cols=m * s)
-    if n == 0:
-        a_mat, b_mat, c_mat = Matrix.zeros(f, 0, 0), Matrix.zeros(f, 0, m), Matrix.zeros(f, p, 0)
-    else:
-        _, anchor = rref(obs.transpose().to_rows())
-        solved, _ = rref([obs.row_list(i) + shifted.row_list(i) for i in anchor])
-        x = Matrix.from_rows(f, [row[n:] for row in solved], cols=m * s)
-        if obs @ x != shifted:
+    obs = [[row[k] for k in pivots] for row in h]
+    rowspan = red[:n]
+    a_rows, b_rows, c_rows = [], [], obs[:p]
+    if n:
+        _, anchor = rref([list(col) for col in zip(*obs)])
+        solved, _ = rref([obs[i] + shifted[i] for i in anchor])
+        x = [row[n:] for row in solved]
+        if exact_product(obs, x, m * s, q) != shifted:
             raise InconsistentData("shift equation O X = H^ has no solution")
-        a_mat = x.columns_at(pivots)
-        if a_mat @ rowspan != x:
+        a_rows = [[row[k] for k in pivots] for row in x]
+        if exact_product(a_rows, rowspan, m * s, q) != x:
             raise InconsistentData("shift equation A R = X has no solution")
-        b_mat = rowspan.columns_at(range(m))
-        c_mat = obs.rows_at(range(p))
-    system = LinearSystem(f, m, n, p, a_mat, b_mat, c_mat)
+        b_rows = [row[:m] for row in rowspan]
+    system = LinearSystem(f, m, n, p, Matrix.from_rows(f, a_rows, cols=n), Matrix.from_rows(f, b_rows, cols=m),
+                          Matrix.from_rows(f, c_rows, cols=n))
     if reference_markov_parameters(system, len(seq)) != list(seq.blocks):
         raise InconsistentData("realized system does not reproduce the data window")
     return system
 
 
 def reference_markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
-    """``C A^(j-1) B`` for ``j = 1..count`` by matrix products, one block at a time."""
-    out = []
-    cur = system.C
+    """``C A^(j-1) B`` for ``j = 1..count``, one block at a time.
+
+    Every product is :func:`exact_product`, never the library's.
+    """
+    f, q = system.field, system.field.q
+    a_rows, b_rows = system.A.to_rows(), system.B.to_rows()
+    out, cur = [], system.C.to_rows()
     for j in range(count):
         if j:
-            cur = cur @ system.A
-        out.append(cur @ system.B)
+            cur = exact_product(cur, a_rows, system.n, q)
+        out.append(Matrix.from_rows(f, exact_product(cur, b_rows, system.m, q), cols=system.m))
     return out
 
 
@@ -332,7 +343,7 @@ def reference_new_direction_walk(system: LinearSystem):
                 if len(vectors) == n:
                     return vectors
         if i + 1 < n:
-            block = fraction_product(a_rows, block, m) if q is None else modq_product(a_rows, block, m, q)
+            block = exact_product(a_rows, block, m, q)
     if len(vectors) < n:
         raise NotControllable(f"controllability rank is {len(vectors)} < n = {n}")
     return vectors

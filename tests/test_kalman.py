@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,15 @@ def test_codes_refuse_floats_and_booleans():
         KalmanCode(2, 1, frozenset({(True, 1)}))
     with pytest.raises(ValueError, match="must be an integer"):
         MultiIndex((1.9,))
+    # non-integral numbers are refused too, not truncated
+    for value in (Fraction(5, 2), Decimal("2.5")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            MultiIndex((value,))
+        with pytest.raises(ValueError, match="must be an integer"):
+            KalmanCode(2, 1, frozenset({(0, value)}))
+    # integral numbers and the decimal strings of JSON stay accepted
+    assert MultiIndex((Fraction(4, 2), Decimal(3), "4")).values == (2, 3, 4)
+    assert KalmanCode(2, 1, frozenset({("0", Fraction(2))})).black == frozenset({(0, 2)})
 
 
 # -- multi-index bijection ----------------------------------------------------

@@ -33,6 +33,7 @@ from helpers import (
     gauss_rank_oracle,
     is_canonical_rational,
     leibniz_det,
+    modq_product,
     modq_rref,
     span_rank_oracle,
     unimodular,
@@ -224,7 +225,7 @@ def test_prime_field_elimination_against_oracles(q):
             ri = sorted(rng.sample(range(m.rows), k))
             ci = sorted(rng.sample(range(m.cols), k))
             value = minor_det(m, ri, ci)
-            assert value == leibniz_det(m.rows_at(ri).columns_at(ci)) and 0 <= value < q
+            assert value == leibniz_det(mat(field, [[m.entry(i, j) for j in ci] for i in ri])) and 0 <= value < q
         if m.rows == m.cols:
             assert det(m) == leibniz_det(m)
             eye = Matrix.identity(field, m.rows)
@@ -290,11 +291,11 @@ def qq_rational_matrices(draw, rows=None, max_rows=4, max_cols=4):
 
 
 @st.composite
-def f5_matrices(draw, max_dim=4):
-    r = draw(st.integers(min_value=0, max_value=max_dim))
+def fq_matrices(draw, q, rows=None, max_dim=4):
+    r = draw(st.integers(min_value=0, max_value=max_dim)) if rows is None else rows
     c = draw(st.integers(min_value=0, max_value=max_dim))
-    ent = draw(st.lists(st.integers(0, 4), min_size=r * c, max_size=r * c))
-    return Matrix(F5, r, c, tuple(ent))
+    ent = draw(st.lists(st.integers(0, q - 1), min_size=r * c, max_size=r * c))
+    return Matrix(Field.prime(q), r, c, tuple(ent))
 
 
 @given(qq_matrices())
@@ -302,7 +303,7 @@ def test_rank_transpose_qq(m):
     assert rank(m) == rank(m.transpose())
 
 
-@given(f5_matrices())
+@given(fq_matrices(5))
 def test_rank_transpose_f5(m):
     assert rank(m) == rank(m.transpose())
 
@@ -397,6 +398,16 @@ def test_product_matches_fraction_referee(a, data):
     prod = a @ b
     assert prod.to_rows() == fraction_product(a.to_rows(), b.to_rows(), b.cols)
     assert_canonical(prod)
+
+
+@pytest.mark.parametrize("q", [5, 1048573])
+@given(data=st.data())
+def test_product_matches_modq_referee(q, data):
+    a = data.draw(fq_matrices(q))
+    b = data.draw(fq_matrices(q, rows=a.cols))
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    assert prod.to_rows() == modq_product(a.to_rows(), b.to_rows(), b.cols, q)
 
 
 @given(qq_rational_matrices(), st.data())

@@ -171,6 +171,20 @@ def test_inconsistent_data():
         _realize_at(seq, 1, 1)
 
 
+def test_realize_at_refuses_a_short_window():
+    # the window guard is written out: slicing the block rows would cut a short window silently
+    seq = scalar_seq([1, 1, 1, 1])
+    for r, s in ((3, 2), (4, 1), (1, 4), (2, 3)):
+        with pytest.raises(InsufficientData):
+            _realize_at(seq, r, s)
+    assert _realize_at(seq, 2, 2).n == _realize_at(seq, 3, 1).n == 1
+    rng = random.Random(33)
+    blocks = MarkovSequence.from_system(random_system(F5, 2, 2, 3, rng, require="canonical"), 5)
+    with pytest.raises(InsufficientData):
+        _realize_at(blocks, 3, 3)
+    assert _realize_at(blocks, 3, 2).n == 2
+
+
 def test_verify_shape_mismatch():
     system = LinearSystem(
         QQ, 1, 1, 1,
@@ -374,3 +388,45 @@ def test_realize_at_matches_reference():
     for realize_at in (_realize_at, reference_realize_at):
         with pytest.raises(InconsistentData):
             realize_at(seq, 1, 1)
+
+
+def test_realize_reads_the_system_off_one_reduction(monkeypatch):
+    # no Hankel matrix and no rref_with_pivots: one reduced elimination of the
+    # block rows of H_(r,s+1), and the same system as the referee
+    import moduli_sys.linalg
+    import moduli_sys.realization
+
+    from helpers import reference_realize_at
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Ho-Kalman must reduce the block rows itself")
+
+    calls = []
+    eliminate = moduli_sys.realization._eliminate
+    monkeypatch.setattr(moduli_sys.realization, "hankel", forbidden)
+    monkeypatch.setattr(moduli_sys.linalg, "rref_with_pivots", forbidden)
+    monkeypatch.setattr(moduli_sys.realization, "_eliminate", lambda *args: calls.append(args[3]) or eliminate(*args))
+
+    def fractional(m, n, p):
+        def grid(rows, cols):
+            return Matrix(QQ, rows, cols, tuple(QQ.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                                                for _ in range(rows * cols)))
+
+        return LinearSystem(QQ, m, n, p, grid(n, n), grid(n, m), grid(p, n))
+
+    rng = random.Random(32)
+    systems = [random_system(field, rng.randint(1, 3), n, rng.randint(1, 3), rng, require="canonical")
+               for field in (QQ, F2, F5) for n in range(5)]
+    systems += [fractional(rng.randint(1, 2), n, rng.randint(1, 2)) for n in range(1, 5)]
+    realized = 0
+    for system in systems:
+        seq = MarkovSequence.from_system(system, 2 * system.n + 2 + rng.randint(0, 2))
+        profile = realizability_order(seq)
+        if isinstance(profile, NotStabilized):
+            continue
+        calls.clear()
+        got = _realize_at(seq, profile.r, profile.s)
+        assert calls == [True], calls
+        assert realize(seq) == got == reference_realize_at(seq, profile.r, profile.s), seq
+        realized += 1
+    assert realized == len(systems), realized
