@@ -42,6 +42,7 @@ the distinct canonical triples ``(A', B', C P)`` keyed on their entries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -62,6 +63,7 @@ _EXACT_COUNT_BITS = 1 << 16  # a refused state count of about this many bits is 
 # int64 is exact below 2^20: the Krylov product needs n * (q - 1)^2 < 2^63,
 # the rank kernel (q - 1) + cols * (q - 1)^2 < 2^63, so cols < 2^23.
 _MAX_CENSUS_MODULUS = 1 << 20
+_REPORT_DIGITS = 4300  # str() refuses longer ints by default since Python 3.11; fixed, so alike everywhere
 
 CSV_HEADER = "m,n,p,q,raw,gl_order,orbits,formula,match"
 
@@ -279,7 +281,10 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     of ``2^20`` and above in an exhaustive cell with ``m, n > 0``; then
     :class:`CensusTooLarge` for more than ``bound`` states, counted as in
     the module docstring (an exhaustive ``n = 0`` is never refused) or as
-    all ``q^(n(n+m+p))`` triples for the canonical forms.
+    all ``q^(n(n+m+p))`` triples for the canonical forms; last
+    :class:`CensusTooLarge` for a report too long to print: ``q^(n(n+m+p))``
+    bounds ``raw``, ``|GL_n|`` and the formula, and a cell is refused when
+    it has over 4300 digits, that is when ``n(n+m+p) >= 4300 / log10 q``.
     """
     _check_dimensions(m=m, n=n, p=p)
     field = Field.prime(q)  # validates primality
@@ -294,6 +299,9 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     else:
         raise ValueError(f"unknown census mode {mode!r}")
     _check_state_count(terms, q, bound)
+    if n * (n + m + p) >= _REPORT_DIGITS / math.log10(q):
+        raise CensusTooLarge(f"{q}^({n}*{n + m + p}) = q^(n(n+m+p)) has more than {_REPORT_DIGITS} digits, "
+                             f"too many to print the report of n = {n}")
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
     if mode == "exhaustive":

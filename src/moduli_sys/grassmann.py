@@ -31,19 +31,26 @@ from .system import LinearSystem
 
 @dataclass(frozen=True)
 class GrassmannPoint:
-    """A k-plane in N-space via its reduced-echelon representative."""
+    """A k-plane in N-space via its reduced-echelon ``k x N`` representative, which gives the field, k and N."""
 
-    field: Field
-    k: int
-    N: int
     rep: Matrix
     pivots: MultiIndex
 
     def __post_init__(self) -> None:
-        if (self.rep.rows, self.rep.cols) != (self.k, self.N):
-            raise ValueError("representative shape disagrees with (k, N)")
-        if len(self.pivots) != self.k:
+        if len(self.pivots) != self.rep.rows:
             raise ValueError("need one pivot per plane dimension")
+
+    @property
+    def field(self) -> Field:
+        return self.rep.field
+
+    @property
+    def k(self) -> int:
+        return self.rep.rows
+
+    @property
+    def N(self) -> int:
+        return self.rep.cols
 
     def minor(self, index: MultiIndex | Sequence[int]):
         """Determinant of the columns selected by a 1-based multi-index."""
@@ -68,13 +75,7 @@ def point_from_matrix(matrix: Matrix) -> GrassmannPoint:
         raise RankDeficient(
             f"rows span only {len(pivots)} dimensions, expected {matrix.rows}"
         )
-    return GrassmannPoint(
-        field=matrix.field,
-        k=matrix.rows,
-        N=matrix.cols,
-        rep=red,
-        pivots=MultiIndex(tuple(c + 1 for c in pivots), ambient=matrix.cols),
-    )
+    return GrassmannPoint(red, MultiIndex(tuple(c + 1 for c in pivots), ambient=matrix.cols))
 
 
 def schubert_cell_of(point: GrassmannPoint) -> MultiIndex:
@@ -100,10 +101,9 @@ def moduli_point(system: LinearSystem) -> GrassmannPoint:
     if system.n < 1:
         raise ValueError("the finite embedding needs state dimension n >= 1")
     _, canon, _ = system._reduction
-    m, n = system.m, system.n
     blocks = [canon.B]
-    if n > 1:
-        blocks.append(canon.A.columns_at(range(n - 1)))
+    if system.n > 1:
+        blocks.append(canon.A.columns_at(range(system.n - 1)))
     return point_from_matrix(hstack(blocks))
 
 
@@ -122,8 +122,8 @@ def system_from_cell(
     standard basis vectors determined by the box code of ``index``; the
     remaining entries are free cell coordinates, supplied as a mapping
     from 0-based ``(row, column)`` positions.  Any last column of ``A``
-    and any ``C`` may be attached on top.  Witnesses surjectivity of
-    the embedding onto every cell.
+    and any ``C`` that fit may be attached on top.  Witnesses surjectivity
+    of the embedding onto every cell.
     """
     if n < 1:
         raise ValueError("cells of the finite embedding need state dimension n >= 1")
@@ -156,14 +156,9 @@ def system_from_cell(
     B = rep.columns_at(range(m))
     if A_last is None:
         A_last = Matrix.zeros(field, n, 1)
-    if (A_last.rows, A_last.cols) != (n, 1) or A_last.field != field:
-        raise ValueError("A_last must be an n x 1 column over the same field")
-    A = hstack([rep.columns_at(range(m, width)), A_last])
     if C is None:
         C = Matrix.zeros(field, 0, n)
-    if C.cols != n or C.field != field:
-        raise ValueError("C must have n columns over the same field")
-    return LinearSystem(field, m, n, C.rows, A, B, C)
+    return LinearSystem(hstack([rep.columns_at(range(m, width)), A_last]), B, C)
 
 
 # -- the stratified embedding ----------------------------------------------
@@ -171,16 +166,13 @@ def system_from_cell(
 
 @dataclass(frozen=True, eq=False)
 class InfiniteGrassmannPoint:
-    """A point of the growing Grassmannian family, stored at one stratum."""
+    """A point of the growing Grassmannian family, stored at stratum ``N - k`` of its representative."""
 
     point: GrassmannPoint
-    stratum: int
 
-    def __post_init__(self) -> None:
-        if self.stratum != self.point.N - self.point.k:
-            raise ValueError("stratum must equal N - k of the stored representative")
-        if self.stratum < 0:
-            raise ValueError("negative stratum")
+    @property
+    def stratum(self) -> int:
+        return self.point.N - self.point.k
 
     def minimal_ambient(self) -> int:
         """Ambient size once trailing zero columns are stripped."""
@@ -199,8 +191,7 @@ class InfiniteGrassmannPoint:
         pt, width = self.point, self.point.N + extra
         ent = tuple(x for i in range(pt.k) for x in pt.rep.row_list(i) + [0] * extra)
         pivots = MultiIndex(pt.pivots.values, ambient=width)
-        bigger = GrassmannPoint(pt.field, pt.k, width, Matrix(pt.field, pt.k, width, ent), pivots)
-        return InfiniteGrassmannPoint(bigger, self.stratum + extra)
+        return InfiniteGrassmannPoint(GrassmannPoint(Matrix(pt.field, pt.k, width, ent), pivots))
 
     def _key(self):
         w = self.minimal_ambient()
@@ -235,7 +226,7 @@ def stratum_point(system: LinearSystem) -> InfiniteGrassmannPoint:
     relations = kernel_basis(L)
     if relations.rows > system.m + system.p:
         raise RankDeficient(f"[B C^T A] has rank below n = {system.n}")
-    return InfiniteGrassmannPoint(point_from_matrix(relations), system.n)
+    return InfiniteGrassmannPoint(point_from_matrix(relations))
 
 
 @dataclass(frozen=True)

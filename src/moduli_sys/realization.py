@@ -199,7 +199,7 @@ def _realize_at(seq: MarkovSequence, r: int, s: int) -> LinearSystem:
         raise InconsistentData("shift equation A R = X has no solution")
     b = Matrix(f, n, m, tuple(v for row in rows for v in row[:m]))
     c = Matrix(f, p, n, tuple(row[k] for row in _block_rows(seq, 0, s) for k in pivots))
-    system = LinearSystem(f, m, n, p, a, b, c)
+    system = LinearSystem(a, b, c)
     if not verify_realization(system, seq):
         raise InconsistentData("realized system does not reproduce the data window")
     return system

@@ -1,7 +1,9 @@
 """Linear control systems ``(A, B, C)`` and their basic invariants.
 
-A system of type ``(m, n, p)`` has an ``n x n`` state map ``A``, an
-``n x m`` input map ``B`` and a ``p x n`` output map ``C``.  Base change
+A system of type ``(m, n, p)`` is its three matrices: an ``n x n`` state
+map ``A``, an ``n x m`` input map ``B`` and a ``p x n`` output map ``C``,
+over one field.  The field and the type are read off them, since a
+``Matrix`` keeps its size even when it holds no entry.  Base change
 by ``g`` in ``GL_n`` sends it to ``(g A g^-1, g B, C g^-1)``; everything
 of interest here is a function of that orbit.
 
@@ -86,26 +88,35 @@ def _json_object(raw, what: str, keys: tuple[str, ...]) -> dict:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    field: Field
-    m: int
-    n: int
-    p: int
+    """A system is its three matrices; its field and its type ``(m, n, p)`` are read off them."""
+
     A: Matrix
     B: Matrix
     C: Matrix
 
     def __post_init__(self) -> None:
-        if min(self.m, self.n, self.p) < 0:
-            raise ValueError("negative system dimension")
-        for mat, shape, name in (
-            (self.A, (self.n, self.n), "A"),
-            (self.B, (self.n, self.m), "B"),
-            (self.C, (self.p, self.n), "C"),
-        ):
-            if (mat.rows, mat.cols) != shape:
-                raise ValueError(f"{name} must be {shape[0]}x{shape[1]}, got {mat.rows}x{mat.cols}")
-            if mat.field != self.field:
-                raise ValueError(f"{name} is over {mat.field}, system is over {self.field}")
+        a, b, c = self.A, self.B, self.C
+        if not a.rows == a.cols == b.rows == c.cols:
+            raise ValueError(f"A, B and C must be n x n, n x m and p x n, "
+                             f"got {a.rows}x{a.cols}, {b.rows}x{b.cols} and {c.rows}x{c.cols}")
+        if not a.field == b.field == c.field:
+            raise ValueError(f"A, B and C must be over one field, got {a.field}, {b.field} and {c.field}")
+
+    @property
+    def field(self) -> Field:
+        return self.A.field
+
+    @property
+    def m(self) -> int:
+        return self.B.cols
+
+    @property
+    def n(self) -> int:
+        return self.A.rows
+
+    @property
+    def p(self) -> int:
+        return self.C.rows
 
     def shape(self) -> tuple[int, int, int]:
         return (self.m, self.n, self.p)
@@ -164,7 +175,7 @@ class LinearSystem:
         basis = Matrix(f, n, n, tuple(x for row in p_rows for x in row))
         b = Matrix(f, n, m, tuple(x for row in grid for x in row[n:n + m]))
         g = Matrix(f, n, n, tuple(x for row in grid for x in row[width - n:]))
-        return basis, LinearSystem(f, m, n, self.p, Matrix(f, n, n, a), b, self.C @ basis), g
+        return basis, LinearSystem(Matrix(f, n, n, a), b, self.C @ basis), g
 
 
 @dataclass(frozen=True)
@@ -270,12 +281,7 @@ def act(g: Matrix, system: LinearSystem) -> LinearSystem:
         g_inv = inverse(g)
     except SingularMatrix as exc:
         raise SingularBaseChange("base-change matrix is singular") from exc
-    return LinearSystem(
-        system.field, system.m, system.n, system.p,
-        A=g @ system.A @ g_inv,
-        B=g @ system.B,
-        C=system.C @ g_inv,
-    )
+    return LinearSystem(g @ system.A @ g_inv, g @ system.B, system.C @ g_inv)
 
 
 def dualize(system: LinearSystem) -> LinearSystem:
@@ -283,12 +289,7 @@ def dualize(system: LinearSystem) -> LinearSystem:
 
     An involution that swaps controllability and observability.
     """
-    return LinearSystem(
-        system.field, system.p, system.n, system.m,
-        A=system.A.transpose(),
-        B=system.C.transpose(),
-        C=system.B.transpose(),
-    )
+    return LinearSystem(system.A.transpose(), system.C.transpose(), system.B.transpose())
 
 
 def markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
@@ -360,7 +361,7 @@ def system_from_json(obj: dict) -> LinearSystem:
             raise ValueError(f"{key} must have {rows * cols} entries, got {len(raw)}")
         return Matrix(field, rows, cols, tuple(field.coerce(x) for x in raw))
 
-    return LinearSystem(field, m, n, p, grid("A", n, n), grid("B", n, m), grid("C", p, n))
+    return LinearSystem(grid("A", n, n), grid("B", n, m), grid("C", p, n))
 
 
 # -- generation helpers ---------------------------------------------------
@@ -373,10 +374,8 @@ def all_systems(field: Field, m: int, n: int, p: int) -> Iterator[LinearSystem]:
     q = field.q
     na, nb, nc = n * n, n * m, p * n
     for digits in itertools.product(range(q), repeat=na + nb + nc):
-        A = Matrix(field, n, n, digits[:na])
-        B = Matrix(field, n, m, digits[na:na + nb])
-        C = Matrix(field, p, n, digits[na + nb:])
-        yield LinearSystem(field, m, n, p, A, B, C)
+        yield LinearSystem(Matrix(field, n, n, digits[:na]), Matrix(field, n, m, digits[na:na + nb]),
+                           Matrix(field, p, n, digits[na + nb:]))
 
 
 def random_system(
@@ -410,7 +409,7 @@ def random_system(
         A = Matrix(field, n, n, tuple(entry() for _ in range(n * n)))
         B = Matrix(field, n, m, tuple(entry() for _ in range(n * m)))
         C = Matrix(field, p, n, tuple(entry() for _ in range(p * n)))
-        sys_ = LinearSystem(field, m, n, p, A, B, C)
+        sys_ = LinearSystem(A, B, C)
         if require == "any":
             return sys_
         cls = classify(sys_)

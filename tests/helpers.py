@@ -282,7 +282,7 @@ def reference_realize_at(seq, r: int, s: int) -> LinearSystem:
         if exact_product(a_rows, rowspan, m * s, q) != x:
             raise InconsistentData("shift equation A R = X has no solution")
         b_rows = [row[:m] for row in rowspan]
-    system = LinearSystem(f, m, n, p, Matrix.from_rows(f, a_rows, cols=n), Matrix.from_rows(f, b_rows, cols=m),
+    system = LinearSystem(Matrix.from_rows(f, a_rows, cols=n), Matrix.from_rows(f, b_rows, cols=m),
                           Matrix.from_rows(f, c_rows, cols=n))
     if reference_markov_parameters(system, len(seq)) != list(seq.blocks):
         raise InconsistentData("realized system does not reproduce the data window")

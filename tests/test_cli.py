@@ -180,10 +180,23 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     # 2^120 + 2^14400 states, too many digits to print, named by bit length
     (["--n-min", "120", "--n-max", "120", "--q", "2"], 2,
      "CensusTooLarge: more than 2^14400 states exceed the bound 16777216"),
-], ids=["non-prime", "modulus-before-bound", "default-bound", "huge-cell"])
+    # few states, but q^(n(n+m+p)), which bounds every report number, has more than 4300 digits
+    (["--m", "0", "--n-min", "120", "--n-max", "120", "--q", "2"], 2,
+     "CensusTooLarge: 2^(120*120) = q^(n(n+m+p)) has more than 4300 digits, too many to print the report of n = 120"),
+    (["--m", "0", "--n-min", "119", "--n-max", "119", "--q", "3"], 2,
+     "CensusTooLarge: 3^(119*119) = q^(n(n+m+p)) has more than 4300 digits"),
+    (["--p", "100000", "--q", "2"], 2, "CensusTooLarge: 2^(1*100002) = q^(n(n+m+p)) has more than 4300 digits"),
+    (["--m", "0", "--n-min", "20000", "--n-max", "20000", "--q", "2"], 2,
+     "CensusTooLarge: 2^(20000*20000) = q^(n(n+m+p)) has more than 4300 digits"),
+], ids=["non-prime", "modulus-before-bound", "default-bound", "huge-cell",
+        "m0-n120", "m0-q3", "large-p", "m0-n20000"])
 def test_census_cli_refusals(extra, code, message, capsys):
+    import time
+
     argv = ["census", "--m", "1", "--p", "0", "--n-max", "1"]
+    start = time.monotonic()
     got, out, err = run(capsys, argv + extra)
+    assert time.monotonic() - start < 5
     assert (got, out) == (code, "")
     assert message in err
 
@@ -201,6 +214,14 @@ def test_census_cli_refuses_a_huge_cell_at_once():
     assert time.monotonic() - start < 5
     assert (done.returncode, done.stdout) == (2, "")
     assert "CensusTooLarge: more than 2^170999999 states exceed the bound 16777216" in done.stderr
+
+
+def test_census_cli_prints_a_report_at_the_digit_limit(capsys):
+    # 2^(119*119) has 4263 digits: the last n at which an m = p = 0 cell over F_2 prints
+    code, out, err = run(capsys, ["census", "--m", "0", "--p", "0", "--n-min", "119", "--n-max", "119", "--q", "2"])
+    assert (code, err) == (0, "")  # no cc orbit at m = 0, and the formula says 0
+    header, row = out.splitlines()
+    assert row.startswith("0,119,0,2,0,") and row.endswith(",0,0,true")
 
 
 @pytest.mark.parametrize("value", ["abc", "3"])

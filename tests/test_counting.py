@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,10 @@ def test_census_rejects_negative_dimensions():
 BIG_PRIME = 4294967311  # above the census modulus cap
 
 
+def _unprintable(power: str, n: int) -> str:
+    return f"{power} = q^(n(n+m+p)) has more than 4300 digits, too many to print the report of n = {n}"
+
+
 @pytest.mark.parametrize("census, args, kwargs, error, message", [
     # a negative dimension comes first, then primality, the mode, the modulus cap and the bound
     (census_cc, (-1, 1, 1, 4), {"mode": "guess", "bound": 0}, ValueError, "census dimension m must be non-negative"),
@@ -228,6 +233,16 @@ BIG_PRIME = 4294967311  # above the census modulus cap
      r"^more than 2\^8999999 states exceed the bound more than 2\^16609$"),
     (census_cc, (1, 2, 0, 3), {"bound": -10 ** 5000}, CensusTooLarge,
      r"^90 states exceed the bound less than -2\^16609$"),
+    # last, a report must print: q^(n(n+m+p)) bounds its numbers and may have at most 4300 digits;
+    # an exhaustive m = 0 enumerates one state, and no output map is enumerated
+    (census_cc, (0, 120, 0, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(120*120)", 120)) + "$"),
+    (census_cc, (0, 119, 0, 3), {}, CensusTooLarge, re.escape(_unprintable("3^(119*119)", 119)) + "$"),
+    (census_cc, (1, 1, 100000, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(1*100002)", 1)) + "$"),
+    (census_co, (100000, 1, 1, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(1*100002)", 1)) + "$"),
+    (census_cc, (0, 20000, 0, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(20000*20000)", 20000)) + "$"),
+    # the 2^14520 triples pass a bound of 10^5000 but have 4371 digits
+    (census_cc, (1, 120, 0, 2), {"mode": "canonical-forms", "bound": 10 ** 5000}, CensusTooLarge,
+     re.escape(_unprintable("2^(120*121)", 120)) + "$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting
@@ -300,7 +315,7 @@ def test_controllability_depends_on_b_only_through_its_rank():
         all_a = [Matrix(field, n, n, e) for e in itertools.product(range(q), repeat=n * n)]
 
         def cc_count(b):
-            return sum(classify(LinearSystem(field, m, n, 0, a, b, no_output)).cc for a in all_a)
+            return sum(classify(LinearSystem(a, b, no_output)).cc for a in all_a)
 
         by_rank = {
             r: cc_count(Matrix(field, n, m, tuple(int(i == j < r) for i in range(n) for j in range(m))))

@@ -1,5 +1,6 @@
 """Grassmannian points, cells, embeddings and the locus tests."""
 
+import dataclasses
 import itertools
 import random
 
@@ -68,7 +69,6 @@ def test_schubert_cell_matches_prefix_rank_jumps():
 
 def test_moduli_point_examples():
     s = LinearSystem(
-        QQ, 2, 1, 0,
         Matrix.from_rows(QQ, [[4]]),
         Matrix.from_rows(QQ, [[1, 0]]),
         Matrix.zeros(QQ, 0, 1),
@@ -95,16 +95,14 @@ def test_moduli_point_orbit_invariance():
 
 
 def test_moduli_point_requires_cc_and_positive_n():
-    bad = LinearSystem(QQ, 1, 1, 0,
-                       Matrix.from_rows(QQ, [[1]]),
+    bad = LinearSystem(Matrix.from_rows(QQ, [[1]]),
                        Matrix.zeros(QQ, 1, 1),
                        Matrix.zeros(QQ, 0, 1))
     from moduli_sys.errors import NotControllable
 
     with pytest.raises(NotControllable):
         moduli_point(bad)
-    empty = LinearSystem(QQ, 1, 0, 0,
-                         Matrix.zeros(QQ, 0, 0),
+    empty = LinearSystem(Matrix.zeros(QQ, 0, 0),
                          Matrix.zeros(QQ, 0, 1),
                          Matrix.zeros(QQ, 0, 0))
     with pytest.raises(ValueError):
@@ -141,6 +139,11 @@ def test_system_from_cell_free_values_round_trip():
         system_from_cell(idx, 2, 2, QQ, free_values={(1, 1): 1})  # wrong row
     with pytest.raises(ValueError):
         system_from_cell(idx, 2, 2, QQ, free_values={(0, 0): 1})  # pinned column
+    # an A_last or C that does not fit the 2-state system
+    for extra in ({"A_last": Matrix.zeros(QQ, 2, 2)}, {"A_last": Matrix.zeros(QQ, 3, 1)},
+                  {"A_last": Matrix.zeros(F3, 2, 1)}, {"C": Matrix.zeros(QQ, 1, 3)}, {"C": Matrix.zeros(F3, 1, 2)}):
+        with pytest.raises(ValueError):
+            system_from_cell(idx, 2, 2, QQ, **extra)
 
 
 def test_system_from_cell_companion_type():
@@ -154,7 +157,6 @@ def test_system_from_cell_companion_type():
 def test_stratum_point_scalar_example():
     a, c = 5, 7
     s = LinearSystem(
-        QQ, 1, 1, 1,
         Matrix.from_rows(QQ, [[a]]),
         Matrix.from_rows(QQ, [[1]]),
         Matrix.from_rows(QQ, [[c]]),
@@ -172,8 +174,7 @@ def test_stratum_point_scalar_example():
 
 
 def test_stratum_point_n0_full_space():
-    s = LinearSystem(QQ, 1, 0, 1,
-                     Matrix.zeros(QQ, 0, 0),
+    s = LinearSystem(Matrix.zeros(QQ, 0, 0),
                      Matrix.zeros(QQ, 0, 1),
                      Matrix.zeros(QQ, 1, 0))
     big = stratum_point(s)
@@ -196,8 +197,7 @@ def test_stratum_point_orbit_invariance():
 
 
 def test_stratum_point_rank_deficient():
-    s = LinearSystem(QQ, 1, 2, 1,
-                     Matrix.zeros(QQ, 2, 2),
+    s = LinearSystem(Matrix.zeros(QQ, 2, 2),
                      Matrix.zeros(QQ, 2, 1),
                      Matrix.from_rows(QQ, [[0, 1]]))
     with pytest.raises(RankDeficient):
@@ -228,10 +228,7 @@ def test_locus_membership_against_minor_enumeration(f2_sweep):
         n = big.minimal_ambient() - (s.m + s.p)
         req_cc = set(range(s.m + 1, s.m + s.p + 1)) | {s.m + s.p + n}
         req_co = set(range(1, s.m + 1)) | {s.m + s.p + n}
-        stripped = InfiniteGrassmannPoint(
-            point_from_matrix(big.point.rep.columns_at(range(big.minimal_ambient()))),
-            n,
-        )
+        stripped = InfiniteGrassmannPoint(point_from_matrix(big.point.rep.columns_at(range(big.minimal_ambient()))))
         assert membership.in_cc == _locus_by_minor_enumeration(stripped.point, req_cc)
         assert membership.in_co == _locus_by_minor_enumeration(stripped.point, req_co)
 
@@ -261,7 +258,7 @@ def test_co_column_test_is_a_dual_side_property():
     a = Matrix.from_rows(F2, [[0, 0], [0, 1]])
     b = Matrix.from_rows(F2, [[1], [1]])
     c = Matrix.from_rows(F2, [[1, 1]])
-    s = LinearSystem(F2, 1, 2, 1, a, b, c)
+    s = LinearSystem(a, b, c)
     assert classify(s).canonical
     membership = locus_membership(stratum_point(s), 1, 1)
     assert membership.in_cc
@@ -301,7 +298,7 @@ def test_no_chart_union_decides_co_past_n1(f2_sweep):
 
 def test_locus_membership_zero_columns_false():
     rep = Matrix.from_rows(QQ, [[1, 0, 0, 1], [0, 0, 1, 0]])
-    point = InfiniteGrassmannPoint(point_from_matrix(rep), 2)
+    point = InfiniteGrassmannPoint(point_from_matrix(rep))
     membership = locus_membership(point, 1, 1)
     assert not membership.in_cc  # column m+1 = 2 is zero
 
@@ -323,9 +320,24 @@ def test_stratum_dimension_and_not_in_locus():
         assert stratum_dimension(stratum_point(act(g, s)), 2, 1) == n
 
     rep = Matrix.from_rows(QQ, [[1, 0, 0, 1], [0, 0, 1, 0]])
-    point = InfiniteGrassmannPoint(point_from_matrix(rep), 2)
+    point = InfiniteGrassmannPoint(point_from_matrix(rep))
     with pytest.raises(NotInLocus):
         stratum_dimension(point, 1, 1)
+
+
+def test_grassmann_points_read_their_size_off_the_representative():
+    assert [f.name for f in dataclasses.fields(GrassmannPoint)] == ["rep", "pivots"]
+    assert [f.name for f in dataclasses.fields(InfiniteGrassmannPoint)] == ["point"]
+    rep = Matrix.from_rows(F3, [[1, 0, 2, 0], [0, 1, 1, 0]])
+    point = point_from_matrix(rep)
+    assert (point.field, point.k, point.N) == (F3, 2, 4)
+    with pytest.raises(ValueError, match="one pivot per plane dimension"):
+        GrassmannPoint(rep, MultiIndex((1,), ambient=4))
+    big = InfiniteGrassmannPoint(point)
+    assert big.stratum == 2
+    for extra in range(4):
+        assert big.padded(extra).stratum == big.stratum + extra
+        assert (big.padded(extra).point.k, big.padded(extra).point.N) == (2, 4 + extra)
 
 
 def test_padding_stability():

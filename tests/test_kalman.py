@@ -74,7 +74,6 @@ def test_code_single_input():
 
 def test_code_first_nonzero_column():
     s = LinearSystem(
-        QQ, 2, 1, 0,
         Matrix.from_rows(QQ, [[5]]),
         Matrix.from_rows(QQ, [[0, 7]]),
         Matrix.zeros(QQ, 0, 1),
@@ -84,7 +83,6 @@ def test_code_first_nonzero_column():
 
 def test_code_identity_b():
     s = LinearSystem(
-        QQ, 2, 2, 0,
         Matrix.zeros(QQ, 2, 2),
         Matrix.identity(QQ, 2),
         Matrix.zeros(QQ, 0, 2),
@@ -96,7 +94,6 @@ def test_code_identity_b():
 
 def test_code_not_controllable():
     s = LinearSystem(
-        QQ, 1, 2, 0,
         Matrix.identity(QQ, 2),
         Matrix.zeros(QQ, 2, 1),
         Matrix.zeros(QQ, 0, 2),
@@ -266,8 +263,7 @@ def test_equivalence_iff_equal_canonical_forms():
 
 
 def test_canonical_form_n0():
-    s = LinearSystem(QQ, 2, 0, 1,
-                     Matrix.zeros(QQ, 0, 0),
+    s = LinearSystem(Matrix.zeros(QQ, 0, 0),
                      Matrix.zeros(QQ, 0, 2),
                      Matrix.zeros(QQ, 1, 0))
     g, canon = canonical_form(s)

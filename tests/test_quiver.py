@@ -30,7 +30,6 @@ F3 = Field.prime(3)
 
 def sys1x1(field, a, b, c):
     return LinearSystem(
-        field, 1, 1, 1,
         Matrix.from_rows(field, [[a]]),
         Matrix.from_rows(field, [[b]]),
         Matrix.from_rows(field, [[c]]),
@@ -78,7 +77,6 @@ def test_simple_examples():
 
 def test_theta_examples():
     cc_only = LinearSystem(
-        QQ, 1, 1, 1,
         Matrix.from_rows(QQ, [[2]]),
         Matrix.from_rows(QQ, [[1]]),
         Matrix.from_rows(QQ, [[0]]),
@@ -126,7 +124,7 @@ def test_rank_mode_is_exact_not_an_interval():
     # subrepresentation dimensions are (1,0) and (0,2); in particular
     # (1,1) and (0,1) must NOT be reported.
     a = Matrix.from_rows(F2, [[0, 1], [1, 1]])
-    s = LinearSystem(F2, 1, 2, 1, a, Matrix.zeros(F2, 2, 1), Matrix.zeros(F2, 1, 2))
+    s = LinearSystem(a, Matrix.zeros(F2, 2, 1), Matrix.zeros(F2, 1, 2))
     rep = QuiverRep.of(s)
     expected = frozenset({(1, 0), (0, 2)})
     assert subrep_dimvectors(rep) == expected
@@ -193,7 +191,7 @@ def _mixed_degree_cases():
     for a, b, expected in cases:
         field, n = a.field, a.rows
         c = Matrix.from_rows(field, [[1] + [0] * (n - 1)])
-        s = LinearSystem(field, 1, n, 1, a, from_cols(field, [b], n), c)
+        s = LinearSystem(a, from_cols(field, [b], n), c)
         out += [(s, expected), (act(unimodular(field, n, rng), s), expected)]
     return out
 

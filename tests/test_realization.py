@@ -91,7 +91,6 @@ def test_realize_constant_and_geometric():
     assert system.n == 1
     assert verify_realization(system, scalar_seq([1, 1, 1, 1]))
     reference = LinearSystem(
-        QQ, 1, 1, 1,
         Matrix.from_rows(QQ, [[1]]),
         Matrix.from_rows(QQ, [[1]]),
         Matrix.from_rows(QQ, [[1]]),
@@ -101,7 +100,6 @@ def test_realize_constant_and_geometric():
     system = realize(scalar_seq([1, 2, 4, 8]))
     assert system.n == 1
     reference = LinearSystem(
-        QQ, 1, 1, 1,
         Matrix.from_rows(QQ, [[2]]),
         Matrix.from_rows(QQ, [[1]]),
         Matrix.from_rows(QQ, [[1]]),
@@ -187,7 +185,6 @@ def test_realize_at_refuses_a_short_window():
 
 def test_verify_shape_mismatch():
     system = LinearSystem(
-        QQ, 1, 1, 1,
         Matrix.from_rows(QQ, [[1]]),
         Matrix.from_rows(QQ, [[1]]),
         Matrix.from_rows(QQ, [[1]]),
@@ -281,7 +278,7 @@ def test_realizability_order_matches_reference_scan():
             ent = (QQ.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(rows * cols))
             return Matrix(QQ, rows, cols, tuple(ent))
 
-        return LinearSystem(QQ, m, n, p, grid(n, n), grid(n, m), grid(p, n))
+        return LinearSystem(grid(n, n), grid(n, m), grid(p, n))
 
     fractional = 0
     for m in (1, 2, 3):
@@ -412,7 +409,7 @@ def test_realize_reads_the_system_off_one_reduction(monkeypatch):
             return Matrix(QQ, rows, cols, tuple(QQ.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
                                                 for _ in range(rows * cols)))
 
-        return LinearSystem(QQ, m, n, p, grid(n, n), grid(n, m), grid(p, n))
+        return LinearSystem(grid(n, n), grid(n, m), grid(p, n))
 
     rng = random.Random(32)
     systems = [random_system(field, rng.randint(1, 3), n, rng.randint(1, 3), rng, require="canonical")

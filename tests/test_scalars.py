@@ -102,7 +102,7 @@ def test_int_and_fraction_scalars_are_indistinguishable():
     assert hash(holding_fraction) == hash(holding_int)
     assert str(holding_fraction) == str(holding_int)
     systems = [
-        LinearSystem(QQ, 1, 1, 2, Matrix(QQ, 1, 1, (x,)), Matrix(QQ, 1, 1, (1,)),
+        LinearSystem(Matrix(QQ, 1, 1, (x,)), Matrix(QQ, 1, 1, (1,)),
                      holding.transpose())
         for x, holding in ((Fraction(2), holding_fraction), (2, holding_int))
     ]

@@ -1,5 +1,6 @@
 """Linear systems: classification, group action, duality, Markov data."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -37,30 +38,38 @@ F5 = Field.prime(5)
 
 def sys1x1(field, a, b, c):
     return LinearSystem(
-        field, 1, 1, 1,
         Matrix.from_rows(field, [[a]]),
         Matrix.from_rows(field, [[b]]),
         Matrix.from_rows(field, [[c]]),
     )
 
 
+def test_a_system_is_its_three_matrices():
+    assert [f.name for f in dataclasses.fields(LinearSystem)] == ["A", "B", "C"]
+    for field in (QQ, F5):
+        for m, n, p in ((0, 3, 0), (2, 0, 1), (2, 3, 0), (0, 0, 0), (1, 2, 3)):
+            a, b, c = Matrix.zeros(field, n, n), Matrix.zeros(field, n, m), Matrix.zeros(field, p, n)
+            s = LinearSystem(a, b, c)
+            assert (s.field, s.m, s.n, s.p) == (a.field, b.cols, a.rows, c.rows) == (field, m, n, p)
+            assert s.shape() == (m, n, p)
+            assert system_from_json(json.loads(json.dumps(system_to_json(s)))) == s
+
+
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        LinearSystem(QQ, 1, 1, 1,
-                     Matrix.zeros(QQ, 1, 2),
-                     Matrix.zeros(QQ, 1, 1),
-                     Matrix.zeros(QQ, 1, 1))
-    with pytest.raises(ValueError):
-        LinearSystem(QQ, 1, 1, 1,
-                     Matrix.zeros(QQ, 1, 1),
-                     Matrix.zeros(F2, 1, 1),
-                     Matrix.zeros(QQ, 1, 1))
+    # a non-square A, B with other than n rows, C with other than n columns (n = 0 too)
+    for a, b, c in (((1, 2), (1, 1), (1, 2)), ((2, 2), (1, 1), (1, 2)), ((2, 2), (2, 1), (1, 3)),
+                    ((0, 0), (1, 0), (0, 0))):
+        shapes = f"{a[0]}x{a[1]}, {b[0]}x{b[1]} and {c[0]}x{c[1]}"
+        with pytest.raises(ValueError, match=f"^A, B and C must be n x n, n x m and p x n, got {shapes}$"):
+            LinearSystem(Matrix.zeros(QQ, *a), Matrix.zeros(QQ, *b), Matrix.zeros(QQ, *c))
+    for fields in ((QQ, F2, QQ), (F2, QQ, QQ), (F3, F3, F5)):
+        with pytest.raises(ValueError, match="^A, B and C must be over one field"):
+            LinearSystem(*(Matrix.zeros(f, 1, 1) for f in fields))
 
 
 def test_controllability_matrix_examples():
     # A = 0, B = identity: [I | 0]
-    s = LinearSystem(QQ, 2, 2, 0,
-                     Matrix.zeros(QQ, 2, 2),
+    s = LinearSystem(Matrix.zeros(QQ, 2, 2),
                      Matrix.identity(QQ, 2),
                      Matrix.zeros(QQ, 0, 2))
     c = controllability_matrix(s)
@@ -69,14 +78,13 @@ def test_controllability_matrix_examples():
     # nilpotent Jordan block, B = e2: columns [e2, e1], rank 2
     a = Matrix.from_rows(QQ, [[0, 1], [0, 0]])
     b = Matrix.from_rows(QQ, [[0], [1]])
-    s = LinearSystem(QQ, 1, 2, 0, a, b, Matrix.zeros(QQ, 0, 2))
+    s = LinearSystem(a, b, Matrix.zeros(QQ, 0, 2))
     c = controllability_matrix(s)
     assert c.to_rows() == [[0, 1], [1, 0]]
     assert rank(c) == 2
 
     # n = 1: just B
-    s = LinearSystem(QQ, 3, 1, 0,
-                     Matrix.from_rows(QQ, [[7]]),
+    s = LinearSystem(Matrix.from_rows(QQ, [[7]]),
                      Matrix.from_rows(QQ, [[1, 2, 3]]),
                      Matrix.zeros(QQ, 0, 1))
     assert controllability_matrix(s) == s.B
@@ -85,10 +93,10 @@ def test_controllability_matrix_examples():
 def test_observability_matrix_examples():
     rng = random.Random(0)
     a = Matrix.from_rows(QQ, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
-    s = LinearSystem(QQ, 1, 2, 2, a, Matrix.zeros(QQ, 2, 1), Matrix.identity(QQ, 2))
+    s = LinearSystem(a, Matrix.zeros(QQ, 2, 1), Matrix.identity(QQ, 2))
     assert rank(observability_matrix(s)) == 2
 
-    s0 = LinearSystem(QQ, 1, 2, 1, a, Matrix.zeros(QQ, 2, 1), Matrix.zeros(QQ, 1, 2))
+    s0 = LinearSystem(a, Matrix.zeros(QQ, 2, 1), Matrix.zeros(QQ, 1, 2))
     assert rank(observability_matrix(s0)) == 0
     assert not classify(s0).co
 
@@ -115,8 +123,7 @@ def test_classify_examples():
 
 
 def test_empty_system_is_canonical():
-    s = LinearSystem(QQ, 2, 0, 1,
-                     Matrix.zeros(QQ, 0, 0),
+    s = LinearSystem(Matrix.zeros(QQ, 0, 0),
                      Matrix.zeros(QQ, 0, 2),
                      Matrix.zeros(QQ, 1, 0))
     cls = classify(s)
@@ -284,7 +291,6 @@ def hidden_block_system(field, m, n, p, r, kind, rng):
             for row in c:
                 row[i] = field.zero
     blocked = LinearSystem(
-        field, m, n, p,
         Matrix.from_rows(field, a, cols=n),
         Matrix.from_rows(field, b, cols=m),
         Matrix.from_rows(field, c, cols=n),
