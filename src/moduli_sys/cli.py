@@ -223,7 +223,8 @@ def build_parser() -> _Parser:
     p_census.add_argument("--q", required=True, help="comma-separated primes")
     p_census.add_argument("--bound", type=int, default=DEFAULT_CENSUS_BOUND,
                           help="bound on the states a cell enumerates, q^(nm) + min(n,m)*q^(n^2) "
-                               "for n > 0 (default: 2^24)")
+                               "for n > 0 (default: 2^24); checked after a cell whose "
+                               "q^(n(n+m+p)) has more than 4300 digits is refused")
     p_census.set_defaults(func=cmd_census)
 
     p_realize = sub.add_parser("realize", help="realize a Markov sequence file")

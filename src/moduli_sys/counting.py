@@ -26,13 +26,16 @@ then one over all ``q^(n^2)`` matrices ``A`` for each ``r = 1..min(n, m)``,
 testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  That is
 ``q^(nm) + min(n, m) q^(n^2)`` enumerated states when ``n > 0``, and
 the ``bound`` argument (``DEFAULT_CENSUS_BOUND`` unless given) applies
-to that number, once, before any enumeration.  The rank kernel is a
-swap-free elimination in batched int64 numpy arithmetic that reduces mod
-q lazily, so entries grow to at most ``(q - 1) + cols (q - 1)^2``, exact
-below the modulus cap.  Tests cross-check it against the scalar rank
-routine and an independent swap-based kernel, and the pair count against
-a full ``(A, B)`` enumeration.  numpy is imported inside the kernel functions,
-so only a census that enumerates loads it.
+to that number, once, before any enumeration.  A cell whose report would
+be too long to print is refused first (see :func:`census_cc`), and the
+number of any other cell is below ``10^4300``, so it is counted exactly.
+The rank kernel is a swap-free elimination in batched int64 numpy
+arithmetic that reduces mod q lazily, so entries grow to at most
+``(q - 1) + cols (q - 1)^2``, exact below the modulus cap.  Tests
+cross-check it against the scalar rank routine and an independent
+swap-based kernel, and the pair count against a full ``(A, B)``
+enumeration.  numpy is imported inside the kernel functions, so only a
+census that enumerates loads it.
 
 The ``canonical-forms`` mode of :func:`census_cc` is a referee of another
 kind: it still enumerates and reduces every pair ``(A, B)``, and counts
@@ -59,7 +62,6 @@ DEFAULT_CENSUS_BOUND = 1 << 24
 # peak memory, and at 2^14 a pass is no slower than at 2^16 with a third less of it
 _CHUNK = 1 << 14
 _PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
-_EXACT_COUNT_BITS = 1 << 16  # a refused state count of about this many bits is still cheap to compute
 # int64 is exact below 2^20: the Krylov product needs n * (q - 1)^2 < 2^63,
 # the rank kernel (q - 1) + cols * (q - 1)^2 < 2^63, so cols < 2^23.
 _MAX_CENSUS_MODULUS = 1 << 20
@@ -212,26 +214,6 @@ def _check_dimensions(**dims: int) -> None:
             raise ValueError(f"census dimension {name} must be non-negative, got {value}")
 
 
-def _check_state_count(terms, q: int, bound: int) -> None:
-    """Raise :class:`CensusTooLarge` if ``sum(c q^e for c, e in terms)`` states exceed ``bound``.
-
-    The count is computed exactly while ``q^e`` has at most about
-    ``_EXACT_COUNT_BITS`` bits.  Past that, the largest power alone has
-    more than ``low = e (b - 1)`` bits, ``b`` the bit length of ``q``, so a
-    bound of at most ``low`` bits is refused without the count, as ``more
-    than 2^(low - 1)``: true, though weaker than the exact bit length.
-    """
-    if not terms:
-        return
-    top = max(e for c, e in terms if c)
-    low = top * (q.bit_length() - 1)
-    if top * q.bit_length() > _EXACT_COUNT_BITS and bound.bit_length() <= low:
-        raise CensusTooLarge(f"more than 2^{low - 1} states exceed the bound {_shown(bound)}")
-    states = sum(c * q ** e for c, e in terms)
-    if states > bound:
-        raise CensusTooLarge(f"{_shown(states)} states exceed the bound {_shown(bound)}")
-
-
 def _shown(count: int) -> str:
     """``count`` in decimal up to 256 bits, past that named by its bit length: str() refuses ints past 4300 digits."""
     if count.bit_length() <= 256:
@@ -279,32 +261,32 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     Refusals come before any work, in this order: ``ValueError`` for a
     negative dimension, a non-prime ``q``, an unknown mode, or a modulus
     of ``2^20`` and above in an exhaustive cell with ``m, n > 0``; then
-    :class:`CensusTooLarge` for more than ``bound`` states, counted as in
-    the module docstring (an exhaustive ``n = 0`` is never refused) or as
-    all ``q^(n(n+m+p))`` triples for the canonical forms; last
     :class:`CensusTooLarge` for a report too long to print: ``q^(n(n+m+p))``
     bounds ``raw``, ``|GL_n|`` and the formula, and a cell is refused when
-    it has over 4300 digits, that is when ``n(n+m+p) >= 4300 / log10 q``.
+    it has over 4300 digits, that is when ``n(n+m+p) >= 4300 / log10 q``;
+    last :class:`CensusTooLarge` for more than ``bound`` states, counted as
+    in the module docstring (an exhaustive ``n = 0`` is never refused) or as
+    all ``q^(n(n+m+p))`` triples for the canonical forms.  Either count is
+    at most ``q^(n(n+m+p))`` once the report prints, so it is computed
+    exactly, and a count or bound past 256 bits is named ``more than 2^k``.
     """
     _check_dimensions(m=m, n=n, p=p)
     field = Field.prime(q)  # validates primality
-    if mode == "exhaustive":
-        terms = ()  # n = 0: the one empty pair, counted without enumeration
-        if n:
-            if m and q >= _MAX_CENSUS_MODULUS:
-                raise ValueError(f"census modulus {q} is too large; the census supports moduli below {_MAX_CENSUS_MODULUS}")
-            terms = ((1, n * m), (min(n, m), n * n))
-    elif mode == "canonical-forms":
-        terms = ((1, n * (n + m + p)),)
-    else:
+    if mode not in ("exhaustive", "canonical-forms"):
         raise ValueError(f"unknown census mode {mode!r}")
-    _check_state_count(terms, q, bound)
+    exhaustive = mode == "exhaustive"
+    if exhaustive and n and m and q >= _MAX_CENSUS_MODULUS:
+        raise ValueError(f"census modulus {q} is too large; the census supports moduli below {_MAX_CENSUS_MODULUS}")
     if n * (n + m + p) >= _REPORT_DIGITS / math.log10(q):
-        raise CensusTooLarge(f"{q}^({n}*{n + m + p}) = q^(n(n+m+p)) has more than {_REPORT_DIGITS} digits, "
-                             f"too many to print the report of n = {n}")
+        raise CensusTooLarge(f"{q}^({_shown(n)}*{_shown(n + m + p)}) = q^(n(n+m+p)) has more than {_REPORT_DIGITS} "
+                             f"digits, too many to print the report of n = {_shown(n)}")
+    # an exhaustive n = 0 is the one empty pair, counted without enumeration
+    states = q ** (n * m) + min(n, m) * q ** (n * n) if exhaustive else q ** (n * (n + m + p))
+    if (n or not exhaustive) and states > bound:
+        raise CensusTooLarge(f"{_shown(states)} states exceed the bound {_shown(bound)}")
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
-    if mode == "exhaustive":
+    if exhaustive:
         raw = _cc_pair_count(m, n, q) * q ** (p * n)
         if raw % glq:
             raise ArithmeticError(

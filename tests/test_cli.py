@@ -177,9 +177,9 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     # the default bound, 2^24
     (["--m", "2", "--n-min", "4", "--n-max", "4", "--q", "3"], 2,
      "CensusTooLarge: 86100003 states exceed the bound 16777216"),
-    # 2^120 + 2^14400 states, too many digits to print, named by bit length
+    # 2^120 + 2^14400 states, past the bound too, but the unprintable report is refused first
     (["--n-min", "120", "--n-max", "120", "--q", "2"], 2,
-     "CensusTooLarge: more than 2^14400 states exceed the bound 16777216"),
+     "CensusTooLarge: 2^(120*121) = q^(n(n+m+p)) has more than 4300 digits, too many to print the report of n = 120"),
     # few states, but q^(n(n+m+p)), which bounds every report number, has more than 4300 digits
     (["--m", "0", "--n-min", "120", "--n-max", "120", "--q", "2"], 2,
      "CensusTooLarge: 2^(120*120) = q^(n(n+m+p)) has more than 4300 digits, too many to print the report of n = 120"),
@@ -188,8 +188,12 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     (["--p", "100000", "--q", "2"], 2, "CensusTooLarge: 2^(1*100002) = q^(n(n+m+p)) has more than 4300 digits"),
     (["--m", "0", "--n-min", "20000", "--n-max", "20000", "--q", "2"], 2,
      "CensusTooLarge: 2^(20000*20000) = q^(n(n+m+p)) has more than 4300 digits"),
+    # an n past 256 bits is named by its bit length, so no int past 4300 digits is formatted
+    (["--n-min", str(10 ** 2200), "--n-max", str(10 ** 2200), "--q", "2"], 2,
+     "CensusTooLarge: 2^(more than 2^7308*more than 2^7308) = q^(n(n+m+p)) has more than 4300 digits, "
+     "too many to print the report of n = more than 2^7308"),
 ], ids=["non-prime", "modulus-before-bound", "default-bound", "huge-cell",
-        "m0-n120", "m0-q3", "large-p", "m0-n20000"])
+        "m0-n120", "m0-q3", "large-p", "m0-n20000", "n-1e2200"])
 def test_census_cli_refusals(extra, code, message, capsys):
     import time
 
@@ -202,7 +206,7 @@ def test_census_cli_refusals(extra, code, message, capsys):
 
 
 def test_census_cli_refuses_a_huge_cell_at_once():
-    # about 2^(1.8 10^8) states: refused from the bit lengths, without computing the count
+    # about 2^(1.8 10^8) states: the report would not print, so the count is never computed
     import subprocess
     import sys
     import time
@@ -213,7 +217,7 @@ def test_census_cli_refuses_a_huge_cell_at_once():
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert time.monotonic() - start < 5
     assert (done.returncode, done.stdout) == (2, "")
-    assert "CensusTooLarge: more than 2^170999999 states exceed the bound 16777216" in done.stderr
+    assert "CensusTooLarge: 1048573^(3000*3001) = q^(n(n+m+p)) has more than 4300 digits" in done.stderr
 
 
 def test_census_cli_prints_a_report_at_the_digit_limit(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -188,12 +189,13 @@ def test_census_rejects_negative_dimensions():
 BIG_PRIME = 4294967311  # above the census modulus cap
 
 
-def _unprintable(power: str, n: int) -> str:
+def _unprintable(power: str, n) -> str:
     return f"{power} = q^(n(n+m+p)) has more than 4300 digits, too many to print the report of n = {n}"
 
 
 @pytest.mark.parametrize("census, args, kwargs, error, message", [
-    # a negative dimension comes first, then primality, the mode, the modulus cap and the bound
+    # a negative dimension comes first, then primality, the mode, the modulus cap,
+    # the printable report and last the bound
     (census_cc, (-1, 1, 1, 4), {"mode": "guess", "bound": 0}, ValueError, "census dimension m must be non-negative"),
     (census_co, (1, 1, -1, 4), {"bound": 0}, ValueError, "census dimension p must be non-negative"),
     (census_cc, (1, 1, 1, 4), {"mode": "guess", "bound": 0}, ValueError, "field modulus must be prime"),
@@ -209,31 +211,25 @@ def _unprintable(power: str, n: int) -> str:
     (census_cc, (1, 1, 1, BIG_PRIME), {"mode": "canonical-forms", "bound": 10 ** 20}, CensusTooLarge,
      f"^{BIG_PRIME ** 3} states exceed the bound {10 ** 20}$"),
     (census_cc, (1, 0, 1, 2), {"mode": "canonical-forms", "bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
-    # counts are exact up to 256 bits, then "more than 2^k" with the largest true k:
-    # str() refuses ints past 4300 digits, such as the 2^120 + 2^14400 and 2^14520 states of n = 120
+    # counts are exact up to 256 bits, then "more than 2^k" with the largest true k
     (census_cc, (17, 15, 0, 2), {"bound": 0}, CensusTooLarge, f"^{2 ** 255 + 15 * 2 ** 225} states exceed the bound 0$"),
     (census_cc, (1, 16, 0, 2), {"bound": 0}, CensusTooLarge, r"^more than 2\^256 states exceed the bound 0$"),
     (census_cc, (31, 31, 0, 2), {"bound": 0}, CensusTooLarge, r"^more than 2\^965 states exceed the bound 0$"),  # 2^966 exactly
-    (census_cc, (1, 120, 0, 2), {}, CensusTooLarge,
-     rf"^more than 2\^14400 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
-    (census_co, (0, 120, 1, 2), {}, CensusTooLarge,
-     rf"^more than 2\^14400 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+    # a cell past both size rules is refused as unprintable, whatever its bound, so its count is never formed
+    (census_cc, (1, 120, 0, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(120*121)", 120)) + "$"),
+    (census_co, (0, 120, 1, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(120*121)", 120)) + "$"),
     (census_cc, (1, 120, 0, 2), {"mode": "canonical-forms"}, CensusTooLarge,
-     rf"^more than 2\^14519 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
-    # past about 2^16 bits the count is not computed: q^e > 2^(e (b - 1)), b the bit length of q,
-    # names a weaker k (the exact ones are near 2^(1.8 10^8) and 2^(1.6 10^6))
-    (census_cc, (1, 3000, 0, 1048573), {}, CensusTooLarge,
-     rf"^more than 2\^170999999 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
+     re.escape(_unprintable("2^(120*121)", 120)) + "$"),
+    (census_cc, (1, 3000, 0, 1048573), {}, CensusTooLarge, re.escape(_unprintable("1048573^(3000*3001)", 3000)) + "$"),
     (census_cc, (1, 1000, 0, 3), {"mode": "canonical-forms"}, CensusTooLarge,
-     rf"^more than 2\^1000999 states exceed the bound {DEFAULT_CENSUS_BOUND}$"),
-    # a bound past 256 bits is named by the same rule as a count: 10^5000 has 16610 bits
-    (census_cc, (1, 300, 0, 3), {"bound": 10 ** 5000}, CensusTooLarge,
-     r"^more than 2\^89999 states exceed the bound more than 2\^16609$"),
+     re.escape(_unprintable("3^(1000*1001)", 1000)) + "$"),
+    (census_cc, (1, 300, 0, 3), {"bound": 10 ** 5000}, CensusTooLarge, re.escape(_unprintable("3^(300*301)", 300)) + "$"),
     (census_cc, (1, 3000, 0, 3), {"bound": 10 ** 5000}, CensusTooLarge,
-     r"^more than 2\^8999999 states exceed the bound more than 2\^16609$"),
+     re.escape(_unprintable("3^(3000*3001)", 3000)) + "$"),
+    # a bound past 256 bits is named by the same rule as a count: 10^5000 has 16610 bits
     (census_cc, (1, 2, 0, 3), {"bound": -10 ** 5000}, CensusTooLarge,
      r"^90 states exceed the bound less than -2\^16609$"),
-    # last, a report must print: q^(n(n+m+p)) bounds its numbers and may have at most 4300 digits;
+    # a report must print: q^(n(n+m+p)) bounds its numbers and may have at most 4300 digits;
     # an exhaustive m = 0 enumerates one state, and no output map is enumerated
     (census_cc, (0, 120, 0, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(120*120)", 120)) + "$"),
     (census_cc, (0, 119, 0, 3), {}, CensusTooLarge, re.escape(_unprintable("3^(119*119)", 119)) + "$"),
@@ -243,6 +239,14 @@ def _unprintable(power: str, n: int) -> str:
     # the 2^14520 triples pass a bound of 10^5000 but have 4371 digits
     (census_cc, (1, 120, 0, 2), {"mode": "canonical-forms", "bound": 10 ** 5000}, CensusTooLarge,
      re.escape(_unprintable("2^(120*121)", 120)) + "$"),
+    # a printable count past 256 bits over a bound past 256 bits: 2^40 + 2^1600 states, 10^300 has 997 bits
+    (census_cc, (1, 40, 0, 2), {"bound": 10 ** 300}, CensusTooLarge,
+     r"^more than 2\^1600 states exceed the bound more than 2\^996$"),
+    # a huge n is named by its bit length, as str() refuses ints past 4300 digits
+    (census_cc, (1, 10 ** 2200, 0, 2), {}, CensusTooLarge,
+     re.escape(_unprintable("2^(more than 2^7308*more than 2^7308)", "more than 2^7308")) + "$"),
+    (census_cc, (1, 10 ** 4300 - 1, 0, 2), {}, CensusTooLarge,
+     re.escape(_unprintable("2^(more than 2^14284*more than 2^14284)", "more than 2^14284")) + "$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting
@@ -252,8 +256,31 @@ def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, err
 
     for name in ("gl_order", "count_cc_formula", "_cc_pair_count", "all_systems"):
         monkeypatch.setattr(counting, name, no_work)
+    start = time.monotonic()
     with pytest.raises(error, match=message):
         census(*args, **kwargs)
+    assert time.monotonic() - start < 5
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "canonical-forms"])
+def test_census_admits_every_printable_cell_at_its_triple_count(mode, monkeypatch):
+    # the state count is computed only for printable cells, so it must never pass
+    # q^(n(n+m+p)): with that bound every cell that prints reaches the work
+    from moduli_sys import counting
+
+    class Work(Exception):
+        pass
+
+    def work(*_):
+        raise Work
+
+    for name in ("gl_order", "count_cc_formula", "_cc_pair_count", "all_systems"):
+        monkeypatch.setattr(counting, name, work)
+    cells = [(m, n, p, q) for m in range(4) for p in range(4) for n in range(9) for q in (2, 3, 1048573)]
+    cells += [(0, 119, 0, 2), (1, 119, 0, 2)]  # the last printable n over F_2; n = 120 is refused above
+    for m, n, p, q in cells:
+        with pytest.raises(Work):
+            census_cc(m, n, p, q, mode=mode, bound=q ** (n * (n + m + p)))
 
 
 def test_exhaustive_census_never_refuses_n_zero():
