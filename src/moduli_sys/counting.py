@@ -7,10 +7,13 @@ observable) systems over ``F_q``:
     co: q^(n(m+1)) * [p+n-1 choose n]_q
 
 The census is the referee: it counts the controllable ``(A, B)`` pairs
-by enumeration (the dual count is the same census of the dual shape),
-multiplies by the free choices of the remaining matrix and divides by
-``|GL_n(F_q)|`` (stabilizers on the controllable locus are trivial, so
-that division is exact).
+by enumeration (the dual count is the same census of the dual shape)
+and their orbits under ``GL_n(F_q)``.  Stabilizers on the controllable
+locus are trivial, so the pairs are the orbits times ``|GL_n(F_q)|``.
+The output map is free: for a cc pair with chain basis ``P``,
+``C -> C P`` permutes the ``p x n`` output maps, so every orbit of cc
+pairs carries exactly ``q^(pn)`` orbits of systems, and both counts are
+multiplied by that factor once.
 
 Controllability of ``(A, B)`` is invariant under ``(A, B) -> (g A g^-1,
 g B h)`` for ``g`` in ``GL_n`` and ``h`` in ``GL_m``, and every ``B`` of
@@ -38,20 +41,19 @@ enumeration.  numpy is imported inside the kernel functions, so only a
 census that enumerates loads it.
 
 The ``canonical-forms`` mode of :func:`census_cc` is a referee of another
-kind: it still enumerates and reduces every pair ``(A, B)``, and counts
-the distinct canonical triples ``(A', B', C P)`` keyed on their entries.
+kind: it enumerates and reduces every pair ``(A, B)``, and counts the
+distinct canonical pairs ``(A', B')`` keyed on their entries.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge, NotControllable
-from .linalg import Field, _dots
+from .linalg import Field
 from .system import all_systems
 
 if TYPE_CHECKING:
@@ -246,17 +248,16 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
               bound: int = DEFAULT_CENSUS_BOUND) -> CensusReport:
     """Brute-force orbit count of cc systems, checked against the formula.
 
-    ``mode="exhaustive"`` counts the (A, B) pairs of full
-    controllability rank by the two rank-stratified passes of the module
-    docstring, multiplies by the ``q^(pn)`` free output maps and divides
-    by ``|GL_n|`` (the division must be exact; that is asserted).
-    ``mode="canonical-forms"`` instead reduces each cc pair (A, B) once and
-    counts the distinct canonical triples ``(A', B', C P)`` over all output
-    maps ``C``, which checks the orbit count without the stabilizer division.
-    Every pair is still enumerated and reduced; a triple is keyed on the
-    entry tuples of ``A'`` and ``B'`` and on those of ``C P``, formed for
-    every ``C`` of a pair by one ``linalg._dots`` call on the columns of
-    ``P``, so no matrix is built per triple.
+    Each mode finds the number of (A, B) pairs of full controllability
+    rank and the number of their orbits.  ``mode="exhaustive"`` counts the
+    pairs by the two rank-stratified passes of the module docstring and
+    divides by ``|GL_n|``.  ``mode="canonical-forms"`` instead reduces
+    every cc pair once and counts the distinct canonical pairs
+    ``(A', B')``, keyed on their entry tuples, which finds the orbits
+    without the stabilizer division.  Either way the pairs must be the
+    orbits times ``|GL_n|`` (an :class:`ArithmeticError` otherwise), and
+    both numbers are multiplied by the ``q^(pn)`` free output maps to give
+    ``raw_cc_triples`` and ``orbit_count``.
 
     Refusals come before any work, in this order: ``ValueError`` for a
     negative dimension, a non-prime ``q``, an unknown mode, or a modulus
@@ -287,30 +288,22 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
     if exhaustive:
-        raw = _cc_pair_count(m, n, q) * q ** (p * n)
-        if raw % glq:
-            raise ArithmeticError(
-                f"raw count {raw} not divisible by |GL_{n}(F_{q})| = {glq}"
-            )
-        orbits = raw // glq
+        pairs = _cc_pair_count(m, n, q)
+        pair_orbits = pairs // glq
     else:
-        outputs = q ** (p * n)  # output k is rows k p .. k p + p - 1 of output_rows
-        output_rows = [c[i * n:(i + 1) * n] for c in itertools.product(range(q), repeat=p * n) for i in range(p)]
-        forms, raw = set(), 0
+        forms, pairs = set(), 0
         for pair in all_systems(field, m, n, 0):
             try:
-                basis, canon, _ = pair._reduction
+                canon = pair._reduction[1]
             except NotControllable:
                 continue
-            a, b = canon.A.entries, canon.B.entries
-            cp = _dots(output_rows, [basis.entries[k::n] for k in range(n)], q)
-            forms.update((a, b, tuple(itertools.chain.from_iterable(cp[k * p:(k + 1) * p]))) for k in range(outputs))
-            raw += outputs
-        orbits = len(forms)
-        if orbits * glq != raw:
-            raise ArithmeticError(
-                f"{raw} cc triples but {orbits} canonical forms over GL of order {glq}"
-            )
+            forms.add((canon.A.entries, canon.B.entries))
+            pairs += 1
+        pair_orbits = len(forms)
+    if pair_orbits * glq != pairs:
+        raise ArithmeticError(f"{pairs} cc pairs but {pair_orbits} orbits over GL of order {glq}")
+    outputs = q ** (p * n)
+    raw, orbits = pairs * outputs, pair_orbits * outputs
     return CensusReport(
         m=m, n=n, p=p, q=q,
         raw_cc_triples=raw,

@@ -8,7 +8,7 @@ embeddings are provided:
   dimension ``n >= 1`` to the point of ``Gras_n(m+n-1)`` spanned by the
   first ``m+n-1`` columns of its canonical form.  It is constant on
   orbits; it always lands in the Schubert cell of the Kalman code only
-  for ``n <= 3`` or one occupied column (ROADMAP.md, open item 1).
+  for ``n <= 3`` or one occupied column (ROADMAP.md, direction 1).
 * :func:`stratum_point` sends a system with full-row-rank ``[B C^T A]``
   to the ``(m+p)``-plane of column relations of that matrix, a point of
   ``Gras_{m+p}(m+p+n)`` sitting in stratum ``n`` of the growing family.

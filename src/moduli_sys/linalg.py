@@ -34,9 +34,9 @@ other value.
 :func:`_dots` is the one product loop: every dot product of a row of
 one list of integer rows with a row of another, reduced mod ``q`` over
 ``F_q``.  ``@``, the power step of :func:`charpoly`, the Markov blocks,
-the Krylov walk, the canonical reduction and the census's ``C P`` call
-it.  Over ``Q`` :func:`_cleared` first makes each operand integral over
-one common denominator, and each output entry is divided once;
+the Krylov walk and the canonical reduction call it.  Over ``Q``
+:func:`_cleared` first makes each operand integral over one common
+denominator, and each output entry is divided once;
 ``system.markov_parameters`` clears ``A`` and ``B`` once per call and
 :func:`charpoly` once for the whole recursion.
 
@@ -188,6 +188,8 @@ class Field:
         if isinstance(value, Fraction):
             if value.denominator == 1:
                 return value.numerator % self.q
+            if value.denominator % self.q == 0:
+                raise ValueError(f"scalar {str(value)!r} has no value in {self}: its denominator vanishes")
             return (value.numerator * self.inv(value.denominator % self.q)) % self.q
         return int(value) % self.q
 

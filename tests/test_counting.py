@@ -141,12 +141,27 @@ def test_census_cc_small_grid():
 
 def test_census_canonical_forms_mode():
     for (m, n, p, q) in [(1, 1, 1, 2), (1, 1, 1, 3), (2, 1, 1, 2), (1, 2, 0, 2), (1, 2, 1, 2),
-                         (0, 2, 1, 2), (1, 0, 1, 3), (1, 2, 1, 3), (2, 2, 1, 2)]:
+                         (0, 2, 1, 2), (1, 0, 1, 3), (1, 2, 1, 3), (2, 2, 1, 2),
+                         (1, 2, 2, 3), (1, 1, 3, 2), (2, 1, 2, 3)]:
         by_division = census_cc(m, n, p, q)
         by_forms = census_cc(m, n, p, q, mode="canonical-forms")
         assert by_forms.match
         assert by_forms.orbit_count == by_division.orbit_count
         assert by_forms.raw_cc_triples == by_division.raw_cc_triples
+
+
+def test_census_refuses_pairs_that_are_not_the_orbits_times_gl(monkeypatch):
+    from moduli_sys import counting
+
+    # one pair too many in the exhaustive count
+    monkeypatch.setattr(counting, "_cc_pair_count", lambda m, n, q: _cc_pair_count(m, n, q) + 1)
+    with pytest.raises(ArithmeticError, match=r"^25 cc pairs but 4 orbits over GL of order 6$"):
+        census_cc(1, 2, 1, 2)
+    # every pair reads the same canonical pair in the canonical-forms mode
+    one = next(s for s in all_systems(Field.prime(2), 1, 2, 0) if classify(s).cc)
+    monkeypatch.setattr(counting, "all_systems", lambda field, m, n, p: itertools.repeat(one, 2 ** 6))
+    with pytest.raises(ArithmeticError, match=r"^64 cc pairs but 1 orbits over GL of order 6$"):
+        census_cc(1, 2, 1, 2, mode="canonical-forms")
 
 
 def test_census_co_small_grid():

@@ -1,5 +1,6 @@
 """Hankel matrices, order certification, Ho-Kalman realization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from moduli_sys.realization import (
     realize,
     verify_realization,
 )
-from moduli_sys.system import LinearSystem, all_systems, classify, random_system
+from moduli_sys.system import LinearSystem, act, all_systems, classify, random_system
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
@@ -136,6 +137,30 @@ def test_realize_output_is_canonical_round_trip():
             assert verify_realization(realized, seq)
             if n > 0:
                 assert canonical_form(realized)[1] == canonical_form(original)[1]
+
+
+def test_realize_is_the_canonical_form_on_the_f2_sweep(f2_sweep):
+    # two independent routes to one normal form: the Hankel pivots of the
+    # Markov blocks and the Krylov chains of the canonical reduction
+    members = [s for s, cls in f2_sweep if cls.canonical and s.n >= 1]
+    assert len(members) == 2528
+    for s in members:
+        assert realize(MarkovSequence.from_system(s, 2 * s.n + 1)) == canonical_form(s)[1]
+
+
+def test_realize_is_the_canonical_form_up_to_the_order_of_the_basis():
+    # Ho-Kalman orders the black boxes power by power, the canonical
+    # reduction chain by chain: for n <= 3 the two differ by a permutation
+    rng = random.Random(24)
+    for field in (QQ, F2, F3):
+        for _ in range(210):
+            m, n, p = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+            s = random_system(field, m, n, p, rng, require="canonical")
+            realized = realize(MarkovSequence.from_system(s, 2 * n + 1))
+            canon = canonical_form(s)[1]
+            perms = [Matrix.from_rows(field, [[int(j == k) for j in range(n)] for k in order])
+                     for order in itertools.permutations(range(n))]
+            assert any(act(perm, canon) == realized for perm in perms), (s, realized, canon)
 
 
 def test_realize_matrix_blocks():

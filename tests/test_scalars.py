@@ -64,6 +64,16 @@ def test_integral_rationals_are_int():
         assert type(field.one) is int and field.one == 1
 
 
+def test_coerce_refuses_a_vanishing_denominator_in_either_form():
+    message = "^scalar '1/5' has no value in F5: its denominator vanishes$"
+    for value in ("1/5", Fraction(1, 5)):
+        with pytest.raises(ValueError, match=message):
+            F5.coerce(value)
+    with pytest.raises(ValueError, match="^scalar '3/10' has no value in F5"):
+        F5.coerce(Fraction(3, 10))
+    assert F5.coerce(Fraction(10, 5)) == 2 and F5.coerce(Fraction(1, 2)) == 3
+
+
 def test_field_inv_over_q_returns_canonical_scalars():
     assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
     values = [-3, -1, 1, 2, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 3), Fraction(-1, 6)]
