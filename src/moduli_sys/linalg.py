@@ -48,10 +48,11 @@ column rank profile, reduced echelon form, kernels, determinants and
 solving all call it (:func:`inverse` is ``solve_right(M, I)``).  Basis
 completion reaches it through those.  The Kalman walk, the canonical
 reduction and Ho-Kalman realization call it directly on their plain
-rows, and so does the Hankel rank profile, to extend one echelon a block
-row at a time.  The census keeps its own
-vectorized kernel (``counting._batched_rank_modq``) on purpose; tests
-cross-check it against :func:`rank`.
+rows.  So does the Hankel rank profile, which resumes a forward
+elimination a block row at a time: the rows the last call left stay
+pivots, untouched, and only the new block row is reduced.  The census
+keeps its own vectorized kernel (``counting._batched_rank_modq``) on
+purpose; tests cross-check it against :func:`rank`.
 """
 
 from __future__ import annotations
@@ -336,7 +337,8 @@ def vstack(matrices: Sequence[Matrix]) -> Matrix:
 # -- elimination-based operations ---------------------------------------
 
 
-def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[list[int], Scalar]:
+def _eliminate(field: Field, grid: list, ncols: int, reduced: bool,
+               kept: Sequence[int] = ()) -> tuple[list[int], Scalar]:
     """Gaussian elimination of a list of row lists, in place.
 
     Sweeps the columns left to right and takes the first nonzero entry
@@ -367,44 +369,61 @@ def _eliminate(field: Field, grid: list, ncols: int, reduced: bool) -> tuple[lis
     caller may read the pivot columns and the row space, not the values.
     ``u`` is the sign of the row swaps over the product of the row
     scales.
+
+    A forward elimination resumes with ``kept``: the pivot columns a
+    forward call returned, and the first ``len(kept)`` rows of ``grid``
+    the rows it left, in that order.  Those rows are taken as the first
+    pivots, in that order, and are neither made primitive again nor
+    updated; only the rows after them are, first through the kept pivots
+    and then among themselves in column order.  The pivot columns come
+    back in the order found, kept ones first, so they may resume the
+    next call, and ``u`` covers the new rows only.  Each entry is a minor
+    on the rows taken so far and on the pivot columns and its own, so the
+    divisions stay exact for any pivot order, and the rows may be cut to
+    any ``ncols`` past every kept pivot; but over ``Q`` no kept row may
+    be rescaled or dropped.
     """
-    nrows = len(grid)
+    nrows, t = len(grid), len(kept)
     pivots: list[int] = []
     q = field.q
     sign, num, den, prev = 1, 1, 1, 1  # the row scales multiply to den / num; prev is the previous pivot
     if q is None:
-        for i, row in enumerate(grid):
-            ints, d = _integral(row)
+        for i in range(t, nrows):
+            ints, d = _integral(grid[i])
             g = gcd(*ints)
             if g > 1:
                 ints = [x // g for x in ints]
             if g:
                 num, den = num * g, den * d
             grid[i] = ints
-    for c in range(ncols):
+    for c in chain(kept, range(ncols)) if t else range(ncols):  # the kept pivots, then a search
         r = len(pivots)
         if r == nrows:
             break
-        for piv in range(r, nrows):
-            if grid[piv][c] != 0:
-                break
+        if r < t:  # a kept pivot: only the new rows are updated, over Q left of c too
+            below, lead = t, 0 if q is None else c
         else:
-            continue
-        if piv != r:
-            grid[r], grid[piv] = grid[piv], grid[r]
-            sign = -sign
+            for piv in range(r, nrows):
+                if grid[piv][c] != 0:
+                    break
+            else:
+                continue
+            if piv != r:
+                grid[r], grid[piv] = grid[piv], grid[r]
+                sign = -sign
+            below, lead = r + 1, c
         prow = grid[r]
         p = prow[c]
         if q is not None and p != 1:  # scale the pivot to 1; it moves into the unit
             pinv = pow(p, q - 2, q)
             prow[c:] = [pinv * x % q for x in prow[c:]]
             num, p = num * p % q, 1
-        for i in range(0 if reduced else r + 1, nrows):
+        for i in range(0 if reduced else below, nrows):
             if i == r:
                 continue
             row = grid[i]
             v = row[c]
-            start = pivots[i] if i < r else c  # the row is zero left of start
+            start = pivots[i] if i < r else lead  # the row is zero left of start, or unchanged there
             if not v:
                 if p != prev:  # over Q every row scales by p / prev, or later divisions are inexact
                     row[start:] = [p * x // prev for x in row[start:]]

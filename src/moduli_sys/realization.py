@@ -15,8 +15,16 @@ single shift, the outcome is the :class:`NotStabilized` value.
 ``H_ij`` is the leading ``m j`` columns of ``H_(i, L+1-i)``, so every
 rank the certification needs is a prefix count of that matrix's pivot
 columns.  Those come from one echelon that grows a block row at a time:
-the echelon rows of ``H_(i, L+1-i)``, cut to ``m (L-i)`` columns, span the
-rows of ``H_(i, L-i)``, and block row ``i+1`` completes ``H_(i+1, L-i)``.
+block row ``i+1`` is reduced against the pivot rows kept from
+``H_(i, L+1-i)``, which are not eliminated again, and then among its own
+rows.  No kept row is dropped: over ``Q`` the fraction-free divisions
+stay exact only while each entry is a minor of every row taken so far.
+Each entry is a minor on the pivot columns and its own, so columns are
+cut instead: to the ``m (L-i)`` columns of ``H_(i+1, L-i)``, or just past
+the rightmost pivot column if that lies further right, where the new
+rows are padded with zeros.  No later step reads the rest.  The pivots
+below ``m j`` depend only on the leading ``m j`` columns, so neither the
+padding nor the cut changes a rank that is read.
 """
 
 from __future__ import annotations
@@ -134,17 +142,20 @@ def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStab
     window certifies nothing.
 
     Each block-row count ``i`` the scan reaches costs one forward
-    elimination, which extends the echelon of block rows ``1..i-1`` by
-    row ``i``; ``rank H_ij`` is the number of pivot columns of
-    ``H_(i, L+1-i)`` below ``m j``.  ``ranks`` lists exactly the sizes the
+    elimination that resumes the one before: only the ``p`` rows of block
+    row ``i`` are reduced, first through the kept echelon rows of block
+    rows ``1..i-1`` in the order their pivots were found, then among
+    themselves.  After block row ``i``, ``rank H_ij`` is the number of
+    pivot columns below ``m j``.  ``ranks`` lists exactly the sizes the
     scan inspected, in the order of (i, j).
     """
     f, m, L = seq.field, seq.m, len(seq)
     if L < 2:
         raise ValueError("need at least two blocks to certify anything")
     inspected: dict[tuple[int, int], int] = {}
-    profiles: list[list[int]] = []  # pivot columns of H_(i, L+1-i), i = 1, 2, ...
+    profiles: list[list[int]] = []  # sorted pivots of block rows 1..i; those below m (L+1-i) are H_(i, L+1-i)'s
     echelon: list[list] = []
+    found: list[int] = []  # the pivot columns of the echelon rows, in the order found
 
     def rk(i: int, j: int) -> int:
         inspected[i, j] = bisect_left(profiles[i - 1], m * j)
@@ -152,11 +163,16 @@ def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStab
 
     for r in range(1, L - 1):
         for k in range(len(profiles), r + 1):  # the scan at r reads H_(r+1, .)
-            width = m * (L - k)
+            # no column past H_(k+1, L-k) and past every pivot is read again; no row is dropped
+            cols = m * (L - k)
+            width = max(cols, profiles[-1][-1] + 1) if found else cols
             echelon = [row[:width] for row in echelon] + _block_rows(seq, k, L - k)
-            pivots, _ = _eliminate(f, echelon, width, False)
-            del echelon[len(pivots):]
-            profiles.append(pivots)
+            if width > cols:  # a pivot lies past the new rows: they are zero there
+                for row in echelon[len(found):]:
+                    row += [0] * (width - cols)
+            found, _ = _eliminate(f, echelon, width, False, found)
+            del echelon[len(found):]
+            profiles.append(sorted(found))
         for s in range(1, L - r):
             base = rk(r, s)
             shifts = range(1, L - r - s + 1)

@@ -55,8 +55,10 @@ MAX_ENTRIES = 1 << 13
 
 
 def _check_input_size(dims: dict, entries: int) -> None:
-    """Refuse input past :data:`MAX_DIM` or :data:`MAX_ENTRIES` (a ``ValueError``)."""
+    """Refuse a negative dimension, or input past :data:`MAX_DIM` or :data:`MAX_ENTRIES` (a ``ValueError``)."""
     for key, value in dims.items():
+        if value < 0:
+            raise ValueError(f"{key} must be non-negative, got {value}")
         if value > MAX_DIM:
             raise ValueError(f"{key} = {value} is too large; at most {MAX_DIM} is supported")
     if entries > MAX_ENTRIES:

@@ -452,6 +452,23 @@ def _markov_payload(m, p, window):
     return {"field": "Q", "m": m, "p": p, "blocks": [[1] * (p * m) for _ in range(window)]}
 
 
+@pytest.mark.parametrize("argv, payload, message", [
+    (["realize", "--markov"], {"field": "Q", "m": -1, "p": -1, "blocks": [[], []]}, "m must be non-negative, got -1"),
+    (["realize", "--markov"], dict(_markov_payload(1, 1, 3), p=-2), "p must be non-negative, got -2"),
+    (["analyze", "--system"], dict(_system_payload(1, 1, 1), m=-1), "m must be non-negative, got -1"),
+    (["analyze", "--system"], dict(_system_payload(1, 1, 1), n=-1), "n must be non-negative, got -1"),
+    (["canon", "--system"], dict(_system_payload(1, 1, 1), p=-3), "p must be non-negative, got -3"),
+    (["random", "--m", "1", "--n", "-2", "--p", "1"], None, "n must be non-negative, got -2"),
+], ids=["markov-m-and-p", "markov-p", "system-m", "system-n", "system-p", "random-n"])
+def test_negative_dimension_is_refused(argv, payload, message, tmp_path, capsys):
+    # refused by name, not by an entry count that no array can have
+    if payload is not None:
+        argv = argv + [write_json(tmp_path / "input.json", payload)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert f"INVALID_INPUT: {message}" in err
+
+
 @pytest.mark.parametrize("command, flag, payload, message", [
     ("analyze", "--system", _system_payload(1, MAX_DIM + 1, 1), "n = 65 is too large"),
     ("analyze", "--system", _system_payload(MAX_DIM, MAX_DIM, 1), "8256 scalars are too many"),

@@ -324,36 +324,103 @@ def test_realizability_order_matches_reference_scan():
     assert max(certified_at) > 3, certified_at
 
 
+def test_realizability_order_matches_reference_scan_at_the_pipeline_shapes():
+    # over Q at the shapes where the kept pivot sequence is longest: random systems, and systems
+    # hiding an unreachable or an unobservable block of dimension n // 2 under a unimodular base change
+    from helpers import reference_realizability_order, unimodular
+
+    rng = random.Random(28)
+
+    def hiding(m, n, p, kind):
+        system = random_system(QQ, m, n, p, rng)
+        if kind == "random":
+            return system
+        k = n - n // 2
+        a, b, c = system.A.to_rows(), system.B.to_rows(), system.C.to_rows()
+        if kind == "unreachable":  # B reaches only the first k states, which A maps among themselves
+            b = [row if i < k else [0] * m for i, row in enumerate(b)]
+            a = [[x if i < k or j >= k else 0 for j, x in enumerate(row)] for i, row in enumerate(a)]
+        else:  # C does not see the last n // 2 states, which A maps among themselves
+            c = [[x if j < k else 0 for j, x in enumerate(row)] for row in c]
+            a = [[x if i >= k or j < k else 0 for j, x in enumerate(row)] for i, row in enumerate(a)]
+        hidden = LinearSystem(Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, b), Matrix.from_rows(QQ, c))
+        return act(unimodular(QQ, n, rng), hidden)
+
+    orders = []
+    for m, n, p in ((2, 6, 2), (3, 10, 2)):
+        for kind in ("random", "unreachable", "unobservable"):
+            system = hiding(m, n, p, kind)
+            for window in (2 * n + 1, 2 * n + 3):
+                seq = MarkovSequence.from_system(system, window)
+                got = realizability_order(seq)
+                assert got == reference_realizability_order(seq), (kind, seq)
+                orders.append((n, kind, got.order))
+    assert all(order <= n - n // 2 for n, kind, order in orders if kind != "random"), orders
+    assert any(order == n for n, kind, order in orders if kind == "random"), orders
+
+
 def test_realizability_order_eliminates_once_per_block_row_count(monkeypatch):
-    # the scan extends one echelon: no Hankel matrix is built and no pivot_columns call is made
+    # the scan extends one echelon: no Hankel matrix is built and no pivot_columns call is made,
+    # and each block-row count reduces only its p new rows against the rows the one before left
     import moduli_sys.linalg
     import moduli_sys.realization
+
+    from helpers import hankel_rows
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the scan must not build or re-eliminate a whole Hankel matrix")
 
     calls = []
 
-    def counting_eliminate(*args, **kwargs):
-        calls.append(args[2])
-        return eliminate(*args, **kwargs)
+    def recording_eliminate(field, grid, ncols, reduced, kept=()):
+        before = [list(row) for row in grid]
+        pivots, unit = eliminate(field, grid, ncols, reduced, kept)
+        calls.append({"ncols": ncols, "reduced": reduced, "kept": list(kept), "before": before,
+                      "after": [list(row) for row in grid[:len(pivots)]], "pivots": list(pivots)})
+        return pivots, unit
 
     eliminate = moduli_sys.realization._eliminate
     monkeypatch.setattr(moduli_sys.realization, "hankel", forbidden)
     monkeypatch.setattr(moduli_sys.linalg, "pivot_columns", forbidden)
-    monkeypatch.setattr(moduli_sys.realization, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(moduli_sys.realization, "_eliminate", recording_eliminate)
     rng = random.Random(27)
+    resumed = widened = 0
+    seqs = []
     for field in (QQ, F2, F5):
-        for n in range(6):
+        for n in range(7):
             system = random_system(field, rng.randint(1, 2), n, rng.randint(1, 2), rng)
-            for window in (2, 2 * n + 2, 3 * n + 4):
-                seq = MarkovSequence.from_system(system, window)
-                calls.clear()
-                verdict = realizability_order(seq)
-                reached = max((i for i, _, _ in verdict.ranks), default=0)
-                assert len(calls) == reached, (seq, calls, verdict)
-                # block-row count i eliminates m (L + 1 - i) columns
-                assert calls == [seq.m * (window + 1 - i) for i in range(1, reached + 1)]
+            seqs += [MarkovSequence.from_system(system, window) for window in (2, 2 * n + 2, 3 * n + 4)]
+        # random windows have pivots in their last block columns, which the next width keeps
+        for window in range(4, 10):
+            m, p = rng.randint(1, 2), rng.randint(1, 2)
+            seqs.append(MarkovSequence(field, m, p, tuple(
+                Matrix(field, p, m, tuple(field.coerce(rng.randint(-3, 3)) for _ in range(p * m)))
+                for _ in range(window))))
+    for seq in seqs:
+        field, window = seq.field, len(seq)
+        calls.clear()
+        verdict = realizability_order(seq)
+        reached = max((i for i, _, _ in verdict.ranks), default=0)
+        assert len(calls) == reached, (seq, len(calls), verdict)
+        last = {"after": [], "pivots": []}
+        for k, call in enumerate(calls):
+            kept, before, ncols = call["kept"], call["before"], call["ncols"]
+            assert not call["reduced"]
+            # the carried rows are all the rows the last call left, cut past the columns of
+            # H_(k+1, L-k) only as far as their last pivot column
+            assert ncols == max([seq.m * (window - k)] + [c + 1 for c in kept]), seq
+            widened += ncols > seq.m * (window - k)
+            assert kept == last["pivots"], seq
+            assert before[:len(kept)] == [row[:ncols] for row in last["after"]], seq
+            # only the p rows of block row k + 1 are new, padded with zeros to the width
+            new = hankel_rows(seq, k + 1, window - k)[k * seq.p:]
+            assert before[len(kept):] == [row + [0] * (ncols - len(row)) for row in new], seq
+            # the carried rows come back unchanged: not made primitive again, not rescaled
+            assert call["pivots"][:len(kept)] == kept
+            assert call["after"][:len(kept)] == before[:len(kept)], seq
+            resumed += bool(kept)
+            last = call
+    assert resumed > 60 and widened > 0, (resumed, widened)
 
 
 def test_realize_at_matches_reference():
