@@ -267,7 +267,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     it has over 4300 digits, that is when ``n(n+m+p) >= 4300 / log10 q``;
     last :class:`CensusTooLarge` for more than ``bound`` states, counted as
     in the module docstring (an exhaustive ``n = 0`` is never refused) or as
-    all ``q^(n(n+m+p))`` triples for the canonical forms.  Either count is
+    all ``q^(n(n+m))`` pairs for the canonical forms.  Either count is
     at most ``q^(n(n+m+p))`` once the report prints, so it is computed
     exactly, and a count or bound past 256 bits is named ``more than 2^k``.
     """
@@ -282,7 +282,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
         raise CensusTooLarge(f"{q}^({_shown(n)}*{_shown(n + m + p)}) = q^(n(n+m+p)) has more than {_REPORT_DIGITS} "
                              f"digits, too many to print the report of n = {_shown(n)}")
     # an exhaustive n = 0 is the one empty pair, counted without enumeration
-    states = q ** (n * m) + min(n, m) * q ** (n * n) if exhaustive else q ** (n * (n + m + p))
+    states = q ** (n * m) + min(n, m) * q ** (n * n) if exhaustive else q ** (n * (n + m))
     if (n or not exhaustive) and states > bound:
         raise CensusTooLarge(f"{_shown(states)} states exceed the bound {_shown(bound)}")
     glq = gl_order(n, q)

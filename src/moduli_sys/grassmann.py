@@ -1,8 +1,8 @@
 """Grassmannian points, Schubert cells and the two system embeddings.
 
-A point of ``Gras_k(N)`` is stored as the unique reduced-echelon basis
-of its row space, so equality of points is equality of matrices.  Two
-embeddings are provided:
+A point of ``Gras_k(N)`` is the unique reduced-echelon basis of its row
+space, so equality of points is equality of matrices, and its pivots are
+the leading columns of that basis.  Two embeddings are provided:
 
 * :func:`moduli_point` sends a completely controllable system of state
   dimension ``n >= 1`` to the point of ``Gras_n(m+n-1)`` spanned by the
@@ -21,6 +21,7 @@ of zero-padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotControllable, NotInLocus, RankDeficient
@@ -31,14 +32,19 @@ from .system import LinearSystem
 
 @dataclass(frozen=True)
 class GrassmannPoint:
-    """A k-plane in N-space via its reduced-echelon ``k x N`` representative, which gives the field, k and N."""
+    """A k-plane in N-space via its reduced-echelon ``k x N`` representative, which gives the field, k, N and pivots."""
 
     rep: Matrix
-    pivots: MultiIndex
 
     def __post_init__(self) -> None:
-        if len(self.pivots) != self.rep.rows:
-            raise ValueError("need one pivot per plane dimension")
+        self.pivots  # refuses a zero row, or leading columns that do not strictly increase
+
+    @cached_property
+    def pivots(self) -> MultiIndex:  # the 1-based leading column of each row, computed once
+        leads = [next((j for j, x in enumerate(row, 1) if x), 0) for row in self.rep.to_rows()]
+        if 0 in leads:
+            raise ValueError(f"row {leads.index(0) + 1} of the representative is zero")
+        return MultiIndex(tuple(leads), ambient=self.rep.cols)
 
     @property
     def field(self) -> Field:
@@ -75,7 +81,7 @@ def point_from_matrix(matrix: Matrix) -> GrassmannPoint:
         raise RankDeficient(
             f"rows span only {len(pivots)} dimensions, expected {matrix.rows}"
         )
-    return GrassmannPoint(red, MultiIndex(tuple(c + 1 for c in pivots), ambient=matrix.cols))
+    return GrassmannPoint(red)
 
 
 def schubert_cell_of(point: GrassmannPoint) -> MultiIndex:
@@ -190,8 +196,7 @@ class InfiniteGrassmannPoint:
             raise ValueError("cannot pad by a negative amount")
         pt, width = self.point, self.point.N + extra
         ent = tuple(x for i in range(pt.k) for x in pt.rep.row_list(i) + [0] * extra)
-        pivots = MultiIndex(pt.pivots.values, ambient=width)
-        return InfiniteGrassmannPoint(GrassmannPoint(Matrix(pt.field, pt.k, width, ent), pivots))
+        return InfiniteGrassmannPoint(GrassmannPoint(Matrix(pt.field, pt.k, width, ent)))
 
     def _key(self):
         w = self.minimal_ambient()
@@ -226,7 +231,7 @@ def stratum_point(system: LinearSystem) -> InfiniteGrassmannPoint:
     relations = kernel_basis(L)
     if relations.rows > system.m + system.p:
         raise RankDeficient(f"[B C^T A] has rank below n = {system.n}")
-    return InfiniteGrassmannPoint(point_from_matrix(relations))
+    return InfiniteGrassmannPoint(GrassmannPoint(relations))
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,11 @@ def locus_membership(point: InfiniteGrassmannPoint, m: int, p: int) -> LocusMemb
     invertible ``(m+p)``-minor, i.e. some admissible multi-index has an
     invertible minor); the observable locus requires the same of
     columns ``{1..m, m+p+n}``; the canonical locus is the intersection.
+    A negative ``m`` or ``p`` is refused with ``ValueError``.
     """
+    for name, value in (("m", m), ("p", p)):
+        if value < 0:
+            raise ValueError(f"locus dimension {name} must be non-negative, got {value}")
     if point.point.k != m + p:
         raise DimensionMismatch(f"point is a {point.point.k}-plane, expected {m + p}")
     width = point.minimal_ambient()

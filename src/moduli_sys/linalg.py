@@ -44,15 +44,15 @@ Zero-sized matrices (``0 x k`` and ``k x 0``) are legal everywhere and
 follow the usual conventions (empty products are 1, empty sums are 0).
 
 :func:`_eliminate` is the one Gaussian elimination routine: rank, the
-column rank profile, reduced echelon form, kernels, determinants and
-solving all call it (:func:`inverse` is ``solve_right(M, I)``).  Basis
-completion reaches it through those.  The Kalman walk, the canonical
-reduction and Ho-Kalman realization call it directly on their plain
-rows.  So does the Hankel rank profile, which resumes a forward
-elimination a block row at a time: the rows the last call left stay
-pivots, untouched, and only the new block row is reduced.  The census
-keeps its own vectorized kernel (``counting._batched_rank_modq``) on
-purpose; tests cross-check it against :func:`rank`.
+column rank profile, reduced echelon form, kernels (one call gives the
+reduced-echelon basis), determinants and solving all call it, and basis
+completion through those (:func:`inverse` is ``solve_right(M, I)``).
+The Kalman walk, the canonical reduction and Ho-Kalman realization call
+it directly on their plain rows.  So does the Hankel rank profile, which
+resumes a forward elimination a block row at a time: the rows the last
+call left stay pivots, untouched, and only the new block row is reduced.
+The census keeps its own vectorized kernel on purpose, and tests
+cross-check ``counting._batched_rank_modq`` against :func:`rank`.
 """
 
 from __future__ import annotations
@@ -468,22 +468,22 @@ def rref_with_pivots(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def kernel_basis(matrix: Matrix) -> Matrix:
-    """Basis of the right kernel, one vector per row.
+    """The reduced row-echelon basis of the right kernel ``{v : M v^T = 0}``, with ``cols - rank(M)`` rows.
 
-    The rows span ``{v : M v^T = 0}``; the row count is
-    ``cols - rank(M)``.
+    One reduced elimination of the reversed columns: each free column ``f``
+    gives ``e_f`` minus pivot entries right of ``f``, already reduced.
     """
-    f, q = matrix.field, matrix.field.q
-    red, pivots = rref_with_pivots(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
+    f, q, last = matrix.field, matrix.field.q, matrix.cols - 1
+    grid = [matrix.row_list(i)[::-1] for i in range(matrix.rows)]
+    pivots, _ = _eliminate(f, grid, matrix.cols, True)
+    free = sorted(set(range(matrix.cols)).difference(last - c for c in pivots))
     rows = []
     for fc in free:
-        vec = [f.zero] * matrix.cols
-        vec[fc] = f.one
-        for ri, pc in enumerate(pivots):
-            x = red.entry(ri, fc)
-            vec[pc] = -x % q if q is not None else -x
+        vec = [0] * matrix.cols
+        vec[fc] = 1
+        for row, pc in zip(grid, pivots):
+            x = row[last - fc]
+            vec[last - pc] = -x % q if q is not None else -x
         rows.extend(vec)
     return Matrix(f, len(free), matrix.cols, tuple(rows))
 

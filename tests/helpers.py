@@ -289,6 +289,36 @@ def reference_realize_at(seq, r: int, s: int) -> LinearSystem:
     return system
 
 
+def reference_relation_plane(system: LinearSystem) -> tuple[Matrix, tuple]:
+    """The relation plane of ``[B C^T A]`` as its reduced-echelon rows and their 1-based pivots.
+
+    The kernel is the textbook free-column one: reduce ``[B C^T A]``, and
+    each free column ``f`` gives ``e_f`` minus its entries at the pivot
+    columns.  That basis is then reduced again.  Both eliminations are
+    :func:`fraction_rref` over ``Q`` and :func:`modq_rref` over ``F_q``,
+    never the library's.  The system is taken as it is; the library
+    builds the plane of a cc system on its canonical form.
+    """
+    f, q, n = system.field, system.field.q, system.n
+    rows = [system.B.row_list(i) + [system.C.entry(j, i) for j in range(system.p)] + system.A.row_list(i)
+            for i in range(n)]
+    width = system.m + system.p + n
+
+    def rref(grid):
+        return fraction_rref(grid) if q is None else modq_rref(grid, q)
+
+    red, pivots = rref(rows)
+    kernel = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [0] * width
+        vec[fc] = 1
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc] if q is None else -row[fc] % q
+        kernel.append(vec)
+    plane, plane_pivots = rref(kernel)
+    return Matrix.from_rows(f, plane, cols=width), tuple(c + 1 for c in plane_pivots)
+
+
 def reference_markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
     """``C A^(j-1) B`` for ``j = 1..count``, one block at a time.
 

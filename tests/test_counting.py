@@ -184,7 +184,7 @@ def test_census_bound():
     with pytest.raises(CensusTooLarge):
         census_cc(2, 3, 0, 5, bound=10_000)
     with pytest.raises(CensusTooLarge):
-        census_cc(1, 1, 1, 2, mode="canonical-forms", bound=4)
+        census_cc(1, 1, 1, 2, mode="canonical-forms", bound=3)
 
 
 def test_census_bound_counts_enumerated_states():
@@ -192,6 +192,10 @@ def test_census_bound_counts_enumerated_states():
     assert census_cc(1, 1, 1, 2, bound=4).match
     with pytest.raises(CensusTooLarge, match="^4 states exceed the bound 3$"):
         census_cc(1, 1, 1, 2, bound=3)
+    # the canonical forms enumerate the 2^(2*3) pairs (A, B), not the 2^(2*13) triples
+    assert census_cc(1, 2, 10, 2, mode="canonical-forms").match
+    with pytest.raises(CensusTooLarge, match="^64 states exceed the bound 63$"):
+        census_cc(1, 2, 10, 2, mode="canonical-forms", bound=63)
 
 
 def test_census_rejects_negative_dimensions():
@@ -222,9 +226,9 @@ def _unprintable(power: str, n) -> str:
     # without inputs there is no modulus cap: one state, the empty B
     (census_cc, (0, 1, 0, BIG_PRIME), {"bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
     (census_co, (1, 1, 0, BIG_PRIME), {"bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
-    # the canonical forms have no modulus cap and count all q^(n(n+m+p)) triples, n = 0 too
-    (census_cc, (1, 1, 1, BIG_PRIME), {"mode": "canonical-forms", "bound": 10 ** 20}, CensusTooLarge,
-     f"^{BIG_PRIME ** 3} states exceed the bound {10 ** 20}$"),
+    # the canonical forms have no modulus cap and count the q^(n(n+m)) pairs they enumerate, n = 0 too
+    (census_cc, (1, 1, 1, BIG_PRIME), {"mode": "canonical-forms", "bound": 10 ** 19}, CensusTooLarge,
+     f"^{BIG_PRIME ** 2} states exceed the bound {10 ** 19}$"),
     (census_cc, (1, 0, 1, 2), {"mode": "canonical-forms", "bound": 0}, CensusTooLarge, "^1 states exceed the bound 0$"),
     # counts are exact up to 256 bits, then "more than 2^k" with the largest true k
     (census_cc, (17, 15, 0, 2), {"bound": 0}, CensusTooLarge, f"^{2 ** 255 + 15 * 2 ** 225} states exceed the bound 0$"),
@@ -262,6 +266,9 @@ def _unprintable(power: str, n) -> str:
      re.escape(_unprintable("2^(more than 2^7308*more than 2^7308)", "more than 2^7308")) + "$"),
     (census_cc, (1, 10 ** 4300 - 1, 0, 2), {}, CensusTooLarge,
      re.escape(_unprintable("2^(more than 2^14284*more than 2^14284)", "more than 2^14284")) + "$"),
+    # the canonical forms count 64 pairs, within the default bound that their 2^26 triples
+    # would exceed, so this cell reaches the work
+    (census_cc, (1, 2, 10, 2), {"mode": "canonical-forms"}, AssertionError, "^a refused cell reached the work$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from moduli_sys import grassmann, linalg
 from moduli_sys.errors import DimensionMismatch, NotInLocus, RankDeficient
 from moduli_sys.grassmann import (
     GrassmannPoint,
@@ -18,15 +19,16 @@ from moduli_sys.grassmann import (
     stratum_point,
     system_from_cell,
 )
-from moduli_sys.kalman import MultiIndex, kalman_code, multiindex_from_code
+from moduli_sys.kalman import MultiIndex, canonical_form, kalman_code, multiindex_from_code
 from moduli_sys.linalg import Field, Matrix, rank
 from moduli_sys.system import LinearSystem, act, classify, random_system
 
-from helpers import col_list, unimodular
+from helpers import col_list, reference_relation_plane, unimodular
 
 QQ = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F5 = Field.prime(5)
 
 
 def test_point_from_matrix_examples():
@@ -204,6 +206,58 @@ def test_stratum_point_rank_deficient():
         stratum_point(s)
 
 
+def _assert_plane_matches_referee(s, cls):
+    """``stratum_point(s)`` is the referee's plane of the system it is built on, or both find rank below n."""
+    rep, pivots = reference_relation_plane(canonical_form(s)[1] if cls.cc else s)
+    if rep.rows > s.m + s.p:
+        with pytest.raises(RankDeficient):
+            stratum_point(s)
+        return
+    point = stratum_point(s).point
+    assert point == GrassmannPoint(rep) and tuple(point.pivots) == pivots, s
+
+
+def test_stratum_point_against_referee_f2(f2_sweep):
+    for s, cls in f2_sweep:
+        _assert_plane_matches_referee(s, cls)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+@pytest.mark.parametrize("shape", [(2, 6, 2), (3, 10, 2)], ids=str)
+def test_stratum_point_against_referee_seeded(field, shape):
+    rng = random.Random(2800 + sum(shape) + (field.q or 0))
+    for require in ("any", "cc", "canonical"):
+        for _ in range(3):
+            s = random_system(field, *shape, rng, require=require)
+            _assert_plane_matches_referee(s, classify(s))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_stratum_point_eliminates_once(field, monkeypatch):
+    # with the canonical reduction kept, the relation plane is one reduced elimination
+    # of [B C^T A] and no second reduction of the kernel basis
+    rng = random.Random(29)
+    calls = []
+    eliminate = linalg._eliminate
+
+    def recording(*args, **kwargs):
+        calls.append("_eliminate")
+        return eliminate(*args, **kwargs)
+
+    def refused(*_):
+        raise AssertionError("the relation plane was reduced a second time")
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    monkeypatch.setattr(linalg, "rref_with_pivots", refused)
+    monkeypatch.setattr(grassmann, "rref_with_pivots", refused)
+    for shape in ((1, 1, 1), (2, 3, 1), (2, 6, 2), (3, 10, 2)):
+        s = random_system(field, *shape, rng, require="cc")
+        s._reduction
+        calls.clear()
+        stratum_point(s)
+        assert calls == ["_eliminate"], shape
+
+
 def _locus_by_minor_enumeration(point: GrassmannPoint, required: set[int]) -> bool:
     """Referee: search for an invertible minor through the required columns."""
     k, N = point.k, point.N
@@ -309,6 +363,15 @@ def test_locus_dimension_mismatch():
         locus_membership(point, 2, 2)
 
 
+@pytest.mark.parametrize("check", [locus_membership, stratum_dimension], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("m, p, name", [(-1, 3, "m"), (3, -1, "p")])
+def test_locus_tests_refuse_negative_dimensions(check, m, p, name):
+    # m + p == k holds for the 2-plane, but a negative m would wrap round to the last column
+    point = InfiniteGrassmannPoint(point_from_matrix(Matrix.from_rows(F3, [[1, 0, 2, 0], [0, 1, 1, 0]])))
+    with pytest.raises(ValueError, match=f"^locus dimension {name} must be non-negative, got -1$"):
+        check(point, m, p)
+
+
 def test_stratum_dimension_and_not_in_locus():
     rng = random.Random(14)
     for _ in range(10):
@@ -326,13 +389,21 @@ def test_stratum_dimension_and_not_in_locus():
 
 
 def test_grassmann_points_read_their_size_off_the_representative():
-    assert [f.name for f in dataclasses.fields(GrassmannPoint)] == ["rep", "pivots"]
+    assert [f.name for f in dataclasses.fields(GrassmannPoint)] == ["rep"]
     assert [f.name for f in dataclasses.fields(InfiniteGrassmannPoint)] == ["point"]
     rep = Matrix.from_rows(F3, [[1, 0, 2, 0], [0, 1, 1, 0]])
-    point = point_from_matrix(rep)
+    point = GrassmannPoint(rep)
+    assert point == point_from_matrix(rep)
     assert (point.field, point.k, point.N) == (F3, 2, 4)
-    with pytest.raises(ValueError, match="one pivot per plane dimension"):
-        GrassmannPoint(rep, MultiIndex((1,), ambient=4))
+    # the pivots are the leading columns, read once and kept
+    assert point.pivots == MultiIndex((1, 2), ambient=4) and point.pivots is point.pivots
+    assert GrassmannPoint(Matrix.from_rows(QQ, [[0, 1, 0, 7], [0, 0, 1, 2]])).pivots == MultiIndex((2, 3), ambient=4)
+    assert GrassmannPoint(Matrix.zeros(QQ, 0, 3)).pivots == MultiIndex((), ambient=3)
+    with pytest.raises(ValueError, match="^row 2 of the representative is zero$"):
+        GrassmannPoint(Matrix.from_rows(F3, [[1, 0, 2, 0], [0, 0, 0, 0]]))
+    for rows in ([[0, 1, 1, 0], [1, 0, 2, 0]], [[1, 0, 2, 0], [1, 1, 1, 0]]):  # decreasing, then equal leads
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GrassmannPoint(Matrix.from_rows(F3, rows))
     big = InfiniteGrassmannPoint(point)
     assert big.stratum == 2
     for extra in range(4):

@@ -122,9 +122,9 @@ def test_kernel_examples():
     assert k.rows == 1
     assert k.entry(0, 0) == -k.entry(0, 1) != 0
 
-    c, a = Fraction(3), Fraction(5)
-    k = kernel_basis(mat(QQ, [[1, c, a]]))
-    assert k.to_rows() == [[-c, 1, 0], [-a, 0, 1]]
+    # the unique reduced-echelon basis: the free columns 1 and 2 are its pivots
+    k = kernel_basis(mat(QQ, [[1, 3, 5]]))
+    assert k.to_rows() == [[1, 0, Fraction(-1, 5)], [0, 1, Fraction(-3, 5)]]
 
 
 def test_minor_det_examples():
@@ -173,6 +173,7 @@ def test_kernel_against_enumeration_exhaustive_f2():
         k = kernel_basis(m)
         assert k.rows == m.cols - rank(m)
         assert rank(k) == k.rows  # rows independent
+        assert rref_with_pivots(k)[0] == k  # already reduced
         product = m @ k.transpose()
         assert product.is_zero()
         solutions = sum(
@@ -357,6 +358,7 @@ def test_kernel_contract(m):
     assert k.rows == m.cols - rank(m)
     assert (m @ k.transpose()).is_zero()
     assert rank(k) == k.rows
+    assert rref_with_pivots(k)[0] == k
 
 
 # -- rational elimination against the Fraction-only referees -----------------
