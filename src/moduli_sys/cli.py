@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except ModuliError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: INVALID_INPUT: {exc}", file=sys.stderr)
         return 1
 

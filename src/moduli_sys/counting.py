@@ -53,7 +53,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge, NotControllable
-from .linalg import Field
+from .linalg import Field, _non_negative
 from .system import all_systems
 
 if TYPE_CHECKING:
@@ -74,6 +74,7 @@ CSV_HEADER = "m,n,p,q,raw,gl_order,orbits,formula,match"
 
 def gl_order(n: int, q: int) -> int:
     """``|GL_n(F_q)| = prod_{i=0..n-1} (q^n - q^i)``; 1 for n = 0."""
+    _non_negative({"n": n})
     out = 1
     for i in range(n):
         out *= q ** n - q ** i
@@ -96,6 +97,7 @@ def count_cc_formula(m: int, n: int, p: int, q: int) -> int:
     ``q^(n(p+1)) [m+n-1 choose n]_q``, read as 1 for ``n = 0`` and as 0
     for ``m = 0 < n``, where no system is controllable.
     """
+    _non_negative({"m": m, "n": n, "p": p})
     if m == 0:
         return int(n == 0)
     return q ** (n * (p + 1)) * q_binomial(m + n - 1, n, q)
@@ -103,6 +105,7 @@ def count_cc_formula(m: int, n: int, p: int, q: int) -> int:
 
 def count_co_formula(m: int, n: int, p: int, q: int) -> int:
     """Closed-form number of co orbits; the cc formula with m and p swapped."""
+    _non_negative({"m": m, "n": n, "p": p})
     return count_cc_formula(p, n, m, q)
 
 
@@ -210,12 +213,6 @@ def _cc_pair_count(m: int, n: int, q: int) -> int:
     return count
 
 
-def _check_dimensions(**dims: int) -> None:
-    for name, value in dims.items():
-        if value < 0:
-            raise ValueError(f"census dimension {name} must be non-negative, got {value}")
-
-
 def _shown(count: int) -> str:
     """``count`` in decimal up to 256 bits, past that named by its bit length: str() refuses ints past 4300 digits."""
     if count.bit_length() <= 256:
@@ -271,7 +268,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     at most ``q^(n(n+m+p))`` once the report prints, so it is computed
     exactly, and a count or bound past 256 bits is named ``more than 2^k``.
     """
-    _check_dimensions(m=m, n=n, p=p)
+    _non_negative({"m": m, "n": n, "p": p}, "census dimension ")
     field = Field.prime(q)  # validates primality
     if mode not in ("exhaustive", "canonical-forms"):
         raise ValueError(f"unknown census mode {mode!r}")
@@ -322,7 +319,7 @@ def census_co(m: int, n: int, p: int, q: int, bound: int = DEFAULT_CENSUS_BOUND)
     :func:`census_cc` of the dual shape, reported under the original
     ``m`` and ``p``.
     """
-    _check_dimensions(m=m, n=n, p=p)
+    _non_negative({"m": m, "n": n, "p": p}, "census dimension ")
     return replace(census_cc(p, n, m, q, bound=bound), m=m, p=p)
 
 
@@ -335,11 +332,13 @@ def census_csv(reports) -> str:
 
 def cc_series_coefficients(m: int, p: int, q: int, terms: int) -> list[int]:
     """Coefficients of ``sum_n #cc-orbits(m, n, p) t^n`` up to ``t^terms``."""
+    _non_negative({"m": m, "p": p, "terms": terms})
     return [count_cc_formula(m, n, p, q) for n in range(terms + 1)]
 
 
 def geometric_product_coefficients(m: int, p: int, q: int, terms: int) -> list[int]:
     """Truncated expansion of ``prod_{i=1..m} 1 / (1 - q^(p+i) t)``."""
+    _non_negative({"m": m, "p": p, "terms": terms})
     coeffs = [1] + [0] * terms
     for i in range(1, m + 1):
         ratio = q ** (p + i)

@@ -1,8 +1,9 @@
 """Grassmannian points, Schubert cells and the two system embeddings.
 
 A point of ``Gras_k(N)`` is the unique reduced-echelon basis of its row
-space, so equality of points is equality of matrices, and its pivots are
-the leading columns of that basis.  Two embeddings are provided:
+space, which is checked when the point is built, so equality of points
+is equality of matrices, and its pivots are the leading columns of that
+basis.  Two embeddings are provided:
 
 * :func:`moduli_point` sends a completely controllable system of state
   dimension ``n >= 1`` to the point of ``Gras_n(m+n-1)`` spanned by the
@@ -26,25 +27,34 @@ from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, NotControllable, NotInLocus, RankDeficient
 from .kalman import MultiIndex, code_from_multiindex
-from .linalg import Field, Matrix, hstack, kernel_basis, minor_det, rank, rref_with_pivots
+from .linalg import Field, Matrix, _non_negative, hstack, kernel_basis, minor_det, rank, rref_with_pivots
 from .system import LinearSystem
 
 
 @dataclass(frozen=True)
 class GrassmannPoint:
-    """A k-plane in N-space via its reduced-echelon ``k x N`` representative, which gives the field, k, N and pivots."""
+    """A k-plane in N-space via its reduced-echelon ``k x N`` representative, which gives the field, k, N and pivots.
+
+    The reduced form is checked: each leading entry is 1 and the only
+    nonzero entry of its column, so one plane has one representative."""
 
     rep: Matrix
 
     def __post_init__(self) -> None:
-        self.pivots  # refuses a zero row, or leading columns that do not strictly increase
+        self.pivots  # refuses a zero row, leading columns that do not strictly increase, or an unreduced column
 
     @cached_property
     def pivots(self) -> MultiIndex:  # the 1-based leading column of each row, computed once
-        leads = [next((j for j, x in enumerate(row, 1) if x), 0) for row in self.rep.to_rows()]
+        rows = self.rep.to_rows()
+        leads = [next((j for j, x in enumerate(row, 1) if x), 0) for row in rows]
         if 0 in leads:
             raise ValueError(f"row {leads.index(0) + 1} of the representative is zero")
-        return MultiIndex(tuple(leads), ambient=self.rep.cols)
+        pivots = MultiIndex(tuple(leads), ambient=self.rep.cols)
+        for i, j in enumerate(leads):
+            column = self.rep.entries[j - 1::self.rep.cols]
+            if column[i] != 1 or column.count(0) != self.k - 1:
+                raise ValueError(f"the representative is not reduced: its column {j} must be e_{i + 1}")
+        return pivots
 
     @property
     def field(self) -> Field:
@@ -192,8 +202,7 @@ class InfiniteGrassmannPoint:
 
     def padded(self, extra: int) -> "InfiniteGrassmannPoint":
         """The same subspace inside ``extra`` more coordinates: zero columns keep the echelon form."""
-        if extra < 0:
-            raise ValueError("cannot pad by a negative amount")
+        _non_negative({"extra": extra})
         pt, width = self.point, self.point.N + extra
         ent = tuple(x for i in range(pt.k) for x in pt.rep.row_list(i) + [0] * extra)
         return InfiniteGrassmannPoint(GrassmannPoint(Matrix(pt.field, pt.k, width, ent)))
@@ -256,17 +265,18 @@ def locus_membership(point: InfiniteGrassmannPoint, m: int, p: int) -> LocusMemb
     invertible ``(m+p)``-minor, i.e. some admissible multi-index has an
     invertible minor); the observable locus requires the same of
     columns ``{1..m, m+p+n}``; the canonical locus is the intersection.
-    A negative ``m`` or ``p`` is refused with ``ValueError``.
+    Column ``m+p+n`` is required only when it exists, that is when
+    ``m+p+n >= 1``: the empty system's point, a 0-plane in 0-space, lies
+    in all three loci.  A negative ``m`` or ``p`` is refused with
+    ``ValueError``.
     """
-    for name, value in (("m", m), ("p", p)):
-        if value < 0:
-            raise ValueError(f"locus dimension {name} must be non-negative, got {value}")
+    _non_negative({"m": m, "p": p}, "locus dimension ")
     if point.point.k != m + p:
         raise DimensionMismatch(f"point is a {point.point.k}-plane, expected {m + p}")
     width = point.minimal_ambient()
-    n = width - (m + p)
-    required_cc = set(range(m + 1, m + p + 1)) | {m + p + n}
-    required_co = set(range(1, m + 1)) | {m + p + n}
+    last = {width} if width else set()  # column m+p+n, when there is one
+    required_cc = set(range(m + 1, m + p + 1)) | last
+    required_co = set(range(1, m + 1)) | last
     in_cc = _required_rank_holds(point.point, required_cc)
     in_co = _required_rank_holds(point.point, required_co)
     return LocusMembership(in_cc=in_cc, in_co=in_co, in_canonical=in_cc and in_co)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidMultiIndex
-from .linalg import Matrix, _as_int
+from .linalg import Matrix, _as_int, _non_negative
 from .system import LinearSystem
 
 
@@ -181,6 +181,7 @@ def code_from_multiindex(index: MultiIndex, m: int, n: int) -> KalmanCode:
 
 def all_codes(m: int, n: int) -> Iterator[KalmanCode]:
     """Every Kalman code of an (m, n) box array."""
+    _non_negative({"m": m, "n": n})
     if n == 0:
         yield KalmanCode(m, 0, frozenset())
         return

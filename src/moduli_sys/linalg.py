@@ -112,6 +112,13 @@ def _as_int(value, what: str) -> int:
     return ivalue
 
 
+def _non_negative(sizes: dict, prefix: str = "") -> None:
+    """A ``ValueError`` naming the first negative size; the one such check but ``Matrix``'s, which runs too often for a call."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{prefix}{name} must be non-negative, got {value}")
+
+
 def _ratio(a: int, b: int) -> Scalar:
     """``a / b`` as a canonical rational scalar: an ``int`` when ``b`` divides ``a``."""
     return a // b if not a % b else Fraction(a, b)

@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .counting import q_binomial
 from .errors import NonzeroThetaAlpha, OracleTooLarge
-from .linalg import Field, Matrix, charpoly, hstack, pivot_columns, rank, solve_right, vstack
+from .linalg import Field, Matrix, _non_negative, charpoly, hstack, pivot_columns, rank, solve_right, vstack
 from .system import LinearSystem, classify
 
 DEFAULT_SUBSPACE_LIMIT = 1 << 15
@@ -70,6 +70,7 @@ def euler_dimension(m: int, n: int, p: int) -> int:
     Evaluates the Euler form from the arrow data; the closed form is
     ``(m + p) n``.
     """
+    _non_negative({"m": m, "n": n, "p": p})
     alpha = (1, n)
     arrows = [(0, 1)] * m + [(1, 0)] * p + [(1, 1)]
     chi = alpha[0] * alpha[0] + alpha[1] * alpha[1]
@@ -163,6 +164,7 @@ def iter_subspace_bases(field: Field, n: int) -> Iterator[Matrix]:
     """
     if field.q is None:
         raise ValueError("subspace enumeration needs a finite field")
+    _non_negative({"n": n})
     q = field.q
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):

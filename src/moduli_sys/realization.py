@@ -40,7 +40,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import Field, Matrix, _eliminate, _as_int
-from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, _json_object, markov_parameters
+from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, _json_object, _read_matrix, markov_parameters
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,7 @@ class MarkovSequence:
         _check_input_size({"m": m, "p": p}, len(window) * p * m)
         if len(window) > 2 * MAX_DIM + 1:
             raise ValueError(f"a window of {len(window)} blocks is too long; at most {2 * MAX_DIM + 1} are supported")
-        blocks = []
-        for raw in window:
-            if len(_json_array(raw, "a block")) != p * m:
-                raise ValueError(f"block needs {p * m} entries, got {len(raw)}")
-            blocks.append(Matrix(field, p, m, tuple(field.coerce(x) for x in raw)))
-        return MarkovSequence(field, m, p, tuple(blocks))
+        return MarkovSequence(field, m, p, tuple(_read_matrix(field, raw, p, m, "a block") for raw in window))
 
 
 def _block_rows(seq: MarkovSequence, a: int, j: int) -> list[list]:

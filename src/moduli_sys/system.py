@@ -40,7 +40,7 @@ from random import Random
 from typing import Iterator
 
 from .errors import NotControllable, SingularBaseChange, SingularMatrix
-from .linalg import Field, Matrix, _as_int, _cleared, _dots, _eliminate, _ratio, hstack, inverse
+from .linalg import Field, Matrix, _as_int, _cleared, _dots, _eliminate, _non_negative, _ratio, hstack, inverse
 
 
 MAX_DIM = 64
@@ -55,10 +55,9 @@ MAX_ENTRIES = 1 << 13
 
 
 def _check_input_size(dims: dict, entries: int) -> None:
-    """Refuse a negative dimension, or input past :data:`MAX_DIM` or :data:`MAX_ENTRIES` (a ``ValueError``)."""
+    """Refuse a negative dimension by name, then input past :data:`MAX_DIM` or :data:`MAX_ENTRIES` (a ``ValueError``)."""
+    _non_negative(dims)
     for key, value in dims.items():
-        if value < 0:
-            raise ValueError(f"{key} must be non-negative, got {value}")
         if value > MAX_DIM:
             raise ValueError(f"{key} = {value} is too large; at most {MAX_DIM} is supported")
     if entries > MAX_ENTRIES:
@@ -73,6 +72,13 @@ def _json_array(raw, what: str) -> list:
     if not isinstance(raw, list):
         raise ValueError(f"{what} must be an array, got {type(raw).__name__}")
     return raw
+
+
+def _read_matrix(field: Field, raw, rows: int, cols: int, what: str) -> Matrix:
+    """The ``rows x cols`` matrix of the JSON array ``raw`` of row-major scalars; a ``ValueError`` naming ``what`` otherwise."""
+    if len(_json_array(raw, what)) != rows * cols:
+        raise ValueError(f"{what} must have {rows * cols} entries, got {len(raw)}")
+    return Matrix(field, rows, cols, tuple(field.coerce(x) for x in raw))
 
 
 def _json_object(raw, what: str, keys: tuple[str, ...]) -> dict:
@@ -305,8 +311,7 @@ def markov_parameters(system: LinearSystem, count: int) -> list[Matrix]:
     output entry is divided once.  Over ``F_q`` every denominator is 1.
     Only the output blocks become matrices.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    _non_negative({"count": count})
     f, m, n = system.field, system.m, system.n
     q = f.q
     (a, da), (b, db), (c, den) = (_cleared(x.entries, q) for x in (system.A, system.B, system.C))
@@ -356,14 +361,8 @@ def system_from_json(obj: dict) -> LinearSystem:
     field = Field.from_json(obj["field"])
     m, n, p = (_as_int(obj[key], key) for key in ("m", "n", "p"))
     _check_input_size({"m": m, "n": n, "p": p}, n * (n + m) + p * n)
-
-    def grid(key: str, rows: int, cols: int) -> Matrix:
-        raw = _json_array(obj[key], key)
-        if len(raw) != rows * cols:
-            raise ValueError(f"{key} must have {rows * cols} entries, got {len(raw)}")
-        return Matrix(field, rows, cols, tuple(field.coerce(x) for x in raw))
-
-    return LinearSystem(grid("A", n, n), grid("B", n, m), grid("C", p, n))
+    return LinearSystem(_read_matrix(field, obj["A"], n, n, "A"), _read_matrix(field, obj["B"], n, m, "B"),
+                        _read_matrix(field, obj["C"], p, n, "C"))
 
 
 # -- generation helpers ---------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import moduli_sys.realization as realization
 from moduli_sys.cli import main
+from moduli_sys.kalman import canonical_form
 from moduli_sys.linalg import Field
 from moduli_sys.realization import MarkovSequence
 from moduli_sys.system import MAX_DIM, markov_parameters, random_system, system_from_json, system_to_json
@@ -73,6 +74,9 @@ def test_canon_and_exit_codes(simple_system_file, tmp_path, capsys):
     code, out, err = run(capsys, ["canon", "--system", bad])
     assert code == 2
     assert "NotControllable" in err
+    code, out, err = run(capsys, ["embed", "--system", bad])
+    assert (code, out) == (2, "")
+    assert "NotControllable: embeddings need a cc system (rank c = 0 < 1)" in err
 
     code, _, err = run(capsys, ["canon", "--system", str(tmp_path / "missing.json")])
     assert code == 1
@@ -81,6 +85,16 @@ def test_canon_and_exit_codes(simple_system_file, tmp_path, capsys):
     code, _, err = run(capsys, ["canon", "--no-such-flag"])
     assert code == 1
     assert "USAGE" in err
+
+
+@pytest.mark.parametrize("field", [Field.rationals(), Field.prime(5)], ids=str)
+def test_canon_json(field, tmp_path, capsys):
+    system = random_system(field, 2, 3, 1, random.Random(4), require="cc")
+    g, canon = canonical_form(system)
+    path = write_json(tmp_path / "sys.json", system_to_json(system))
+    code, out, err = run(capsys, ["canon", "--system", path, "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"g": [field.scalar_to_json(x) for x in g.entries], "system": system_to_json(canon)}
 
 
 def test_embed(simple_system_file, capsys):
@@ -172,6 +186,7 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
 @pytest.mark.parametrize("extra, code, message", [
     # a non-prime modulus is refused before the bound
     (["--q", "4", "--bound", "0"], 1, "INVALID_INPUT: field modulus must be prime"),
+    (["--q", ","], 1, "USAGE: --q needs at least one prime"),
     # the modulus cap comes before the bound, at n = 1
     (["--q", "4294967311", "--bound", "0"], 1, "INVALID_INPUT: census modulus 4294967311 is too large"),
     # the default bound, 2^24
@@ -192,7 +207,7 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     (["--n-min", str(10 ** 2200), "--n-max", str(10 ** 2200), "--q", "2"], 2,
      "CensusTooLarge: 2^(more than 2^7308*more than 2^7308) = q^(n(n+m+p)) has more than 4300 digits, "
      "too many to print the report of n = more than 2^7308"),
-], ids=["non-prime", "modulus-before-bound", "default-bound", "huge-cell",
+], ids=["non-prime", "no-prime", "modulus-before-bound", "default-bound", "huge-cell",
         "m0-n120", "m0-q3", "large-p", "m0-n20000", "n-1e2200"])
 def test_census_cli_refusals(extra, code, message, capsys):
     import time
@@ -246,6 +261,7 @@ def test_census_cli_ignores_the_environment(value):
 
 def test_text_output_of_empty_matrices(tmp_path, capsys):
     n0 = write_json(tmp_path / "n0.json", {"field": "Q", "m": 2, "n": 0, "p": 1, "A": [], "B": [], "C": []})
+    empty = write_json(tmp_path / "empty.json", {"field": "Q", "m": 0, "n": 0, "p": 0, "A": [], "B": [], "C": []})
     m0 = write_json(tmp_path / "m0.json",
                     {"field": {"Fp": 3}, "m": 0, "n": 2, "p": 1, "A": [1, 2, 0, 1], "B": [], "C": [1, 0]})
     expected = {
@@ -262,6 +278,26 @@ def test_text_output_of_empty_matrices(tmp_path, capsys):
             "pivots J = {1, 2, 3}\n"
             "classify: co=true canonical=true\n"
             "locus membership: cc=true co=true canonical=true\n"
+        ),
+        # m = p = n = 0: a 0-plane in 0-space, inside every locus
+        ("embed", empty): (
+            "moduli point: undefined for n = 0\n"
+            "relation plane in Gras_0(0), stratum n = 0\n"
+            "representative =\n  <empty 0x0>\n"
+            "pivots J = {}\n"
+            "classify: co=true canonical=true\n"
+            "locus membership: cc=true co=true canonical=true\n"
+        ),
+        ("analyze", n0): (
+            "field: Q\n"
+            "type (m,n,p): (2, 0, 1)\n"
+            "rank c = 0 of 0\n"
+            "rank o = 0 of 0\n"
+            "cc=true co=true canonical=true\n"
+            "simple as quiver representation: true\n"
+            "kalman code (rows = powers 0..n-1, columns = inputs 1..m):\n"
+            "  (empty)\n"
+            "schubert cell I = {}\n"
         ),
         ("analyze", m0): (
             "field: F3\n"
@@ -489,6 +525,20 @@ def test_oversized_input_fails_fast(command, flag, payload, message, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "INVALID_INPUT" in proc.stderr and message in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["analyze", "--system"], dict(_system_payload(1, 2, 1), A=[1, 2, 3]), "INVALID_INPUT: A must have 4 entries, got 3"),
+    (["analyze", "--system"], _system_payload(MAX_DIM, MAX_DIM, 1), "INVALID_INPUT: 8256 scalars are too many"),
+    (["realize", "--markov"], dict(_markov_payload(2, 2, 3), blocks=[[1, 2, 3, 4], [1, 2, 3]]),
+     "INVALID_INPUT: a block must have 4 entries, got 3"),
+    (["realize", "--markov"], _markov_payload(1, 1, 2 * MAX_DIM + 2), "INVALID_INPUT: a window of 130 blocks is too long"),
+], ids=["system-entry-count", "system-entries", "markov-entry-count", "markov-window"])
+def test_entry_counts_and_caps_are_refused_in_process(argv, payload, message, tmp_path, capsys):
+    # the subprocess test above times the caps; here the refusals run in the test process
+    code, out, err = run(capsys, argv + [write_json(tmp_path / "input.json", payload)])
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_inputs_at_the_caps_are_read():

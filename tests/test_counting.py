@@ -384,6 +384,20 @@ def test_census_cells_beyond_full_pair_enumeration():
         assert co.match and co.formula_value == count_co_formula(m, n, p, q), co
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (gl_order, (-2, 3), "n must be non-negative, got -2"),
+    (count_cc_formula, (0, -1, 1, 2), "n must be non-negative, got -1"),
+    (count_cc_formula, (1, 1, -3, 2), "p must be non-negative, got -3"),
+    (count_co_formula, (-1, 1, 3, 2), "m must be non-negative, got -1"),  # named before m and p swap
+    (series_identity_check, (1, 1, 2, -1), "terms must be non-negative, got -1"),
+    (series_identity_check, (1, -3, 2, 2), "p must be non-negative, got -3"),
+], ids=["gl-order-n", "cc-n", "cc-p", "co-m", "series-terms", "series-p"])
+def test_formulas_refuse_negative_sizes(function, args, message):
+    # each used to return a wrong value, such as 1, 0 or the float 0.25
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
 def test_series_identity():
     assert series_identity_check(1, 0, 2, 5)
     assert series_identity_check(2, 1, 3, 6)

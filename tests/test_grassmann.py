@@ -372,6 +372,15 @@ def test_locus_tests_refuse_negative_dimensions(check, m, p, name):
         check(point, m, p)
 
 
+def test_the_empty_system_lies_in_every_locus():
+    # m = p = n = 0: column m+p+n does not exist, so no column is required
+    point = stratum_point(LinearSystem(*[Matrix.zeros(QQ, 0, 0)] * 3))
+    assert (point.point.k, point.point.N) == (0, 0)
+    membership = locus_membership(point, 0, 0)
+    assert (membership.in_cc, membership.in_co, membership.in_canonical) == (True, True, True)
+    assert stratum_dimension(point, 0, 0) == 0
+
+
 def test_stratum_dimension_and_not_in_locus():
     rng = random.Random(14)
     for _ in range(10):
@@ -404,11 +413,17 @@ def test_grassmann_points_read_their_size_off_the_representative():
     for rows in ([[0, 1, 1, 0], [1, 0, 2, 0]], [[1, 0, 2, 0], [1, 1, 1, 0]]):  # decreasing, then equal leads
         with pytest.raises(ValueError, match="strictly increasing"):
             GrassmannPoint(Matrix.from_rows(F3, rows))
+    # both span the plane of the identity, so only its reduced form is a representative
+    for rows, unit in (([[1, 1], [0, 1]], "column 2 must be e_2"), ([[2, 0], [0, 3]], "column 1 must be e_1")):
+        with pytest.raises(ValueError, match=f"^the representative is not reduced: its {unit}$"):
+            GrassmannPoint(Matrix.from_rows(F5, rows))
     big = InfiniteGrassmannPoint(point)
     assert big.stratum == 2
     for extra in range(4):
         assert big.padded(extra).stratum == big.stratum + extra
         assert (big.padded(extra).point.k, big.padded(extra).point.N) == (2, 4 + extra)
+    with pytest.raises(ValueError, match="^extra must be non-negative, got -1$"):
+        big.padded(-1)
 
 
 def test_padding_stability():

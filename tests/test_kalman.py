@@ -144,6 +144,11 @@ def test_codes_refuse_floats_and_booleans():
 
 # -- multi-index bijection ----------------------------------------------------
 
+def test_all_codes_refuses_a_negative_size():
+    with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+        list(all_codes(2, -1))  # it used to yield nothing
+
+
 def test_multiindex_examples():
     single = KalmanCode(1, 3, frozenset({(0, 1), (1, 1), (2, 1)}))
     assert list(multiindex_from_code(single)) == [1, 2, 3]

@@ -46,6 +46,13 @@ def test_euler_dimension_grid():
     assert euler_dimension(2, 0, 2) == 0
 
 
+def test_negative_sizes_are_refused():
+    with pytest.raises(ValueError, match="^m must be non-negative, got -1$"):
+        euler_dimension(-1, 2, 1)  # it used to return 2
+    with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+        list(iter_subspace_bases(F2, -1))  # it used to yield nothing
+
+
 def test_weights_and_pairings():
     assert controllability_weight(3) == (-3, 1)
     assert observability_weight(3) == (3, -1)

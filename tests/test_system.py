@@ -212,7 +212,7 @@ def test_markov_parameters_match_the_product_loop():
             # the same scalar types too: int when integral over Q
             assert [list(map(type, b.entries)) for b in got] == [list(map(type, b.entries)) for b in want]
             assert all(b.field == s.field and (b.rows, b.cols) == (s.p, s.m) for b in got)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^count must be non-negative, got -1$"):
         markov_parameters(cases[0], -1)
 
 
@@ -260,6 +260,8 @@ def test_random_system_reproducible_and_constrained():
         random_system(QQ, 0, 1, 1, random.Random(0), require="cc")
     with pytest.raises(ValueError):
         random_system(QQ, 1, 1, 0, random.Random(0), require="canonical")
+    with pytest.raises(ValueError, match="^unknown requirement 'cc!'$"):
+        random_system(QQ, 1, 1, 1, random.Random(0), require="cc!")
 
 
 # -- classify's Krylov walk against the full-matrix referee ------------------
