@@ -25,7 +25,7 @@ from .errors import ModuliError, NotControllable
 from .grassmann import locus_membership, moduli_point, stratum_point
 from .kalman import canonical_form, kalman_code, multiindex_from_code
 from .linalg import Field, Matrix
-from .realization import MarkovSequence, realize
+from .realization import MarkovSequence, realize, verify_realization
 from .system import (
     LinearSystem,
     classify,
@@ -170,20 +170,21 @@ def cmd_census(args) -> int:
 
 def cmd_realize(args) -> int:
     seq = MarkovSequence.from_json(_load_json(args.markov))
-    system = realize(seq)  # raises InconsistentData unless verify_realization holds
+    system = realize(seq)
+    verified = verify_realization(system, seq)  # the one pass over the window's Markov blocks
     if args.json:
         print(json.dumps({
             "n": system.n,
-            "verify": True,
+            "verify": verified,
             "system": system_to_json(system),
         }, sort_keys=True))
-        return 0
+        return 0 if verified else 2
     print(f"realized order n = {system.n}")
     _print_matrix("A", system.A)
     _print_matrix("B", system.B)
     _print_matrix("C", system.C)
-    print("verify=true")
-    return 0
+    print(f"verify={_bool(verified)}")
+    return 0 if verified else 2
 
 
 def cmd_random(args) -> int:

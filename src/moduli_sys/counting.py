@@ -75,6 +75,7 @@ CSV_HEADER = "m,n,p,q,raw,gl_order,orbits,formula,match"
 def gl_order(n: int, q: int) -> int:
     """``|GL_n(F_q)| = prod_{i=0..n-1} (q^n - q^i)``; 1 for n = 0."""
     _non_negative({"n": n})
+    Field.prime(q)  # validates primality
     out = 1
     for i in range(n):
         out *= q ** n - q ** i
@@ -98,6 +99,7 @@ def count_cc_formula(m: int, n: int, p: int, q: int) -> int:
     for ``m = 0 < n``, where no system is controllable.
     """
     _non_negative({"m": m, "n": n, "p": p})
+    Field.prime(q)  # validates primality
     if m == 0:
         return int(n == 0)
     return q ** (n * (p + 1)) * q_binomial(m + n - 1, n, q)

@@ -2,7 +2,10 @@
 
 Every domain error derives from :class:`ModuliError`, so callers (in
 particular the CLI) can distinguish computational failures from plain
-usage errors such as ``ValueError``.
+usage errors such as ``ValueError``.  A failure that the arithmetic
+rules out gets no class: Ho-Kalman at a certified Hankel order always
+reproduces its window, so :mod:`moduli_sys.realization` raises no
+"inconsistent data" error.
 """
 
 
@@ -60,10 +63,6 @@ class CensusTooLarge(ModuliError):
 
 class NotStabilizedError(ModuliError):
     """Hankel ranks were not certified stable inside the data window."""
-
-
-class InconsistentData(ModuliError):
-    """Data admits no exact realization at the certified order."""
 
 
 class InsufficientData(ModuliError):

@@ -34,6 +34,8 @@ class MultiIndex:
     ambient: int | None = None
 
     def __post_init__(self) -> None:
+        if self.ambient is not None:
+            _non_negative({"ambient": self.ambient})
         vals = tuple(_as_int(v, "multi-index entry") for v in self.values)
         object.__setattr__(self, "values", vals)
         if any(v < 1 for v in vals):
@@ -62,6 +64,7 @@ class KalmanCode:
     black: frozenset  # of (power i, column j) with 0 <= i < n, 1 <= j <= m
 
     def __post_init__(self) -> None:
+        _non_negative({"m": self.m, "n": self.n})
         black = frozenset((_as_int(i, "box row"), _as_int(j, "box column")) for i, j in self.black)
         object.__setattr__(self, "black", black)
         if len(black) != self.n:

@@ -3,11 +3,16 @@
 Given a finite prefix ``F_1, ..., F_L`` of ``p x m`` blocks, the block
 Hankel matrix ``H_ij`` stacks ``F_(a+b-1)`` at block position (a, b).
 When some ``H_rs`` has the same rank as every available ``H_(r+1),(s+j)``
-the order is certified inside the window and the sequence is realized by
+the order is certified inside the window, and the sequence is realized by
 a canonical system of state dimension ``rank H_rs`` via exact rank
 factorization (Ho-Kalman): ``H_rs = O R`` through the pivot columns, and
 ``A``, ``B`` and ``C`` are read off one reduced ``linalg._eliminate`` of
 the block rows of ``H_(r,s+1)``, with no Hankel ``Matrix`` on the way.
+The certificate is the check: its rank equalities already make the
+shift equations solvable and the system reproduce every block of the
+window (Tether's partial-realization argument; the proof is in
+notes/decisions.md), so nothing is multiplied or compared afterwards.
+:func:`verify_realization` stays for callers that report a result.
 
 Certification never extrapolates: if the window is too short to check a
 single shift, the outcome is the :class:`NotStabilized` value.
@@ -33,12 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import (
-    InconsistentData,
-    InsufficientData,
-    NotStabilizedError,
-    ShapeMismatch,
-)
+from .errors import InsufficientData, NotStabilizedError, ShapeMismatch
 from .linalg import Field, Matrix, _eliminate, _as_int
 from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, _json_object, _read_matrix, markov_parameters
 
@@ -178,56 +178,32 @@ def realizability_order(seq: MarkovSequence) -> Union[HankelRankProfile, NotStab
     return NotStabilized(window=L, ranks=ranks)
 
 
-def _realize_at(seq: MarkovSequence, r: int, s: int) -> LinearSystem:
-    """Read ``(A, B, C)`` off the reduced rows of ``H_(r,s+1)``.
-
-    ``H_(r,s+1)`` is ``[H_rs | next block column]`` and also ``[first
-    block column | H^]``, with ``H^`` the shifted blocks ``F_(a+b)``.  One
-    reduced :func:`~moduli_sys.linalg._eliminate` of its block rows gives
-    ``n`` rows ``[R | *]``, ``R`` the reduced ``H_rs``.  ``O X = H^`` is
-    solvable exactly when no pivot lies in the last block column, and
-    ``X`` is then columns ``m..m(s+1)-1`` of those rows.  ``A`` is ``X``
-    at the pivot columns, ``B`` the first ``m`` columns of ``R``, ``C``
-    the first ``p`` rows of ``O`` (block row 1 at the pivot columns).
-    Raises :class:`InsufficientData` when the window holds fewer than
-    ``r + s`` blocks, and :class:`InconsistentData` when ``O X = H^`` or
-    ``A R = X`` has no solution or the result fails to reproduce every
-    supplied block.
-    """
-    f, m, p = seq.field, seq.m, seq.p
-    if r + s > len(seq):
-        raise InsufficientData(f"H_{r}{s + 1} needs {r + s} blocks, sequence has {len(seq)}")
-    rows = [row for a in range(r) for row in _block_rows(seq, a, s + 1)]
-    pivots, _ = _eliminate(f, rows, m * (s + 1), True)
-    n = len(pivots)
-    if pivots and pivots[-1] >= m * s:
-        raise InconsistentData("shift equation O X = H^ has no solution")
-    del rows[n:]
-    x = tuple(v for row in rows for v in row[m:])
-    a = Matrix(f, n, n, tuple(row[m + k] for row in rows for k in pivots))  # pivot columns of R are I_n
-    rowspan = Matrix(f, n, m * s, tuple(v for row in rows for v in row[:m * s]))  # R: full row rank
-    if (a @ rowspan).entries != x:
-        raise InconsistentData("shift equation A R = X has no solution")
-    b = Matrix(f, n, m, tuple(v for row in rows for v in row[:m]))
-    c = Matrix(f, p, n, tuple(row[k] for row in _block_rows(seq, 0, s) for k in pivots))
-    system = LinearSystem(a, b, c)
-    if not verify_realization(system, seq):
-        raise InconsistentData("realized system does not reproduce the data window")
-    return system
-
-
 def realize(seq: MarkovSequence) -> LinearSystem:
     """Canonical system of minimal order reproducing the whole window.
 
-    The state dimension equals the certified stable Hankel rank.
-    Raises :class:`NotStabilizedError` when no order can be certified.
+    The state dimension is the certified stable Hankel rank ``n``; raises
+    :class:`NotStabilizedError` when no order can be certified.  At the
+    certified ``(r, s)``, one reduced :func:`~moduli_sys.linalg._eliminate`
+    of the block rows of ``H_(r,s+1) = [H_rs | next block column]`` gives
+    ``n`` rows ``[R | *]``, ``R`` the reduced ``H_rs``, whose pivots all lie
+    in ``H_rs``.  ``A`` is those rows past the first block column at the
+    pivot columns, ``B`` their first ``m`` columns and ``C`` block row 1
+    at the pivot columns.  No check follows: the certificate is the check.
     """
     profile = realizability_order(seq)
     if isinstance(profile, NotStabilized):
         raise NotStabilizedError(
             f"no stable Hankel rank certified within {profile.window} blocks"
         )
-    return _realize_at(seq, profile.r, profile.s)
+    f, m, p, r, s = seq.field, seq.m, seq.p, profile.r, profile.s
+    rows = [row for a in range(r) for row in _block_rows(seq, a, s + 1)]
+    pivots, _ = _eliminate(f, rows, m * (s + 1), True)
+    n = len(pivots)
+    del rows[n:]
+    a = Matrix(f, n, n, tuple(row[m + k] for row in rows for k in pivots))  # pivot columns of R are I_n
+    b = Matrix(f, n, m, tuple(v for row in rows for v in row[:m]))
+    c = Matrix(f, p, n, tuple(row[k] for row in _block_rows(seq, 0, s) for k in pivots))
+    return LinearSystem(a, b, c)
 
 
 def verify_realization(system: LinearSystem, seq: MarkovSequence) -> bool:

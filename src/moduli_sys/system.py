@@ -370,6 +370,7 @@ def system_from_json(obj: dict) -> LinearSystem:
 
 def all_systems(field: Field, m: int, n: int, p: int) -> Iterator[LinearSystem]:
     """Every system of type (m, n, p) over a prime field, one by one."""
+    _non_negative({"m": m, "n": n, "p": p})
     if field.q is None:
         raise ValueError("exhaustive enumeration needs a finite field")
     q = field.q

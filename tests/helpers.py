@@ -9,7 +9,7 @@ from random import Random
 
 import numpy as np
 
-from moduli_sys.errors import InconsistentData, NotControllable
+from moduli_sys.errors import NotControllable
 from moduli_sys.linalg import Field, Matrix
 from moduli_sys.realization import HankelRankProfile, NotStabilized
 from moduli_sys.system import LinearSystem, all_systems
@@ -247,6 +247,10 @@ def reference_realizability_order(seq):
                 return HankelRankProfile(r=r, s=s, order=base, ranks=ranks)
     ranks = tuple(sorted((i, j, v) for (i, j), v in cache.items()))
     return NotStabilized(window=L, ranks=ranks)
+
+
+class InconsistentData(Exception):
+    """The referee's refusal: no exact realization at the requested ``(r, s)``."""
 
 
 def reference_realize_at(seq, r: int, s: int) -> LinearSystem:

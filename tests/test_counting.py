@@ -398,6 +398,20 @@ def test_formulas_refuse_negative_sizes(function, args, message):
         function(*args)
 
 
+@pytest.mark.parametrize("function, args, message", [
+    (count_cc_formula, (2, 1, 0, 1), "field modulus must be prime, got 1"),
+    (series_identity_check, (1, 1, 1, 3), "field modulus must be prime, got 1"),
+    (count_cc_formula, (1, 1, 0, -2), "field modulus must be prime, got -2"),
+    (gl_order, (2, 1), "field modulus must be prime, got 1"),
+    (count_co_formula, (1, 1, 0, 4), "field modulus must be prime, got 4"),
+    (count_cc_formula, (-1, 1, 0, 1), "m must be non-negative, got -1"),  # a negative size comes first
+], ids=["cc-one", "series-one", "cc-negative", "gl-order-one", "co-four", "size-first"])
+def test_formulas_refuse_a_modulus_that_is_not_prime(function, args, message):
+    # the census's modulus rule: these raised ZeroDivisionError or returned -2 and 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(*args)
+
+
 def test_series_identity():
     assert series_identity_check(1, 0, 2, 5)
     assert series_identity_check(2, 1, 3, 6)

@@ -23,7 +23,7 @@ from moduli_sys.kalman import (
     multiindex_from_code,
 )
 from moduli_sys.linalg import Field, Matrix, charpoly, pivot_columns
-from moduli_sys.system import LinearSystem, act, controllability_matrix, markov_parameters, random_system
+from moduli_sys.system import LinearSystem, act, all_systems, controllability_matrix, markov_parameters, random_system
 
 from helpers import col_list, from_cols, reference_new_direction_walk, unimodular
 
@@ -147,6 +147,16 @@ def test_codes_refuse_floats_and_booleans():
 def test_all_codes_refuses_a_negative_size():
     with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
         list(all_codes(2, -1))  # it used to yield nothing
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: KalmanCode(-1, 0, frozenset()), "m must be non-negative, got -1"),  # its ascii_art printed (empty)
+    (lambda: MultiIndex((), ambient=-1), "ambient must be non-negative, got -1"),
+    (lambda: all_systems(Field.prime(2), -1, 1, 0), "m must be non-negative, got -1"),  # was an entry count
+], ids=["kalman-code", "multi-index", "all-systems"])
+def test_constructors_refuse_a_negative_size(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        next(iter(build()))
 
 
 def test_multiindex_examples():

@@ -6,19 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from moduli_sys.errors import (
-    InconsistentData,
-    InsufficientData,
-    NotStabilizedError,
-    ShapeMismatch,
-)
+from moduli_sys.errors import InsufficientData, NotStabilizedError, ShapeMismatch
 from moduli_sys.kalman import canonical_form
 from moduli_sys.linalg import Field, Matrix, rank
 from moduli_sys.realization import (
     HankelRankProfile,
     MarkovSequence,
     NotStabilized,
-    _realize_at,
     hankel,
     realizability_order,
     realize,
@@ -188,24 +182,15 @@ def test_minimality_exhaustive_f2():
 
 
 def test_inconsistent_data():
-    # (r, s) = (1, 1) sees rank 1, but the tail breaks the recursion
+    # (r, s) = (1, 1) sees rank 1, but the tail breaks the recursion: the scan certifies nothing,
+    # and the referee, asked at (1, 1) regardless, finds no exact realization there
+    from helpers import InconsistentData, reference_realize_at
+
     seq = scalar_seq([1, 1, 1, 5])
+    with pytest.raises(NotStabilizedError):
+        realize(seq)
     with pytest.raises(InconsistentData):
-        _realize_at(seq, 1, 1)
-
-
-def test_realize_at_refuses_a_short_window():
-    # the window guard is written out: slicing the block rows would cut a short window silently
-    seq = scalar_seq([1, 1, 1, 1])
-    for r, s in ((3, 2), (4, 1), (1, 4), (2, 3)):
-        with pytest.raises(InsufficientData):
-            _realize_at(seq, r, s)
-    assert _realize_at(seq, 2, 2).n == _realize_at(seq, 3, 1).n == 1
-    rng = random.Random(33)
-    blocks = MarkovSequence.from_system(random_system(F5, 2, 2, 3, rng, require="canonical"), 5)
-    with pytest.raises(InsufficientData):
-        _realize_at(blocks, 3, 3)
-    assert _realize_at(blocks, 3, 2).n == 2
+        reference_realize_at(seq, 1, 1)
 
 
 def test_verify_shape_mismatch():
@@ -424,17 +409,12 @@ def test_realizability_order_eliminates_once_per_block_row_count(monkeypatch):
 
 
 def test_realize_at_matches_reference():
-    # one reduction of H_(r,s+1) against H_rs, anchor rows, an inverse and a block-built shifted H
+    # one reduction of H_(r,s+1) at the certified (r, s) against H_rs, anchor rows, an inverse
+    # and a block-built shifted H
     from helpers import reference_realize_at
 
-    def outcome(realize_at, seq, r, s):
-        try:
-            return realize_at(seq, r, s)
-        except InconsistentData as exc:
-            return str(exc)
-
     rng = random.Random(31)
-    seen = {"certified": 0, "direct": 0, "refused": 0, "refused_with_rank": 0}
+    certified = 0
     for field in (QQ, F2, F5):
         for m in (1, 2, 3):
             for p in (1, 2, 3):
@@ -453,48 +433,70 @@ def test_realize_at_matches_reference():
                 for seq in windows:
                     profile = realizability_order(seq)
                     if isinstance(profile, HankelRankProfile):
-                        got = _realize_at(seq, profile.r, profile.s)
-                        assert got == reference_realize_at(seq, profile.r, profile.s), seq
-                        seen["certified"] += 1
-                    # direct calls at uncertified sizes: the same system, or both refuse
-                    for r in range(1, 4):
-                        for s in range(1, min(4, len(seq) - r + 1)):
-                            got = outcome(_realize_at, seq, r, s)
-                            want = outcome(reference_realize_at, seq, r, s)
-                            seen["direct"] += 1
-                            if isinstance(want, LinearSystem):
-                                assert got == want, (seq, r, s)
-                                continue
-                            assert isinstance(got, str), (seq, r, s)
-                            seen["refused"] += 1
-                            # with H_rs = 0 the old route skipped the shift equation
-                            if rank(hankel(seq, r, s)) > 0:
-                                assert got == want, (seq, r, s)
-                                seen["refused_with_rank"] += 1
-    assert all(seen.values()), seen
-    # the pivot of H_(1,2) lands in its last block column
-    seq = scalar_seq([0, 1])
-    for realize_at in (_realize_at, reference_realize_at):
-        with pytest.raises(InconsistentData):
-            realize_at(seq, 1, 1)
+                        assert realize(seq) == reference_realize_at(seq, profile.r, profile.s), seq
+                        certified += 1
+    assert certified >= 250, certified
+
+
+def _perturbed(seq, rng):
+    """The window with one entry of one block moved by one."""
+    blocks = list(seq.blocks)
+    k = rng.randrange(len(blocks))
+    entries = list(blocks[k].entries)
+    i = rng.randrange(len(entries))
+    entries[i] = seq.field.coerce(entries[i] + rng.choice((1, -1)))
+    blocks[k] = Matrix(seq.field, seq.p, seq.m, tuple(entries))
+    return MarkovSequence(seq.field, seq.m, seq.p, tuple(blocks))
+
+
+def test_a_certified_window_needs_no_check():
+    # realize runs no consistency test after the scan: the rank certificate implies them all.
+    # At every certified (r, s) the referee, which solves O X = H^ on every row, checks A R = X
+    # and compares the whole window, must not refuse, and the window must be reproduced,
+    # also on perturbed windows and on windows of arbitrary blocks
+    from helpers import reference_realize_at
+
+    rng = random.Random(34)
+    windows = []  # (seq, perturbed)
+
+    def add(system, n):
+        for window in (n + 2, 2 * n + 1, 2 * n + 3):
+            seq = MarkovSequence.from_system(system, max(window, 2))
+            windows.append((_perturbed(seq, rng), True) if rng.random() < 0.5 else (seq, False))
+
+    for field in (QQ, F2, F3, F5):
+        for _ in range(60):
+            n = rng.randint(0, 4)
+            add(random_system(field, rng.randint(1, 3), n, rng.randint(1, 3), rng,
+                              require=rng.choice(("any", "canonical"))), n)
+        for _ in range(60):
+            m, p = rng.randint(1, 3), rng.randint(1, 3)
+            windows.append((MarkovSequence(field, m, p, tuple(
+                Matrix(field, p, m, tuple(field.coerce(rng.randint(-3, 3)) for _ in range(p * m)))
+                for _ in range(rng.randint(2, 9)))), False))
+    for field in (QQ, F5):
+        for m, n, p in ((2, 6, 2), (3, 10, 2)):
+            add(random_system(field, m, n, p, rng), n)
+    seen, top = {True: 0, False: 0}, 0
+    for seq, perturbed in windows:
+        profile = realizability_order(seq)
+        if isinstance(profile, NotStabilized):
+            continue
+        got = realize(seq)
+        assert got == reference_realize_at(seq, profile.r, profile.s), seq
+        assert got.n == profile.order and verify_realization(got, seq), seq
+        seen[perturbed] += 1
+        top = max(top, got.n)
+    assert seen[True] >= 60 and seen[False] >= 200 and top >= 10, (seen, top)
 
 
 def test_realize_reads_the_system_off_one_reduction(monkeypatch):
-    # no Hankel matrix and no rref_with_pivots: one reduced elimination of the
-    # block rows of H_(r,s+1), and the same system as the referee
+    # no Hankel matrix, no rref_with_pivots and no check after the scan: one reduced elimination of
+    # the block rows of H_(r,s+1), no Markov parameter and no product, and the same system as the referee
     import moduli_sys.linalg
     import moduli_sys.realization
 
     from helpers import reference_realize_at
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Ho-Kalman must reduce the block rows itself")
-
-    calls = []
-    eliminate = moduli_sys.realization._eliminate
-    monkeypatch.setattr(moduli_sys.realization, "hankel", forbidden)
-    monkeypatch.setattr(moduli_sys.linalg, "rref_with_pivots", forbidden)
-    monkeypatch.setattr(moduli_sys.realization, "_eliminate", lambda *args: calls.append(args[3]) or eliminate(*args))
 
     def fractional(m, n, p):
         def grid(rows, cols):
@@ -507,15 +509,30 @@ def test_realize_reads_the_system_off_one_reduction(monkeypatch):
     systems = [random_system(field, rng.randint(1, 3), n, rng.randint(1, 3), rng, require="canonical")
                for field in (QQ, F2, F5) for n in range(5)]
     systems += [fractional(rng.randint(1, 2), n, rng.randint(1, 2)) for n in range(1, 5)]
-    realized = 0
-    for system in systems:
-        seq = MarkovSequence.from_system(system, 2 * system.n + 2 + rng.randint(0, 2))
+    seqs = [MarkovSequence.from_system(system, 2 * system.n + 2 + rng.randint(0, 2)) for system in systems]
+    expected = []
+    for seq in seqs:
         profile = realizability_order(seq)
-        if isinstance(profile, NotStabilized):
-            continue
+        expected.append(reference_realize_at(seq, profile.r, profile.s))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Ho-Kalman must read the system off its own reduction of the block rows")
+
+    calls = []
+    eliminate = moduli_sys.realization._eliminate
+    monkeypatch.setattr(moduli_sys.realization, "_eliminate", lambda *args: calls.append(args[3]) or eliminate(*args))
+    for owner, name in ((moduli_sys.realization, "hankel"), (moduli_sys.linalg, "rref_with_pivots"),
+                        (moduli_sys.realization, "markov_parameters"),
+                        (moduli_sys.realization, "verify_realization"), (Matrix, "__matmul__")):
+        monkeypatch.setattr(owner, name, forbidden)
+    got, reductions = [], []
+    for seq in seqs:
         calls.clear()
-        got = _realize_at(seq, profile.r, profile.s)
-        assert calls == [True], calls
-        assert realize(seq) == got == reference_realize_at(seq, profile.r, profile.s), seq
-        realized += 1
-    assert realized == len(systems), realized
+        got.append(realize(seq))
+        reductions.append(list(calls))
+    monkeypatch.undo()
+    for seq, system, want, reduced in zip(seqs, got, expected, reductions):
+        # the scan's forward eliminations, then exactly one reduced one
+        assert reduced.count(True) == 1 and reduced[-1] is True, reduced
+        assert system == want, seq
+    assert len(got) == len(systems) == 19
