@@ -20,12 +20,11 @@ import json
 import sys
 from random import Random
 
-from .counting import DEFAULT_CENSUS_BOUND, census_cc, census_csv
+# Every command reads or prints a system or a field, so these three modules
+# are imported here; each command imports the rest of what it uses, so a cold
+# call loads only its own modules.
 from .errors import ModuliError, NotControllable
-from .grassmann import locus_membership, moduli_point, stratum_point
-from .kalman import canonical_form, kalman_code, multiindex_from_code
 from .linalg import Field, Matrix
-from .realization import MarkovSequence, realize, verify_realization
 from .system import (
     LinearSystem,
     classify,
@@ -64,6 +63,8 @@ def _bool(x: bool) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from .kalman import kalman_code, multiindex_from_code
+
     system = _load_system(args.system)
     cls = classify(system)
     payload = {
@@ -98,6 +99,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_canon(args) -> int:
+    from .kalman import canonical_form
+
     system = _load_system(args.system)
     g, canon = canonical_form(system)
     if args.json:
@@ -115,6 +118,8 @@ def cmd_canon(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .grassmann import locus_membership, moduli_point, stratum_point
+
     system = _load_system(args.system)
     cls = classify(system)
     if not cls.cc:
@@ -155,6 +160,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .counting import DEFAULT_CENSUS_BOUND, census_cc, census_csv
+
+    bound = DEFAULT_CENSUS_BOUND if args.bound is None else args.bound
     qs = [int(tok) for tok in args.q.split(",") if tok]
     if not qs:
         raise UsageError("--q needs at least one prime")
@@ -163,12 +171,14 @@ def cmd_census(args) -> int:
     rows = []
     for q in qs:
         for n in range(args.n_min, args.n_max + 1):
-            rows.append(census_cc(args.m, n, args.p, q, bound=args.bound))
+            rows.append(census_cc(args.m, n, args.p, q, bound=bound))
     print(census_csv(rows))
     return 0 if all(r.match for r in rows) else 2
 
 
 def cmd_realize(args) -> int:
+    from .realization import MarkovSequence, realize, verify_realization
+
     seq = MarkovSequence.from_json(_load_json(args.markov))
     system = realize(seq)
     verified = verify_realization(system, seq)  # the one pass over the window's Markov blocks
@@ -222,7 +232,7 @@ def build_parser() -> _Parser:
     p_census.add_argument("--n-max", type=int, required=True)
     p_census.add_argument("--n-min", type=int, default=0)
     p_census.add_argument("--q", required=True, help="comma-separated primes")
-    p_census.add_argument("--bound", type=int, default=DEFAULT_CENSUS_BOUND,
+    p_census.add_argument("--bound", type=int,  # None is counting.DEFAULT_CENSUS_BOUND
                           help="bound on the states a cell enumerates, q^(nm) + min(n,m)*q^(n^2) "
                                "for n > 0 (default: 2^24); checked after a cell whose "
                                "q^(n(n+m+p)) has more than 4300 digits is refused")

@@ -83,9 +83,15 @@ def gl_order(n: int, q: int) -> int:
 
 
 def q_binomial(a: int, b: int, q: int) -> int:
-    """Gaussian binomial coefficient, the subspace count, as an exact int."""
+    """Gaussian binomial coefficient, the subspace count, as an exact int.
+
+    ``q`` is any integer ``>= 2``; at a prime power it counts the
+    ``b``-dimensional subspaces of ``F_q^a``.
+    """
     if not 0 <= b <= a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got q={q}")
     out = 1
     for i in range(1, b + 1):
         out = out * (q ** (a - b + i) - 1) // (q ** i - 1)

@@ -400,6 +400,9 @@ def test_huge_modulus_fails_fast(tmp_path, capsys):
 
 
 def test_cli_commands_leave_sympy_unimported(simple_system_file, tmp_path):
+    # Each command in a fresh interpreter loads exactly the package modules it
+    # uses, and none loads quiver or sympy; only the census, which enumerates
+    # with numpy, loads numpy.  A bare import loads no submodule.
     import subprocess
     import sys
 
@@ -407,23 +410,31 @@ def test_cli_commands_leave_sympy_unimported(simple_system_file, tmp_path):
         random_system(Field.prime(5), 2, 3, 1, random.Random(7), require="canonical")))
     markov = write_json(tmp_path / "fib.json",
                         MarkovSequence.from_scalars(Field.rationals(), [1, 1, 2, 3, 5, 8]).to_json())
-    argvs = [[cmd, "--system", path] for cmd in ("analyze", "canon", "embed")
-             for path in (simple_system_file, fq_system)]
-    argvs.append(["realize", "--markov", markov])
-    argvs.append(["random", "--field", "5", "--m", "2", "--n", "3", "--p", "1", "--seed", "7", "--cc"])
+    every = {"cli", "errors", "linalg", "system"}
+    cases = [([], set())]
+    for path in (simple_system_file, fq_system):
+        cases += [(["analyze", "--system", path], every | {"kalman"}),
+                  (["canon", "--system", path], every | {"kalman"}),
+                  (["embed", "--system", path], every | {"grassmann", "kalman"})]
+    cases.append((["realize", "--markov", markov], every | {"realization"}))
+    cases.append((["random", "--field", "5", "--m", "2", "--n", "3", "--p", "1", "--seed", "7", "--cc"], every))
+    cases.append((["census", "--m", "1", "--p", "1", "--n-max", "1", "--q", "2"], every | {"counting"}))
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import moduli_sys\n"
-        "assert 'sympy' not in sys.modules, 'import'\n"
-        "assert 'numpy' not in sys.modules, 'import'\n"
-        "from moduli_sys.cli import main\n"
-        f"for argv in {argvs!r}:\n"
-        "    assert main(argv) == 0, argv\n"
-        "    assert 'sympy' not in sys.modules, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "if sys.argv[1:]:\n"
+        "    from moduli_sys.cli import main\n"
+        "    assert main(sys.argv[1:]) == 0, sys.argv\n"
+        "loaded = sorted(name[len('moduli_sys.'):] for name in sys.modules if name.startswith('moduli_sys.'))\n"
+        "print(json.dumps([loaded, 'sympy' in sys.modules, 'numpy' in sys.modules]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded, sympy, numpy = json.loads(proc.stdout.splitlines()[-1])
+        assert set(loaded) == expected, argv
+        assert not sympy, argv
+        assert numpy == (argv[:1] == ["census"]), argv
 
 
 @pytest.mark.parametrize("field, literal", [

@@ -44,8 +44,13 @@ def test_q_binomial():
     assert q_binomial(7, 0, 3) == 1
     assert q_binomial(4, 2, 2) == 35
     assert q_binomial(4, 2, 3) == 130
+    assert q_binomial(2, 1, 4) == 5  # a prime power that is not prime: the 5 lines of F_4^2
     with pytest.raises(ValueError):
         q_binomial(2, 3, 2)
+    # q = 1 divided by zero, and q = 0 and q = -1 returned values of the polynomial
+    for q in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"^q must be at least 2, got q={q}$"):
+            q_binomial(2, 1, q)
     # symmetry and exactness against a Fraction evaluation
     for a in range(7):
         for b in range(a + 1):
