@@ -172,8 +172,6 @@ def code_from_multiindex(index: MultiIndex, m: int, n: int) -> KalmanCode:
         raise InvalidMultiIndex(f"entries of {values} must lie in 1..{m + n - 1}")
     cols = [v for v in values if v <= m]
     cs = [v - m for v in values if v > m]
-    if any(c < 1 or c >= n for c in cs):
-        raise InvalidMultiIndex(f"shifted entries {cs} must lie in 1..{n - 1}")
     ends = [e for e in range(1, n + 1) if e not in set(cs)]
     if len(ends) != len(cols):
         raise InvalidMultiIndex(

@@ -5,8 +5,10 @@ values in ``[0, q)``.  Over the rationals a scalar is an ``int`` when
 integral and a ``fractions.Fraction`` otherwise; equal ``int`` and
 ``Fraction`` values compare, hash and print alike.  ``0`` and ``1``
 serve every field, and only outside data passes through
-:meth:`Field.coerce`.  All arithmetic is exact; there is no floating
-point anywhere.
+:meth:`Field.coerce`, which reads each input number as one exact
+fraction ``a/b``: over ``F_q`` that is ``a * b^-1``, refused exactly
+when ``q`` divides ``b`` in lowest terms.  All arithmetic is exact;
+there is no floating point anywhere.
 
 One discipline covers every kernel: it computes on plain ``int``
 values, reduced mod ``q`` over ``F_q``, and over ``Q`` on integers
@@ -154,8 +156,10 @@ class Field:
 
     A field is its modulus and the boundary to outside data; it does no
     arithmetic, which the kernels do on plain numbers.  :meth:`coerce`
-    makes a scalar an ``int`` in ``[0, q)`` over ``F_q``, over ``Q`` an
-    ``int`` when integral and a ``Fraction`` otherwise.
+    reads an input as one exact fraction ``a/b`` and makes it an ``int``
+    in ``[0, q)`` over ``F_q`` (``a * b^-1``, refused when ``q`` divides
+    ``b``), over ``Q`` an ``int`` when integral and a ``Fraction``
+    otherwise; :meth:`inv` inverts the coerced value.
     """
 
     q: int | None = None
@@ -179,7 +183,7 @@ class Field:
         return Field(q)
 
     def coerce(self, value: Scalar | str) -> Scalar:
-        """Convert an int / Fraction / string ``"a"`` or ``"a/b"`` into a canonical scalar."""
+        """The canonical scalar of an int / Fraction / Decimal / string ``"a"`` or ``"a/b"``."""
         if isinstance(value, bool):
             raise TypeError(f"boolean {value!r} is not a scalar")
         if isinstance(value, float):
@@ -187,27 +191,25 @@ class Field:
         if isinstance(value, str):
             num, slash, den = value.partition("/")
             num, den = int(num), int(den) if slash else 1
-            if den == 0 or (self.q is not None and den % self.q == 0):
+            if den == 0:
                 raise ValueError(f"scalar {value!r} has no value in {self}: its denominator vanishes")
-            value = Fraction(num, den)
+            exact = Fraction(num, den)
+        else:
+            exact = Fraction(value)
+        a, b = exact.numerator, exact.denominator
         if self.q is None:
-            value = Fraction(value)
-            return value.numerator if value.denominator == 1 else value
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return value.numerator % self.q
-            if value.denominator % self.q == 0:
-                raise ValueError(f"scalar {str(value)!r} has no value in {self}: its denominator vanishes")
-            return (value.numerator * self.inv(value.denominator % self.q)) % self.q
-        return int(value) % self.q
+            return a if b == 1 else exact
+        if b % self.q == 0:
+            raise ValueError(f"scalar {str(value)!r} has no value in {self}: its denominator vanishes")
+        return a * pow(b, -1, self.q) % self.q
 
-    def inv(self, a: Scalar) -> Scalar:
+    def inv(self, a: Scalar | str) -> Scalar:
+        a = self.coerce(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.q is None:
-            a = Fraction(a)
             return _ratio(a.denominator, a.numerator)
-        return pow(int(a), self.q - 2, self.q)
+        return pow(a, -1, self.q)
 
     def scalar_to_json(self, a: Scalar):
         return str(a) if self.q is None else int(a)
@@ -249,12 +251,10 @@ class Matrix:
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
         data = [list(r) for r in rows]
-        if data:
-            cols = len(data[0])
-            if any(len(r) != cols for r in data):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        if any(len(r) != cols for r in data):
+            raise ValueError(f"every row must have {cols} entries, got {[len(r) for r in data]}")
         ent = tuple(field.coerce(x) for r in data for x in r)
         return cls(field, len(data), cols, ent)
 

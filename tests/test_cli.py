@@ -370,6 +370,14 @@ def test_outputs_deterministic_across_runs(tmp_path, capsys):
             _, out1, _ = run(capsys, [command, "--system", path])
             _, out2, _ = run(capsys, [command, "--system", path])
             assert out1 == out2
+    # over F_3 an entry x written as "3x/3" reads as x: "6/3" prints what 2 prints
+    payload = system_to_json(s)
+    payload.update({key: [f"{3 * x}/3" for x in payload[key]] for key in ("A", "B", "C")})
+    assert "6/3" in payload["A"] + payload["B"] + payload["C"]
+    unreduced = write_json(tmp_path / "unreduced.json", payload)
+    for command in ("analyze", "canon", "embed"):
+        _, reduced, _ = run(capsys, [command, "--system", paths[1]])
+        assert run(capsys, [command, "--system", unreduced]) == (0, reduced, "")
 
 
 def test_huge_modulus_fails_fast(tmp_path, capsys):

@@ -141,6 +141,10 @@ def test_system_from_cell_free_values_round_trip():
         system_from_cell(idx, 2, 2, QQ, free_values={(1, 1): 1})  # wrong row
     with pytest.raises(ValueError):
         system_from_cell(idx, 2, 2, QQ, free_values={(0, 0): 1})  # pinned column
+    with pytest.raises(ValueError, match=r"^free entry \(2, 1\) outside the representative$"):
+        system_from_cell(idx, 2, 2, QQ, free_values={(2, 1): 1})
+    with pytest.raises(ValueError, match="^cells of the finite embedding need state dimension n >= 1$"):
+        system_from_cell(MultiIndex((), ambient=1), 2, 0, QQ)
     # an A_last or C that does not fit the 2-state system
     for extra in ({"A_last": Matrix.zeros(QQ, 2, 2)}, {"A_last": Matrix.zeros(QQ, 3, 1)},
                   {"A_last": Matrix.zeros(F3, 2, 1)}, {"C": Matrix.zeros(QQ, 1, 3)}, {"C": Matrix.zeros(F3, 1, 2)}):
@@ -350,6 +354,30 @@ def test_no_chart_union_decides_co_past_n1(f2_sweep):
         assert all(found & union for found in nonzero[True]) == decides, (m, n, p)
 
 
+def test_each_locus_is_the_image_of_one_embedding(f2_sweep):
+    # Over F_2 (notes/decisions.md, "Each locus is the image of one embedding"):
+    # the cc locus of stratum n is the image of stratum_point on the cc
+    # systems, the co locus the image of the dual point on the co systems,
+    # and the canonical locus has as many points as there are canonical orbits.
+    from moduli_sys.quiver import iter_subspace_bases
+    from moduli_sys.system import dualize
+
+    def dual_point(s):
+        rep = stratum_point(dualize(s)).point.rep  # columns [C^T B A^T]: swap the first two blocks back
+        order = list(range(s.p, s.p + s.m)) + list(range(s.p)) + list(range(s.m + s.p, rep.cols))
+        return InfiniteGrassmannPoint(point_from_matrix(rep.columns_at(order)))
+
+    for (m, n, p), orbits in {(1, 2, 1): 8, (1, 2, 2): 48, (2, 2, 1): 48}.items():
+        planes = [InfiniteGrassmannPoint(GrassmannPoint(basis)) for basis in iter_subspace_bases(F2, m + p + n)
+                  if basis.rows == m + p]
+        loci = {plane: locus_membership(plane, m, p) for plane in planes if plane.minimal_ambient() == m + p + n}
+        systems = [(s, cls) for s, cls in f2_sweep if s.shape() == (m, n, p)]
+        assert {stratum_point(s) for s, cls in systems if cls.cc} == {x for x, at in loci.items() if at.in_cc}
+        assert {dual_point(s) for s, cls in systems if cls.co} == {x for x, at in loci.items() if at.in_co}
+        forms = {canonical_form(s)[1] for s, cls in systems if cls.canonical}
+        assert sum(at.in_canonical for at in loci.values()) == len(forms) == orbits, (m, n, p)
+
+
 def test_locus_membership_zero_columns_false():
     rep = Matrix.from_rows(QQ, [[1, 0, 0, 1], [0, 0, 1, 0]])
     point = InfiniteGrassmannPoint(point_from_matrix(rep))
@@ -433,6 +461,7 @@ def test_padding_stability():
     padded = big.padded(3)
     assert padded == big  # same subspace up to trailing zeros
     assert hash(padded) == hash(big)
+    assert big != big.point and big != "point"  # only another infinite point compares
     assert padded.point == point_from_matrix(padded.point.rep)  # still reduced, same pivots
     assert padded.stratum == big.stratum + 3
     m1 = locus_membership(big, 2, 1)

@@ -186,6 +186,8 @@ def test_code_from_multiindex_errors():
         code_from_multiindex(MultiIndex((3,)), 2, 1)  # out of range
     with pytest.raises(InvalidMultiIndex):
         code_from_multiindex(MultiIndex((2, 3)), 1, 2)  # no column <= m
+    with pytest.raises(InvalidMultiIndex, match="^0 small entries cannot carry 1 column heights$"):
+        code_from_multiindex((2, 2), 1, 2)  # a repeated entry, which a MultiIndex refuses
 
 
 def test_bijection_exhaustive():

@@ -94,6 +94,8 @@ def test_coercion():
 def test_field_json_roundtrip():
     for f in (QQ, F2, F5):
         assert Field.from_json(f.to_json()) == f
+    with pytest.raises(ValueError, match="^unrecognized field description: 'R'$"):
+        Field.from_json("R")
 
 
 # -- frozen examples ---------------------------------------------------------
@@ -145,7 +147,29 @@ def test_minor_det_errors():
         minor_det(m, [1, 0], [0, 1])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Matrix(QQ, -1, 0, ()), ValueError, "negative matrix dimension"),
+    (lambda: Matrix(QQ, 1, 2, (1,)), ValueError, "entry count 1 != 1x2"),
+    (lambda: Matrix.from_rows(QQ, [[1, 2], [3]]), ValueError, r"every row must have 2 entries, got \[2, 1\]"),
+    (lambda: Matrix.from_rows(F5, [[1, 2]], cols=3), ValueError, r"every row must have 3 entries, got \[2\]"),
+    (lambda: mat(QQ, [[1]]) @ mat(F5, [[1]]), ValueError, "field mismatch"),
+    (lambda: mat(QQ, [[1, 2]]) @ mat(QQ, [[1, 2]]), ValueError, "shape mismatch 1x2 @ 1x2"),
+    (lambda: hstack([]), ValueError, "hstack of nothing"),
+    (lambda: vstack([]), ValueError, "vstack of nothing"),
+    (lambda: vstack([mat(QQ, [[1]]), mat(QQ, [[1, 2]])]), ValueError, "vstack: column count / field mismatch"),
+    (lambda: det(Matrix.zeros(QQ, 2, 3)), NonSquareSelection, "determinant of a non-square matrix"),
+    (lambda: charpoly(Matrix.zeros(QQ, 2, 3)), ValueError, "characteristic polynomial of a non-square matrix"),
+    (lambda: solve_right(Matrix.zeros(QQ, 2, 2), Matrix.zeros(QQ, 3, 1)), ValueError, "row mismatch in solve"),
+], ids=["negative-dimension", "entry-count", "ragged-rows", "rows-against-cols", "matmul-fields",
+        "matmul-shapes", "hstack-nothing", "vstack-nothing", "vstack-columns", "det-non-square",
+        "charpoly-non-square", "solve-rows"])
+def test_shape_and_field_refusals(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 def test_empty_shapes():
+    assert Matrix.from_rows(QQ, []) == Matrix.zeros(QQ, 0, 0)
     empty = Matrix.zeros(QQ, 0, 3)
     assert rank(empty) == 0
     assert kernel_basis(empty) == Matrix.identity(QQ, 3)

@@ -124,6 +124,8 @@ def test_subspace_enumeration_counts():
         field = Field.prime(q)
         count = sum(1 for _ in iter_subspace_bases(field, n))
         assert count == sum(q_binomial(n, k, q) for k in range(n + 1))
+    with pytest.raises(ValueError, match="^subspace enumeration needs a finite field$"):
+        next(iter_subspace_bases(QQ, 1))
 
 
 def test_rank_mode_is_exact_not_an_interval():

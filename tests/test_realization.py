@@ -202,6 +202,9 @@ def test_verify_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         verify_realization(system, MarkovSequence(QQ, 2, 1, (Matrix.from_rows(QQ, [[1, 1]]),)))
     assert not verify_realization(system, scalar_seq([1, 2]))
+    for block in (Matrix.from_rows(QQ, [[1, 1]]), Matrix.from_rows(F5, [[1]])):
+        with pytest.raises(ValueError, match="^every block must be 1x1 over Q$"):
+            MarkovSequence(QQ, 1, 1, (block,))
 
 
 def test_equivalent_systems_verify_the_same_sequence():

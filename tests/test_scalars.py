@@ -6,6 +6,7 @@ from outside the library passes through ``Field.coerce``.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,23 @@ def test_coerce_refuses_a_vanishing_denominator_in_either_form():
             F5.coerce(value)
     with pytest.raises(ValueError, match="^scalar '3/10' has no value in F5"):
         F5.coerce(Fraction(3, 10))
+    for field in (QQ, F5):
+        with pytest.raises(ValueError, match=f"^scalar '1/0' has no value in {field}: its denominator vanishes$"):
+            field.coerce("1/0")
     assert F5.coerce(Fraction(10, 5)) == 2 and F5.coerce(Fraction(1, 2)) == 3
+    # a string, a Decimal and the argument of inv are read as the same exact fraction:
+    # refused when q divides its denominator in lowest terms, and not truncated
+    F3 = Field.prime(3)
+    assert [F3.coerce(s) for s in ("6/3", "3/3", "0/3")] == [F3.coerce(Fraction(6, 3)), 1, 0]
+    assert F5.coerce("5/10") == F5.coerce(Fraction(1, 2))
+    with pytest.raises(ValueError, match="^scalar '2/6' has no value in F3: its denominator vanishes$"):
+        F3.coerce("2/6")
+    assert F5.coerce(Decimal("2.5")) == F5.coerce(Fraction(5, 2)) == 0
+    assert [F5.coerce(Decimal(s)) for s in ("7", "-3", "4.0")] == [2, 2, 4]
+    for value in (0, 5, -10):
+        with pytest.raises(ZeroDivisionError):
+            F5.inv(value)
+    assert F5.inv(Fraction(1, 2)) == 2
 
 
 def test_field_inv_over_q_returns_canonical_scalars():

@@ -120,6 +120,8 @@ def test_classify_examples():
     assert sum(classify(s).cc for s in systems) == 4
     for s in systems:
         assert classify(s).cc == (s.B.entry(0, 0) != 0)
+    with pytest.raises(ValueError, match="^exhaustive enumeration needs a finite field$"):
+        next(all_systems(QQ, 1, 1, 1))
 
 
 def test_empty_system_is_canonical():
