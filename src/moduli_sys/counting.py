@@ -26,7 +26,12 @@ the Krylov matrix, so
 The pair count makes two exhaustive passes and uses no closed formula:
 one over all ``q^(nm)`` matrices ``B`` for the histogram of their ranks,
 then one over all ``q^(n^2)`` matrices ``A`` for each ``r = 1..min(n, m)``,
-testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  That is
+testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  Block elimination
+against the ``I_r`` on top of ``E_r`` makes that rank ``r`` plus the rank
+of the tail, rows ``r..n-1`` of ``[A E_r, ..., A^(n-1) E_r]``, so only the
+``(n - r) x (n - 1) r`` tail is ranked, and ``(A, E_r)`` is cc exactly
+when the tail has rank ``n - r``; ``A E_r`` is the first ``r`` columns of
+``A``.  That is
 ``q^(nm) + min(n, m) q^(n^2)`` enumerated states when ``n > 0``, and
 the ``bound`` argument (``DEFAULT_CENSUS_BOUND`` unless given) applies
 to that number, once, before any enumeration.  A cell whose report would
@@ -42,19 +47,23 @@ census that enumerates loads it.
 
 The ``canonical-forms`` mode of :func:`census_cc` is a referee of another
 kind: it enumerates and reduces every pair ``(A, B)``, and counts the
-distinct canonical pairs ``(A', B')`` keyed on their entries.
+distinct canonical pairs ``(A', B')`` keyed on their entries.  A pair is
+its two digit tuples, walked and reduced on plain rows by
+``system._canonical_pair``, the core that ``LinearSystem._reduction``
+wraps, so no matrix or system is built for it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import CensusTooLarge, NotControllable
+from .errors import CensusTooLarge
 from .linalg import Field, _non_negative
-from .system import all_systems
+from .system import _canonical_pair
 
 if TYPE_CHECKING:
     import numpy as np
@@ -190,35 +199,46 @@ def _rank_histogram(batches, q: int, inv: np.ndarray, n: int) -> np.ndarray:
     return hist
 
 
-def _krylov(a: np.ndarray, e: np.ndarray, q: int) -> np.ndarray:
-    """``[E, A E, ..., A^(n-1) E]`` mod q for a batch of ``A`` and one ``E``."""
+def _krylov_tail(a: np.ndarray, r: int, q: int) -> np.ndarray:
+    """Rows ``r..n-1`` of ``[A E_r, ..., A^(n-1) E_r]`` mod q for a batch of ``A``.
+
+    ``A E_r`` is the first ``r`` columns of ``A``, with no product; each
+    later block is ``A`` times the one before.  The tail is
+    ``(n - r) x (n - 1) r``: at ``n = 1`` the one block built is cut away.
+    """
     import numpy as np
-    blocks = [np.broadcast_to(e, (len(a),) + e.shape)]
-    for _ in range(1, a.shape[1]):
+    n = a.shape[1]
+    blocks = [a[:, :, :r]]
+    for _ in range(2, n):
         blocks.append(np.matmul(a, blocks[-1]) % q)
-    return np.concatenate(blocks, axis=2)
+    return np.concatenate(blocks, axis=2)[:, r:, :(n - 1) * r]
 
 
 @lru_cache(maxsize=_PAIR_COUNT_CACHE_SIZE)
 def _cc_pair_count(m: int, n: int, q: int) -> int:
     """Number of (A, B) pairs over F_q whose controllability rank is n.
 
-    Enumerates ``q^(nm) + min(n, m) q^(n^2)`` states; :func:`census_cc`
-    checks them against its bound before calling.
+    For each ``r`` it counts the ``A`` whose :func:`_krylov_tail` has rank
+    ``n - r``.  Enumerates ``q^(nm) + min(n, m) q^(n^2)`` states;
+    :func:`census_cc` checks them against its bound before calling.
     """
     if n == 0:
         return 1
-    top = min(n, m)
-    import numpy as np
     inv = _inverse_table(q)
     b_mats = (_digit_matrices(idx, q, n, m) for idx in _chunks(q ** (n * m)))
     b_ranks = _rank_histogram(b_mats, q, inv, n)
     count = 0
-    for r in range(1, top + 1):
-        e = np.eye(n, r, dtype=np.int64)
-        krylovs = (_krylov(_digit_matrices(idx, q, n, n), e, q) for idx in _chunks(q ** (n * n)))
-        count += int(b_ranks[r]) * int(_rank_histogram(krylovs, q, inv, n)[n])
+    for r in range(1, min(n, m) + 1):
+        tails = (_krylov_tail(_digit_matrices(idx, q, n, n), r, q) for idx in _chunks(q ** (n * n)))
+        count += int(b_ranks[r]) * int(_rank_histogram(tails, q, inv, n - r)[n - r])
     return count
+
+
+def _pairs(m: int, n: int, q: int):
+    """Every pair ``(A, B)`` of an ``n x n`` and an ``n x m`` matrix over F_q, as row-major digit tuples."""
+    na = n * n
+    for digits in itertools.product(range(q), repeat=n * (n + m)):
+        yield digits[:na], digits[na:]
 
 
 def _shown(count: int) -> str:
@@ -255,9 +275,11 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
 
     Each mode finds the number of (A, B) pairs of full controllability
     rank and the number of their orbits.  ``mode="exhaustive"`` counts the
-    pairs by the two rank-stratified passes of the module docstring and
-    divides by ``|GL_n|``.  ``mode="canonical-forms"`` instead reduces
-    every cc pair once and counts the distinct canonical pairs
+    pairs by the two rank-stratified passes of the module docstring, which
+    rank only the Krylov tail that ``E_r`` leaves, and divides by
+    ``|GL_n|``.  ``mode="canonical-forms"`` instead reduces every cc pair
+    once, on its plain entry tuples with the walk and reduction of
+    ``LinearSystem._reduction``, and counts the distinct canonical pairs
     ``(A', B')``, keyed on their entry tuples, which finds the orbits
     without the stabilizer division.  Either way the pairs must be the
     orbits times ``|GL_n|`` (an :class:`ArithmeticError` otherwise), and
@@ -297,13 +319,11 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
         pair_orbits = pairs // glq
     else:
         forms, pairs = set(), 0
-        for pair in all_systems(field, m, n, 0):
-            try:
-                canon = pair._reduction[1]
-            except NotControllable:
-                continue
-            forms.add((canon.A.entries, canon.B.entries))
-            pairs += 1
+        for a, b in _pairs(m, n, q):
+            canon = _canonical_pair(field, n, m, a, b)
+            if canon is not None:
+                forms.add(canon)
+                pairs += 1
         pair_orbits = len(forms)
     if pair_orbits * glq != pairs:
         raise ArithmeticError(f"{pairs} cc pairs but {pair_orbits} orbits over GL of order {glq}")

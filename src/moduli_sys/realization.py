@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import InsufficientData, NotStabilizedError, ShapeMismatch
-from .linalg import Field, Matrix, _eliminate, _as_int
+from .linalg import Field, Matrix, _as_int, _eliminate, _non_negative
 from .system import MAX_DIM, LinearSystem, _check_input_size, _json_array, _json_object, _read_matrix, markov_parameters
 
 
@@ -53,6 +53,7 @@ class MarkovSequence:
     blocks: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
+        _non_negative({"m": self.m, "p": self.p})
         for blk in self.blocks:
             if (blk.rows, blk.cols) != (self.p, self.m) or blk.field != self.field:
                 raise ValueError(

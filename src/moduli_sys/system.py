@@ -21,9 +21,13 @@ is not a field: equality, hashing, ``repr``, JSON and
 ``dataclasses.replace`` never see it.
 
 The walk and the reduction compute on plain rows of scalars, as
-``markov_parameters`` does, with the one product loop ``linalg._dots``,
-and only the values they return become matrices.  Over ``Q`` the walk
-runs on integers: ``A`` and ``B`` are cleared of their denominators once.
+``markov_parameters`` does, with the one product loop ``linalg._dots``.
+Their cores, ``_krylov_pivots`` and ``_canonical_rows``, take and return
+row-major entry tuples; a system makes matrices only of the values it
+keeps, and the canonical-forms census calls the cores through
+``_canonical_pair`` on plain digit tuples, with no matrix at all.  Over
+``Q`` the walk runs on integers: ``A`` and ``B`` are cleared of their
+denominators once.
 
 Degenerate shapes are allowed on purpose: ``n = 0`` is the empty system
 (canonical by convention), ``p = 0`` means no outputs, and ``m = 0`` is
@@ -137,12 +141,12 @@ class LinearSystem:
     @cached_property
     def _walk(self) -> KrylovWalk:
         """The Krylov walk of ``(A, B)``: :func:`_krylov_pivots`, computed once."""
-        return _krylov_pivots(self.A, self.B)
+        return _walk_of(self.field, self.n, self.m, self.A.entries, self.B.entries)
 
     @cached_property
     def _dual_walk(self) -> KrylovWalk:
         """The Krylov walk of ``(A^T, C^T)``, the cc side of the dual, computed once."""
-        return _krylov_pivots(self.A.transpose(), self.C.transpose())
+        return _walk_of(self.field, self.n, self.p, self.A.transpose().entries, self.C.transpose().entries)
 
     def _full_walk(self) -> KrylovWalk:
         """:attr:`_walk`, raising :class:`NotControllable` when it has fewer than ``n`` boxes."""
@@ -155,35 +159,15 @@ class LinearSystem:
     def _reduction(self) -> tuple[Matrix, LinearSystem, Matrix]:
         """``(P, canonical system, g = P^-1)`` of a cc system, from one solve, computed once.
 
-        The columns of ``P`` are the black-box vectors ``A^i B_j``, grouped
-        by occupied column, by increasing power inside each group.  ``A P_k``
-        is ``P_(k+1)`` unless box ``k`` tops its chain, so one reduction of
-        ``[P | B | A P_tops | I]`` gives ``B'``, the chain-top columns of
-        ``A'`` (whose free entries are the orbit moduli) and ``g``; the
-        other columns of ``A'`` are shifted basis vectors and ``C' = C P``.
-        The solve runs on plain rows; only ``P`` and the canonical system
-        and ``g`` become matrices.  Raises :class:`NotControllable` below
-        full rank.
+        :func:`_canonical_rows` of the kept walk; only ``P``, the canonical
+        system and ``g`` become matrices, with ``C' = C P``.  Raises
+        :class:`NotControllable` below full rank.
         """
         black, vectors = self._full_walk()
-        f, m, n, q = self.field, self.m, self.n, self.field.q
-        order = sorted(range(n), key=lambda c: (black[c][1], black[c][0]))
-        tops = [k for k, c in enumerate(order) if (black[c][0] + 1, black[c][1]) not in black]
-        p_rows = [[vectors.entries[r * n + c] for c in order] for r in range(n)]
-        (ae, da), (te, dt) = _cleared(self.A.entries, q), _cleared([row[k] for k in tops for row in p_rows], q)
-        a_tops = _dots([te[k * n:(k + 1) * n] for k in range(len(tops))], [ae[r * n:(r + 1) * n] for r in range(n)], q)
-        if da * dt != 1:
-            a_tops = [[_ratio(x, da * dt) for x in col] for col in a_tops]
-        be, width = self.B.entries, 2 * n + m + len(tops)
-        grid = [p_rows[r] + list(be[r * m:(r + 1) * m]) + [col[r] for col in a_tops] + [int(r == k) for k in range(n)]
-                for r in range(n)]
-        _eliminate(f, grid, width, True)  # P is invertible: row r of X is grid[r][n:]
-        solved = {k: n + m + t for t, k in enumerate(tops)}
-        a = tuple(grid[r][solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n))
-        basis = Matrix(f, n, n, tuple(x for row in p_rows for x in row))
-        b = Matrix(f, n, m, tuple(x for row in grid for x in row[n:n + m]))
-        g = Matrix(f, n, n, tuple(x for row in grid for x in row[width - n:]))
-        return basis, LinearSystem(Matrix(f, n, n, a), b, self.C @ basis), g
+        f, m, n = self.field, self.m, self.n
+        p, a, b, g = _canonical_rows(f, n, m, self.A.entries, self.B.entries, black, vectors.entries)
+        basis = Matrix(f, n, n, p)
+        return basis, LinearSystem(Matrix(f, n, n, a), Matrix(f, n, m, b), self.C @ basis), Matrix(f, n, n, g)
 
 
 @dataclass(frozen=True)
@@ -218,8 +202,11 @@ def observability_matrix(system: LinearSystem) -> Matrix:
 KrylovWalk = tuple[tuple[tuple[int, int], ...], Matrix]
 
 
-def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
+def _krylov_pivots(f: Field, n: int, m: int, a, b) -> tuple[tuple[tuple[int, int], ...], tuple]:
     """The pivot columns of the Krylov matrix ``[b, ab, a^2 b, ...]``, built lazily.
+
+    ``a`` and ``b`` are the row-major entries of an ``n x n`` and an
+    ``n x m`` matrix over ``f``.
 
     Column ``c`` is ``a^i b_j`` for the box ``(i, j) = boxes[c]`` and is
     a pivot when independent of every column before it.  If ``a^i b_j``
@@ -236,12 +223,12 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
     holds ``d_a^i d_b a^i b_j``: a nonzero multiple of the true column,
     with the same pivots.  Only the pivot columns are divided back.
     Returns ``(black, basis)``: the box of each pivot, in Krylov column
-    order, and the ``n x rank`` matrix of those pivot columns.  Both are
-    immutable, since a system shares its memoized walks between callers.
+    order, and the row-major entries of the ``n x rank`` matrix of those
+    pivot columns.  Both are immutable, since a system shares its
+    memoized walks between callers.
     """
-    f, n, m = b.field, b.rows, b.cols
     q = f.q
-    (ae, da), (be, db) = _cleared(a.entries, q), _cleared(b.entries, q)
+    (ae, da), (be, db) = _cleared(a, q), _cleared(b, q)
     a_rows = [ae[r * n:(r + 1) * n] for r in range(n)]
     cols, boxes, pivots = [], [], []
     if n and m:
@@ -263,7 +250,58 @@ def _krylov_pivots(a: Matrix, b: Matrix) -> KrylovWalk:
     kept = [cols[c] for c in pivots]
     if da != 1 or db != 1:
         kept = [[_ratio(x, da ** i * db) for x in col] for col, (i, _) in zip(kept, black)]
-    return black, Matrix(f, n, len(kept), tuple(col[r] for r in range(n) for col in kept))
+    return black, tuple(col[r] for r in range(n) for col in kept)
+
+
+def _walk_of(f: Field, n: int, m: int, a, b) -> KrylovWalk:
+    """:func:`_krylov_pivots` with its pivot columns as an ``n x rank`` matrix."""
+    black, basis = _krylov_pivots(f, n, m, a, b)
+    return black, Matrix(f, n, len(black), basis)
+
+
+def _canonical_rows(f: Field, n: int, m: int, a, b, black, vectors) -> tuple[tuple, tuple, tuple, tuple]:
+    """The canonical reduction of a cc pair on plain rows: ``(P, A', B', g = P^-1)``, each row-major.
+
+    ``a`` and ``b`` are the entries of ``A`` and ``B``, and ``black`` and
+    ``vectors`` their full Krylov walk (:func:`_krylov_pivots`).  The
+    columns of ``P`` are the black-box vectors ``A^i B_j``, grouped by
+    occupied column, by increasing power inside each group.  ``A P_k`` is
+    ``P_(k+1)`` unless box ``k`` tops its chain, so one reduction of
+    ``[P | B | A P_tops | I]`` gives ``B'``, the chain-top columns of
+    ``A'`` (whose free entries are the orbit moduli) and ``g``; the other
+    columns of ``A'`` are shifted basis vectors.
+    """
+    q = f.q
+    order = sorted(range(n), key=lambda c: (black[c][1], black[c][0]))
+    tops = [k for k, c in enumerate(order) if (black[c][0] + 1, black[c][1]) not in black]
+    p_rows = [[vectors[r * n + c] for c in order] for r in range(n)]
+    (ae, da), (te, dt) = _cleared(a, q), _cleared([row[k] for k in tops for row in p_rows], q)
+    a_tops = _dots([te[k * n:(k + 1) * n] for k in range(len(tops))], [ae[r * n:(r + 1) * n] for r in range(n)], q)
+    if da * dt != 1:
+        a_tops = [[_ratio(x, da * dt) for x in col] for col in a_tops]
+    width = 2 * n + m + len(tops)
+    grid = [p_rows[r] + list(b[r * m:(r + 1) * m]) + [col[r] for col in a_tops] + [int(r == k) for k in range(n)]
+            for r in range(n)]
+    _eliminate(f, grid, width, True)  # P is invertible: row r of X is grid[r][n:]
+    solved = {k: n + m + t for t, k in enumerate(tops)}
+    return (tuple(x for row in p_rows for x in row),
+            tuple(grid[r][solved[c]] if c in solved else int(r == c + 1) for r in range(n) for c in range(n)),
+            tuple(x for row in grid for x in row[n:n + m]),
+            tuple(x for row in grid for x in row[width - n:]))
+
+
+def _canonical_pair(f: Field, n: int, m: int, a, b) -> tuple[tuple, tuple] | None:
+    """The entries ``(A', B')`` of the canonical form of the pair ``(a, b)``, or ``None`` when it is not cc.
+
+    The walk and the reduction that ``LinearSystem._reduction`` runs, on
+    the row-major entries of ``A`` and ``B``, with no matrix or system
+    built and nothing kept.
+    """
+    black, vectors = _krylov_pivots(f, n, m, a, b)
+    if len(black) < n:
+        return None
+    _, a_canon, b_canon, _ = _canonical_rows(f, n, m, a, b, black, vectors)
+    return a_canon, b_canon
 
 
 def classify(system: LinearSystem) -> SystemClass:

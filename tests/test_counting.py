@@ -23,10 +23,12 @@ from moduli_sys.counting import (
     _batched_rank_modq,
     _inverse_table,
     _cc_pair_count,
+    _krylov_tail,
 )
 from moduli_sys.errors import CensusTooLarge
-from moduli_sys.linalg import Field, Matrix, rank
-from moduli_sys.system import LinearSystem, all_systems, classify
+from moduli_sys.kalman import canonical_form
+from moduli_sys.linalg import Field, Matrix, hstack, rank
+from moduli_sys.system import LinearSystem, _canonical_pair, all_systems, classify
 
 from helpers import reference_batched_rank_modq, reference_cc_pair_count
 
@@ -133,6 +135,51 @@ def test_batched_rank_of_every_4x4_matrix_over_f2():
     assert np.bincount(got).tolist() == [1, 225, 7350, 37800, 20160]
 
 
+def _tail_batches(rng, q, n):
+    """Every n x n matrix over F_q where there are at most 625, else 300 uniform ones."""
+    if q ** (n * n) <= 625:
+        return np.array(list(itertools.product(range(q), repeat=n * n)), dtype=np.int64).reshape(-1, n, n)
+    return rng.integers(0, q, size=(300, n, n))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_krylov_tail_rank_plus_r_is_the_krylov_rank(q):
+    # block elimination against the I_r of E_r = [I_r; 0]: the census ranks only
+    # the tail, so r + rank(tail) must be the rank of [E_r, A E_r, ..., A^(n-1) E_r]
+    rng = np.random.default_rng(q)
+    field = Field.prime(q)
+    for n in range(1, 5):
+        a_batch = _tail_batches(rng, q, n)
+        for r in range(1, n + 1):
+            tails = _krylov_tail(a_batch, r, q)
+            assert tails.shape == (len(a_batch), n - r, (n - 1) * r), (q, n, r)
+            e = Matrix(field, n, r, tuple(int(i == j) for i in range(n) for j in range(r)))
+            for a_digits, tail in zip(a_batch, tails):
+                a = Matrix(field, n, n, tuple(a_digits.flatten().tolist()))
+                blocks = [e]
+                for _ in range(1, n):
+                    blocks.append(a @ blocks[-1])
+                tail_rank = rank(Matrix(field, n - r, (n - 1) * r, tuple(tail.flatten().tolist())))
+                assert r + tail_rank == rank(hstack(blocks)), (q, n, r, a_digits.tolist())
+
+
+@pytest.mark.parametrize("m, n, q", [(1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 3, 2)])
+def test_canonical_pair_is_the_canonical_form_of_every_pair(m, n, q):
+    # the plain-row core that the canonical-forms census runs, against the library's
+    # canonical form of the same pair as a system without outputs
+    field = Field.prime(q)
+    no_output = Matrix.zeros(field, 0, n)
+    for digits in itertools.product(range(q), repeat=n * (n + m)):
+        a, b = digits[:n * n], digits[n * n:]
+        got = _canonical_pair(field, n, m, a, b)
+        system = LinearSystem(Matrix(field, n, n, a), Matrix(field, n, m, b), no_output)
+        if not classify(system).cc:
+            assert got is None, digits
+            continue
+        _, canon = canonical_form(system)
+        assert got == (canon.A.entries, canon.B.entries), digits
+
+
 def test_census_cc_small_grid():
     for (m, n, p, q) in [
         (1, 1, 1, 2), (2, 1, 0, 2), (1, 2, 0, 2), (1, 2, 1, 3), (2, 2, 1, 2),
@@ -164,7 +211,7 @@ def test_census_refuses_pairs_that_are_not_the_orbits_times_gl(monkeypatch):
         census_cc(1, 2, 1, 2)
     # every pair reads the same canonical pair in the canonical-forms mode
     one = next(s for s in all_systems(Field.prime(2), 1, 2, 0) if classify(s).cc)
-    monkeypatch.setattr(counting, "all_systems", lambda field, m, n, p: itertools.repeat(one, 2 ** 6))
+    monkeypatch.setattr(counting, "_pairs", lambda m, n, q: itertools.repeat((one.A.entries, one.B.entries), 2 ** 6))
     with pytest.raises(ArithmeticError, match=r"^64 cc pairs but 1 orbits over GL of order 6$"):
         census_cc(1, 2, 1, 2, mode="canonical-forms")
 
@@ -281,7 +328,7 @@ def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, err
     def no_work(*_):
         raise AssertionError("a refused cell reached the work")
 
-    for name in ("gl_order", "count_cc_formula", "_cc_pair_count", "all_systems"):
+    for name in ("gl_order", "count_cc_formula", "_cc_pair_count", "_pairs"):
         monkeypatch.setattr(counting, name, no_work)
     start = time.monotonic()
     with pytest.raises(error, match=message):
@@ -301,7 +348,7 @@ def test_census_admits_every_printable_cell_at_its_triple_count(mode, monkeypatc
     def work(*_):
         raise Work
 
-    for name in ("gl_order", "count_cc_formula", "_cc_pair_count", "all_systems"):
+    for name in ("gl_order", "count_cc_formula", "_cc_pair_count", "_pairs"):
         monkeypatch.setattr(counting, name, work)
     cells = [(m, n, p, q) for m in range(4) for p in range(4) for n in range(9) for q in (2, 3, 1048573)]
     cells += [(0, 119, 0, 2), (1, 119, 0, 2)]  # the last printable n over F_2; n = 120 is refused above

@@ -398,7 +398,7 @@ def test_canonical_system_is_read_off_without_inverting(monkeypatch):
 
     monkeypatch.setattr(Matrix, "identity", classmethod(lambda cls, f, n: blocks.append(n) or identity(cls, f, n)))
     monkeypatch.setattr(system_module, "_eliminate", recording)
-    monkeypatch.setattr(system_module, "_krylov_pivots", lambda a, b: walks.append(b.cols) or walk(a, b))
+    monkeypatch.setattr(system_module, "_krylov_pivots", lambda f, n, m, a, b: walks.append(m) or walk(f, n, m, a, b))
     rng = random.Random(15)
     for field in (QQ, F2, F5):
         s = random_system(field, 2, 4, 1, rng, require="cc")

@@ -171,7 +171,7 @@ def test_memo_is_invisible_to_eq_hash_repr_and_json():
 def test_every_stage_of_one_cc_system_walks_twice(field, monkeypatch):
     walks = []
     walk = system_module._krylov_pivots
-    monkeypatch.setattr(system_module, "_krylov_pivots", lambda a, b: walks.append(b.cols) or walk(a, b))
+    monkeypatch.setattr(system_module, "_krylov_pivots", lambda f, n, m, a, b: walks.append(m) or walk(f, n, m, a, b))
     rng = random.Random(3)
     for shape in ((1, 2, 1), (2, 3, 1), (2, 6, 2), (3, 10, 2)):
         system = fresh(random_system(field, *shape, rng, require="cc"))

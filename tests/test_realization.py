@@ -207,6 +207,17 @@ def test_verify_shape_mismatch():
             MarkovSequence(QQ, 1, 1, (block,))
 
 
+@pytest.mark.parametrize("m, p, name", [(-1, 2, "m"), (2, -3, "p"), (-1, -1, "m")])
+def test_markov_sequence_refuses_a_negative_size(m, p, name):
+    # an empty window was accepted, and its to_json then gave a document that from_json refuses
+    message = f"^{name} must be non-negative, got {m if name == 'm' else p}$"
+    with pytest.raises(ValueError, match=message):
+        MarkovSequence(QQ, m, p, ())
+    doc = {"field": "Q", "m": m, "p": p, "blocks": []}
+    with pytest.raises(ValueError, match=message):
+        MarkovSequence.from_json(doc)
+
+
 def test_equivalent_systems_verify_the_same_sequence():
     from moduli_sys.system import act
 
