@@ -25,13 +25,17 @@ the Krylov matrix, so
 
 The pair count makes two exhaustive passes and uses no closed formula:
 one over all ``q^(nm)`` matrices ``B`` for the histogram of their ranks,
-then one over all ``q^(n^2)`` matrices ``A`` for each ``r = 1..min(n, m)``,
-testing the rank of ``[E_r, A E_r, ..., A^(n-1) E_r]``.  Block elimination
+then one over all ``q^(n^2)`` matrices ``A``, which tests every
+``r = 1..min(n, m)`` on each chunk of ``A`` it builds, by the rank of
+``[E_r, A E_r, ..., A^(n-1) E_r]``.  Block elimination
 against the ``I_r`` on top of ``E_r`` makes that rank ``r`` plus the rank
 of the tail, rows ``r..n-1`` of ``[A E_r, ..., A^(n-1) E_r]``, so only the
 ``(n - r) x (n - 1) r`` tail is ranked, and ``(A, E_r)`` is cc exactly
 when the tail has rank ``n - r``; ``A E_r`` is the first ``r`` columns of
-``A``.  That is
+``A``.  A chunk holds far fewer distinct tails than ``A`` (285 of 2^14 at
+``(m, n, q) = (1, 4, 2)``), so each tail is coded as an int64, the
+integer of its entries in base ``q``, and only the distinct codes are
+ranked.  Each ``A`` counts once for each ``r``, so that is
 ``q^(nm) + min(n, m) q^(n^2)`` enumerated states when ``n > 0``, and
 the ``bound`` argument (``DEFAULT_CENSUS_BOUND`` unless given) applies
 to that number, once, before any enumeration.  A cell whose report would
@@ -173,13 +177,16 @@ def _batched_rank_modq(mats: np.ndarray, q: int, inv: np.ndarray) -> np.ndarray:
 
 
 def _digit_matrices(indices: np.ndarray, q: int, rows: int, cols: int) -> np.ndarray:
-    """The ``rows x cols`` matrices whose entries are the base-q digits of the indices."""
+    """The ``rows x cols`` matrices whose entries are the base-q digits of the indices.
+
+    Digit ``d``, lowest first, is entry ``d`` in row-major order, so the
+    index of a matrix with row-major entries ``t`` is ``sum_d t_d q^d``.
+    """
     import numpy as np
     digits = np.empty((len(indices), rows * cols), dtype=np.int64)
     t = indices.copy()
     for d in range(rows * cols):
-        digits[:, d] = t % q
-        t //= q
+        np.divmod(t, q, out=(t, digits[:, d]))
     return digits.reshape(len(indices), rows, cols)
 
 
@@ -188,15 +195,6 @@ def _chunks(count: int):
     import numpy as np
     for start in range(0, count, _CHUNK):
         yield np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
-
-
-def _rank_histogram(batches, q: int, inv: np.ndarray, n: int) -> np.ndarray:
-    """How many matrices of each rank ``0..n`` the batches of ``n``-row matrices hold."""
-    import numpy as np
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for mats in batches:
-        hist += np.bincount(_batched_rank_modq(mats, q, inv), minlength=n + 1)
-    return hist
 
 
 def _krylov_tail(a: np.ndarray, r: int, q: int) -> np.ndarray:
@@ -214,24 +212,51 @@ def _krylov_tail(a: np.ndarray, r: int, q: int) -> np.ndarray:
     return np.concatenate(blocks, axis=2)[:, r:, :(n - 1) * r]
 
 
+def _controllable_a_counts(indices: np.ndarray, q: int, inv: np.ndarray, n: int, m: int) -> list[int]:
+    """For each ``r = 1..min(n, m)``, how many ``A`` of one chunk make ``(A, E_r)`` cc.
+
+    The chunk of ``A`` is built once for every ``r`` and freed on return,
+    so a pass holds one chunk at a time.  Each :func:`_krylov_tail` is
+    coded as the index ``sum_i t_i q^i`` of its row-major entries ``t``,
+    below ``q^((n-r)(n-1)r)``, which :func:`census_cc` keeps within int64.
+    Only the distinct tails, decoded by :func:`_digit_matrices`, are
+    ranked, and each one of rank ``n - r`` counts as often as it occurs.
+    """
+    import numpy as np
+    a = _digit_matrices(indices, q, n, n)
+    counts = []
+    for r in range(1, min(n, m) + 1):
+        tails = _krylov_tail(a, r, q)
+        rows, cols = tails.shape[1:]
+        codes = tails.reshape(len(a), rows * cols) @ q ** np.arange(rows * cols, dtype=np.int64)
+        distinct, occurrences = np.unique(codes, return_counts=True)
+        ranks = _batched_rank_modq(_digit_matrices(distinct, q, rows, cols), q, inv)
+        counts.append(int(occurrences[ranks == rows].sum()))
+    return counts
+
+
 @lru_cache(maxsize=_PAIR_COUNT_CACHE_SIZE)
 def _cc_pair_count(m: int, n: int, q: int) -> int:
     """Number of (A, B) pairs over F_q whose controllability rank is n.
 
-    For each ``r`` it counts the ``A`` whose :func:`_krylov_tail` has rank
-    ``n - r``.  Enumerates ``q^(nm) + min(n, m) q^(n^2)`` states;
-    :func:`census_cc` checks them against its bound before calling.
+    One pass over the ``B`` finds how many have each rank, and one pass
+    over the ``A`` counts, for every ``r`` at once, those whose
+    :func:`_krylov_tail` has rank ``n - r``; at ``m = 0`` there is no
+    ``r`` and no ``A`` is built.  Enumerates ``q^(nm) + min(n, m) q^(n^2)``
+    states; :func:`census_cc` checks them against its bound, and the tail
+    codes against int64, before calling.
     """
     if n == 0:
         return 1
+    import numpy as np
     inv = _inverse_table(q)
-    b_mats = (_digit_matrices(idx, q, n, m) for idx in _chunks(q ** (n * m)))
-    b_ranks = _rank_histogram(b_mats, q, inv, n)
-    count = 0
-    for r in range(1, min(n, m) + 1):
-        tails = (_krylov_tail(_digit_matrices(idx, q, n, n), r, q) for idx in _chunks(q ** (n * n)))
-        count += int(b_ranks[r]) * int(_rank_histogram(tails, q, inv, n - r)[n - r])
-    return count
+    b_ranks = np.zeros(n + 1, dtype=np.int64)
+    for idx in _chunks(q ** (n * m)):
+        b_ranks += np.bincount(_batched_rank_modq(_digit_matrices(idx, q, n, m), q, inv), minlength=n + 1)
+    a_counts = [0] * min(n, m)
+    for idx in _chunks(q ** (n * n) if m else 0):
+        a_counts = [total + c for total, c in zip(a_counts, _controllable_a_counts(idx, q, inv, n, m))]
+    return sum(int(b_ranks[r]) * count for r, count in enumerate(a_counts, 1))
 
 
 def _pairs(m: int, n: int, q: int):
@@ -276,7 +301,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     Each mode finds the number of (A, B) pairs of full controllability
     rank and the number of their orbits.  ``mode="exhaustive"`` counts the
     pairs by the two rank-stratified passes of the module docstring, which
-    rank only the Krylov tail that ``E_r`` leaves, and divides by
+    rank only the distinct Krylov tails that ``E_r`` leaves, and divides by
     ``|GL_n|``.  ``mode="canonical-forms"`` instead reduces every cc pair
     once, on its plain entry tuples with the walk and reduction of
     ``LinearSystem._reduction``, and counts the distinct canonical pairs
@@ -292,11 +317,15 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     :class:`CensusTooLarge` for a report too long to print: ``q^(n(n+m+p))``
     bounds ``raw``, ``|GL_n|`` and the formula, and a cell is refused when
     it has over 4300 digits, that is when ``n(n+m+p) >= 4300 / log10 q``;
-    last :class:`CensusTooLarge` for more than ``bound`` states, counted as
+    then :class:`CensusTooLarge` for more than ``bound`` states, counted as
     in the module docstring (an exhaustive ``n = 0`` is never refused) or as
     all ``q^(n(n+m))`` pairs for the canonical forms.  Either count is
     at most ``q^(n(n+m+p))`` once the report prints, so it is computed
     exactly, and a count or bound past 256 bits is named ``more than 2^k``.
+    Last, an exhaustive cell gets :class:`CensusTooLarge` when its Krylov
+    tails have too many codes for int64, ``q^((n-r)(n-1)r) >= 2^63`` for
+    some ``r <= min(n, m)``.  Only a raised bound reaches this rule; the
+    cell with the fewest states that it refuses is ``(m, n, q) = (3, 7, 2)``.
     """
     _non_negative({"m": m, "n": n, "p": p}, "census dimension ")
     field = Field.prime(q)  # validates primality
@@ -312,6 +341,13 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     states = q ** (n * m) + min(n, m) * q ** (n * n) if exhaustive else q ** (n * (n + m))
     if (n or not exhaustive) and states > bound:
         raise CensusTooLarge(f"{_shown(states)} states exceed the bound {_shown(bound)}")
+    # the pair count codes each Krylov tail as an int64 below q^((n-r)(n-1)r); q >= 2,
+    # so every exponent from 63 on is refused without forming the power
+    for r in range(1, min(n, m) + 1) if exhaustive else ():
+        rows, cols = n - r, (n - 1) * r
+        if rows * cols >= 63 or q ** (rows * cols) >= 1 << 63:
+            raise CensusTooLarge(f"{q}^({rows}*{cols}) = q^((n-r)(n-1)r) is at least 2^63, too many "
+                                 f"Krylov tail codes for int64 at r = {r}")
     glq = gl_order(n, q)
     formula = count_cc_formula(m, n, p, q)
     if exhaustive:

@@ -207,8 +207,11 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     (["--n-min", str(10 ** 2200), "--n-max", str(10 ** 2200), "--q", "2"], 2,
      "CensusTooLarge: 2^(more than 2^7308*more than 2^7308) = q^(n(n+m+p)) has more than 4300 digits, "
      "too many to print the report of n = more than 2^7308"),
+    # a raised bound admits (3,7,0,2), but its Krylov tails at r = 3 have 2^72 codes, past int64
+    (["--m", "3", "--n-min", "7", "--n-max", "7", "--q", "2", "--bound", str(1 << 60)], 2,
+     "CensusTooLarge: 2^(4*18) = q^((n-r)(n-1)r) is at least 2^63, too many Krylov tail codes for int64 at r = 3"),
 ], ids=["non-prime", "no-prime", "modulus-before-bound", "default-bound", "huge-cell",
-        "m0-n120", "m0-q3", "large-p", "m0-n20000", "n-1e2200"])
+        "m0-n120", "m0-q3", "large-p", "m0-n20000", "n-1e2200", "int64-tail-codes"])
 def test_census_cli_refusals(extra, code, message, capsys):
     import time
 

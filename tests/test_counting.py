@@ -23,6 +23,7 @@ from moduli_sys.counting import (
     _batched_rank_modq,
     _inverse_table,
     _cc_pair_count,
+    _digit_matrices,
     _krylov_tail,
 )
 from moduli_sys.errors import CensusTooLarge
@@ -264,6 +265,9 @@ def _unprintable(power: str, n) -> str:
     return f"{power} = q^(n(n+m+p)) has more than 4300 digits, too many to print the report of n = {n}"
 
 
+_TAIL_CODES_PAST_INT64 = "2^(4*18) = q^((n-r)(n-1)r) is at least 2^63, too many Krylov tail codes for int64 at r = 3"
+
+
 @pytest.mark.parametrize("census, args, kwargs, error, message", [
     # a negative dimension comes first, then primality, the mode, the modulus cap,
     # the printable report and last the bound
@@ -321,6 +325,10 @@ def _unprintable(power: str, n) -> str:
     # the canonical forms count 64 pairs, within the default bound that their 2^26 triples
     # would exceed, so this cell reaches the work
     (census_cc, (1, 2, 10, 2), {"mode": "canonical-forms"}, AssertionError, "^a refused cell reached the work$"),
+    # last the int64 tail codes: a raised bound admits the 3 * 2^49 + 2^21 states of (3,7,0,2),
+    # but its Krylov tails at r = 3 are 4 x 18 and have 2^72 codes
+    (census_cc, (3, 7, 0, 2), {"bound": 1 << 60}, CensusTooLarge, re.escape(_TAIL_CODES_PAST_INT64) + "$"),
+    (census_co, (0, 7, 3, 2), {"bound": 1 << 60}, CensusTooLarge, re.escape(_TAIL_CODES_PAST_INT64) + "$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting
@@ -353,6 +361,12 @@ def test_census_admits_every_printable_cell_at_its_triple_count(mode, monkeypatc
     cells = [(m, n, p, q) for m in range(4) for p in range(4) for n in range(9) for q in (2, 3, 1048573)]
     cells += [(0, 119, 0, 2), (1, 119, 0, 2)]  # the last printable n over F_2; n = 120 is refused above
     for m, n, p, q in cells:
+        # after the bound, the one refusal left is the exhaustive int64 tail codes of q^((n-r)(n-1)r)
+        codes = max((q ** ((n - r) * (n - 1) * r) for r in range(1, min(n, m) + 1)), default=1)
+        if mode == "exhaustive" and codes >= 2 ** 63:
+            with pytest.raises(CensusTooLarge, match="too many Krylov tail codes for int64"):
+                census_cc(m, n, p, q, mode=mode, bound=q ** (n * (n + m + p)))
+            continue
         with pytest.raises(Work):
             census_cc(m, n, p, q, mode=mode, bound=q ** (n * (n + m + p)))
 
@@ -403,9 +417,57 @@ def test_pair_count_builds_one_inverse_table(monkeypatch):
 
     builds = []
     monkeypatch.setattr(counting, "_inverse_table", lambda q: builds.append(q) or _inverse_table(q))
-    monkeypatch.setattr(counting, "_CHUNK", 8)  # 11 chunks in each of the three passes
+    monkeypatch.setattr(counting, "_CHUNK", 8)  # 11 chunks in each of the B pass and the one A pass
     assert counting._cc_pair_count.__wrapped__(2, 2, 3) == reference_cc_pair_count(2, 2, 3)
     assert builds == [3]
+
+
+def test_pair_count_builds_each_chunk_of_a_once(monkeypatch):
+    from moduli_sys import counting
+
+    builds = []
+
+    def spy(indices, q, rows, cols):
+        builds.append((rows, cols))
+        return _digit_matrices(indices, q, rows, cols)
+
+    monkeypatch.setattr(counting, "_digit_matrices", spy)
+    monkeypatch.setattr(counting, "_CHUNK", 8)
+    # the 3^4 matrices A of (3,2,3) fill 11 chunks, and both r = 1 and r = 2 read each one
+    assert counting._cc_pair_count.__wrapped__(3, 2, 3) == reference_cc_pair_count(3, 2, 3)
+    assert builds.count((2, 2)) == 11
+    # without inputs there is no r, so no A is built; the uncached count runs
+    builds.clear()
+    monkeypatch.setattr(counting, "_cc_pair_count", _cc_pair_count.__wrapped__)
+    assert census_cc(0, 3, 1, 2).csv_row() == "0,3,1,2,0,168,0,0,true"
+    assert (3, 3) not in builds
+
+
+def test_pair_count_across_chunk_edges(monkeypatch):
+    # 7 is no power of any q: chunk edges split the classes of equal Krylov
+    # tails that the pair count ranks once per chunk, and the last chunk is ragged
+    from moduli_sys import counting
+
+    monkeypatch.setattr(counting, "_CHUNK", 7)
+    for m, n, q in ((1, 3, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)):
+        assert counting._cc_pair_count.__wrapped__(m, n, q) == reference_cc_pair_count(m, n, q), (m, n, q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_digit_matrices_come_in_product_order(q):
+    # the pair count decodes its tail codes with _digit_matrices: index k is read
+    # off its base-q digits, lowest first, into the entries in row-major order
+    for rows, cols in ((2, 2), (1, 3), (3, 0)):
+        count = q ** (rows * cols)
+        got = _digit_matrices(np.arange(count, dtype=np.int64), q, rows, cols)
+        assert got.shape == (count, rows, cols)
+        expected = [digits[::-1] for digits in itertools.product(range(q), repeat=rows * cols)]
+        assert [tuple(mat.flatten().tolist()) for mat in got] == expected, (q, rows, cols)
+        assert _digit_matrices(np.arange(0, dtype=np.int64), q, rows, cols).shape == (0, rows, cols)
+    # round trip: the code sum_i t_i q^i of each matrix's row-major entries t decodes to the matrix
+    mats = np.random.default_rng(q).integers(0, q, size=(200, 3, 4))
+    codes = mats.reshape(len(mats), 12) @ q ** np.arange(12, dtype=np.int64)
+    assert (_digit_matrices(codes, q, 3, 4) == mats).all()
 
 
 def test_controllability_depends_on_b_only_through_its_rank():
