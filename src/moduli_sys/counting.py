@@ -27,14 +27,19 @@ The pair count makes two exhaustive passes and uses no closed formula:
 one over all ``q^(nm)`` matrices ``B`` for the histogram of their ranks,
 then one over all ``q^(n^2)`` matrices ``A``, which tests every
 ``r = 1..min(n, m)`` on each chunk of ``A`` it builds, by the rank of
-``[E_r, A E_r, ..., A^(n-1) E_r]``.  Block elimination
+``[E_r, A E_r, ..., A^(n-1) E_r]``.  Both passes take their chunks from
+one buffer, in which the low base-``q`` digits of the index, the same in
+every chunk, are written once.  Block elimination
 against the ``I_r`` on top of ``E_r`` makes that rank ``r`` plus the rank
 of the tail, rows ``r..n-1`` of ``[A E_r, ..., A^(n-1) E_r]``, so only the
 ``(n - r) x (n - 1) r`` tail is ranked, and ``(A, E_r)`` is cc exactly
-when the tail has rank ``n - r``; ``A E_r`` is the first ``r`` columns of
-``A``.  A chunk holds far fewer distinct tails than ``A`` (285 of 2^14 at
+when the tail has rank ``n - r``.  ``A^k E_r`` is the first ``r``
+columns of ``A^k E_min(n,m)``, so a chunk computes those products once
+for every ``r``, and ``A E_min(n,m)`` is the first columns of ``A``.  A
+chunk holds far fewer distinct tails than ``A`` (285 of 2^14 at
 ``(m, n, q) = (1, 4, 2)``), so each tail is coded as an int64, the
-integer of its entries in base ``q``, and only the distinct codes are
+integer of its entries in base ``q``, summed from the products without
+building the tail, and only the distinct codes are
 ranked.  Each ``A`` counts once for each ``r``, so that is
 ``q^(nm) + min(n, m) q^(n^2)`` enumerated states when ``n > 0``, and
 the ``bound`` argument (``DEFAULT_CENSUS_BOUND`` unless given) applies
@@ -66,15 +71,15 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import CensusTooLarge
-from .linalg import Field, _non_negative
+from .linalg import Field, _non_negative, _shown
 from .system import _canonical_pair
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_CENSUS_BOUND = 1 << 24
-# states per int64 batch: the batches and their temporaries set the census
-# peak memory, and at 2^14 a pass is no slower than at 2^16 with a third less of it
+# most states per int64 batch, for every q: the batches and their temporaries set the
+# census peak memory, and at 2^14 a pass is no slower than at 2^16 with a third less of it
 _CHUNK = 1 << 14
 _PAIR_COUNT_CACHE_SIZE = 1 << 16  # entries of the _cc_pair_count LRU cache
 # int64 is exact below 2^20: the Krylov product needs n * (q - 1)^2 < 2^63,
@@ -190,48 +195,85 @@ def _digit_matrices(indices: np.ndarray, q: int, rows: int, cols: int) -> np.nda
     return digits.reshape(len(indices), rows, cols)
 
 
-def _chunks(count: int):
-    """Enumeration indices ``0..count-1`` in int64 chunks."""
+def _chunks(q: int, rows: int, cols: int):
+    """Every ``rows x cols`` matrix over F_q in index order, in chunks of at most ``_CHUNK``.
+
+    An index is ``h q^k + l``, with ``q^k`` the largest power of ``q`` up
+    to ``_CHUNK`` and ``k <= rows cols`` (``k = 0`` when ``q > _CHUNK``).
+    The digits of ``l`` fill the first ``k`` row-major entries: they are
+    written once, into one buffer of ``_CHUNK // q^k`` blocks of ``q^k``
+    matrices, and each chunk decodes only its own ``h`` and broadcasts
+    their digits into the other entries.  Every chunk is a view of that
+    one buffer, which the next chunk overwrites, so a consumer reads a
+    chunk before it asks for the next.  An empty shape is one empty matrix.
+    """
     import numpy as np
-    for start in range(0, count, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
+    size = rows * cols
+    k = 0
+    while k < size and q ** (k + 1) <= _CHUNK:
+        k += 1
+    low, highs = q ** k, q ** (size - k)
+    per_chunk = min(_CHUNK // low, highs)
+    buf = np.empty((per_chunk, low, size), dtype=np.int64)
+    buf[:, :, :k] = _digit_matrices(np.arange(low, dtype=np.int64), q, 1, k)[:, 0]
+    for start in range(0, highs, per_chunk):
+        h = np.arange(start, min(start + per_chunk, highs), dtype=np.int64)
+        buf[:len(h), :, k:] = _digit_matrices(h, q, 1, size - k)
+        yield buf[:len(h)].reshape(len(h) * low, rows, cols)
 
 
-def _krylov_tail(a: np.ndarray, r: int, q: int) -> np.ndarray:
-    """Rows ``r..n-1`` of ``[A E_r, ..., A^(n-1) E_r]`` mod q for a batch of ``A``.
+def _krylov_blocks(a: np.ndarray, s: int, q: int) -> list[np.ndarray]:
+    """The blocks ``A^j E_s`` mod q, ``j = 1..n-1``, for a batch of ``n x n`` matrices ``A``.
 
-    ``A E_r`` is the first ``r`` columns of ``A``, with no product; each
-    later block is ``A`` times the one before.  The tail is
-    ``(n - r) x (n - 1) r``: at ``n = 1`` the one block built is cut away.
+    ``A E_s`` is the first ``s`` columns of ``A``, with no product; each
+    later block is ``A`` times the one before.  ``A^j E_r`` is the first
+    ``r`` columns of ``A^j E_s`` for every ``r <= s``, so one list serves
+    every ``r``; at ``n = 1`` it is empty.
     """
     import numpy as np
     n = a.shape[1]
-    blocks = [a[:, :, :r]]
+    blocks = [a[:, :, :s]] if n > 1 else []
     for _ in range(2, n):
-        blocks.append(np.matmul(a, blocks[-1]) % q)
-    return np.concatenate(blocks, axis=2)[:, r:, :(n - 1) * r]
+        block = np.matmul(a, blocks[-1])
+        block -= block // q * q  # mod q: numpy divides an array by a scalar far faster than it takes %
+        blocks.append(block)
+    return blocks
 
 
-def _controllable_a_counts(indices: np.ndarray, q: int, inv: np.ndarray, n: int, m: int) -> list[int]:
-    """For each ``r = 1..min(n, m)``, how many ``A`` of one chunk make ``(A, E_r)`` cc.
+def _tail_codes(blocks: list[np.ndarray], count: int, n: int, r: int, q: int) -> np.ndarray:
+    """The code ``sum_i t_i q^i`` of each Krylov tail of ``E_r``, ``t`` its row-major entries.
 
-    The chunk of ``A`` is built once for every ``r`` and freed on return,
-    so a pass holds one chunk at a time.  Each :func:`_krylov_tail` is
-    coded as the index ``sum_i t_i q^i`` of its row-major entries ``t``,
-    below ``q^((n-r)(n-1)r)``, which :func:`census_cc` keeps within int64.
-    Only the distinct tails, decoded by :func:`_digit_matrices`, are
-    ranked, and each one of rank ``n - r`` counts as often as it occurs.
+    The tail is rows ``r..n-1`` of ``[A E_r, ..., A^(n-1) E_r]``, a
+    ``(n - r) x (n - 1) r`` matrix that :func:`_digit_matrices` decodes
+    from its code.  It is never built: block by block, rows ``r..n-1`` of
+    the first ``r`` columns of each of the ``count`` :func:`_krylov_blocks`
+    are summed against their powers of ``q``.
     """
     import numpy as np
-    a = _digit_matrices(indices, q, n, n)
+    powers = (q ** np.arange((n - r) * (n - 1) * r, dtype=np.int64)).reshape(n - r, (n - 1) * r)
+    codes = np.zeros(count, dtype=np.int64)
+    for j, block in enumerate(blocks):
+        codes += np.einsum("bij,ij->b", block[:, r:, :r], powers[:, j * r:(j + 1) * r])
+    return codes
+
+
+def _controllable_a_counts(a: np.ndarray, q: int, inv: np.ndarray, m: int) -> list[int]:
+    """For each ``r = 1..min(n, m)``, how many ``A`` of one chunk make ``(A, E_r)`` cc.
+
+    The :func:`_krylov_blocks` of the chunk are computed once for every
+    ``r``.  Each tail code is below ``q^((n-r)(n-1)r)``, which
+    :func:`census_cc` keeps within int64.  Only the distinct tails,
+    decoded by :func:`_digit_matrices`, are ranked, and each one of rank
+    ``n - r`` counts as often as it occurs.
+    """
+    import numpy as np
+    n = a.shape[1]
+    blocks = _krylov_blocks(a, min(n, m), q)
     counts = []
     for r in range(1, min(n, m) + 1):
-        tails = _krylov_tail(a, r, q)
-        rows, cols = tails.shape[1:]
-        codes = tails.reshape(len(a), rows * cols) @ q ** np.arange(rows * cols, dtype=np.int64)
-        distinct, occurrences = np.unique(codes, return_counts=True)
-        ranks = _batched_rank_modq(_digit_matrices(distinct, q, rows, cols), q, inv)
-        counts.append(int(occurrences[ranks == rows].sum()))
+        distinct, occurrences = np.unique(_tail_codes(blocks, len(a), n, r, q), return_counts=True)
+        ranks = _batched_rank_modq(_digit_matrices(distinct, q, n - r, (n - 1) * r), q, inv)
+        counts.append(int(occurrences[ranks == n - r].sum()))
     return counts
 
 
@@ -240,9 +282,9 @@ def _cc_pair_count(m: int, n: int, q: int) -> int:
     """Number of (A, B) pairs over F_q whose controllability rank is n.
 
     One pass over the ``B`` finds how many have each rank, and one pass
-    over the ``A`` counts, for every ``r`` at once, those whose
-    :func:`_krylov_tail` has rank ``n - r``; at ``m = 0`` there is no
-    ``r`` and no ``A`` is built.  Enumerates ``q^(nm) + min(n, m) q^(n^2)``
+    over the ``A`` counts, for every ``r`` at once, those whose Krylov
+    tail (see :func:`_tail_codes`) has rank ``n - r``; at ``m = 0`` there
+    is no ``r`` and no ``A`` is built.  Enumerates ``q^(nm) + min(n, m) q^(n^2)``
     states; :func:`census_cc` checks them against its bound, and the tail
     codes against int64, before calling.
     """
@@ -251,11 +293,11 @@ def _cc_pair_count(m: int, n: int, q: int) -> int:
     import numpy as np
     inv = _inverse_table(q)
     b_ranks = np.zeros(n + 1, dtype=np.int64)
-    for idx in _chunks(q ** (n * m)):
-        b_ranks += np.bincount(_batched_rank_modq(_digit_matrices(idx, q, n, m), q, inv), minlength=n + 1)
+    for b in _chunks(q, n, m):
+        b_ranks += np.bincount(_batched_rank_modq(b, q, inv), minlength=n + 1)
     a_counts = [0] * min(n, m)
-    for idx in _chunks(q ** (n * n) if m else 0):
-        a_counts = [total + c for total, c in zip(a_counts, _controllable_a_counts(idx, q, inv, n, m))]
+    for a in _chunks(q, n, n) if m else ():
+        a_counts = [total + c for total, c in zip(a_counts, _controllable_a_counts(a, q, inv, m))]
     return sum(int(b_ranks[r]) * count for r, count in enumerate(a_counts, 1))
 
 
@@ -264,14 +306,6 @@ def _pairs(m: int, n: int, q: int):
     na = n * n
     for digits in itertools.product(range(q), repeat=n * (n + m)):
         yield digits[:na], digits[na:]
-
-
-def _shown(count: int) -> str:
-    """``count`` in decimal up to 256 bits, past that named by its bit length: str() refuses ints past 4300 digits."""
-    if count.bit_length() <= 256:
-        return str(count)
-    k = (abs(count) - 1).bit_length() - 1
-    return f"more than 2^{k}" if count > 0 else f"less than -2^{k}"
 
 
 @dataclass(frozen=True)
@@ -312,8 +346,9 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     ``raw_cc_triples`` and ``orbit_count``.
 
     Refusals come before any work, in this order: ``ValueError`` for a
-    negative dimension, a non-prime ``q``, an unknown mode, or a modulus
-    of ``2^20`` and above in an exhaustive cell with ``m, n > 0``; then
+    negative dimension, a negative ``bound``, a non-prime ``q``, an unknown
+    mode, or a modulus of ``2^20`` and above in an exhaustive cell with
+    ``m, n > 0``; then
     :class:`CensusTooLarge` for a report too long to print: ``q^(n(n+m+p))``
     bounds ``raw``, ``|GL_n|`` and the formula, and a cell is refused when
     it has over 4300 digits, that is when ``n(n+m+p) >= 4300 / log10 q``;
@@ -328,6 +363,7 @@ def census_cc(m: int, n: int, p: int, q: int, mode: str = "exhaustive",
     cell with the fewest states that it refuses is ``(m, n, q) = (3, 7, 2)``.
     """
     _non_negative({"m": m, "n": n, "p": p}, "census dimension ")
+    _non_negative({"bound": bound}, "census ")
     field = Field.prime(q)  # validates primality
     if mode not in ("exhaustive", "canonical-forms"):
         raise ValueError(f"unknown census mode {mode!r}")

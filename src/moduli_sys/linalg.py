@@ -118,7 +118,15 @@ def _non_negative(sizes: dict, prefix: str = "") -> None:
     """A ``ValueError`` naming the first negative size; the one such check but ``Matrix``'s, which runs too often for a call."""
     for name, value in sizes.items():
         if value < 0:
-            raise ValueError(f"{prefix}{name} must be non-negative, got {value}")
+            raise ValueError(f"{prefix}{name} must be non-negative, got {_shown(value)}")
+
+
+def _shown(count: int) -> str:
+    """``count`` in decimal up to 256 bits, past that named by its bit length: str() refuses ints past 4300 digits."""
+    if count.bit_length() <= 256:
+        return str(count)
+    k = (abs(count) - 1).bit_length() - 1
+    return f"more than 2^{k}" if count > 0 else f"less than -2^{k}"
 
 
 def _ratio(a: int, b: int) -> Scalar:

@@ -210,8 +210,12 @@ def test_census_cli_bound_counts_enumerated_states(capsys):
     # a raised bound admits (3,7,0,2), but its Krylov tails at r = 3 have 2^72 codes, past int64
     (["--m", "3", "--n-min", "7", "--n-max", "7", "--q", "2", "--bound", str(1 << 60)], 2,
      "CensusTooLarge: 2^(4*18) = q^((n-r)(n-1)r) is at least 2^63, too many Krylov tail codes for int64 at r = 3"),
+    # a negative bound is refused by name, not read as a size refusal, and before the modulus
+    (["--n-max", "2", "--q", "2", "--bound", "-1"], 1, "INVALID_INPUT: census bound must be non-negative, got -1"),
+    (["--n-max", "0", "--q", "4", "--bound", "-1"], 1, "INVALID_INPUT: census bound must be non-negative, got -1"),
 ], ids=["non-prime", "no-prime", "modulus-before-bound", "default-bound", "huge-cell",
-        "m0-n120", "m0-q3", "large-p", "m0-n20000", "n-1e2200", "int64-tail-codes"])
+        "m0-n120", "m0-q3", "large-p", "m0-n20000", "n-1e2200", "int64-tail-codes", "negative-bound",
+        "negative-bound-n0"])
 def test_census_cli_refusals(extra, code, message, capsys):
     import time
 

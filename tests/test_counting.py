@@ -23,8 +23,10 @@ from moduli_sys.counting import (
     _batched_rank_modq,
     _inverse_table,
     _cc_pair_count,
+    _chunks,
     _digit_matrices,
-    _krylov_tail,
+    _krylov_blocks,
+    _tail_codes,
 )
 from moduli_sys.errors import CensusTooLarge
 from moduli_sys.kalman import canonical_form
@@ -146,14 +148,19 @@ def _tail_batches(rng, q, n):
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_krylov_tail_rank_plus_r_is_the_krylov_rank(q):
     # block elimination against the I_r of E_r = [I_r; 0]: the census ranks only
-    # the tail, so r + rank(tail) must be the rank of [E_r, A E_r, ..., A^(n-1) E_r]
+    # the tail, so r + rank(tail) must be the rank of [E_r, A E_r, ..., A^(n-1) E_r];
+    # the tail is decoded from its code, summed from the products A^k E_n shared by every r
     rng = np.random.default_rng(q)
     field = Field.prime(q)
     for n in range(1, 5):
         a_batch = _tail_batches(rng, q, n)
+        shared = _krylov_blocks(a_batch, n, q)
+        assert len(shared) == n - 1
         for r in range(1, n + 1):
-            tails = _krylov_tail(a_batch, r, q)
-            assert tails.shape == (len(a_batch), n - r, (n - 1) * r), (q, n, r)
+            codes = _tail_codes(shared, len(a_batch), n, r, q)
+            # the first r columns of the shared products are the products of E_r
+            assert (codes == _tail_codes(_krylov_blocks(a_batch, r, q), len(a_batch), n, r, q)).all(), (q, n, r)
+            tails = _digit_matrices(codes, q, n - r, (n - 1) * r)
             e = Matrix(field, n, r, tuple(int(i == j) for i in range(n) for j in range(r)))
             for a_digits, tail in zip(a_batch, tails):
                 a = Matrix(field, n, n, tuple(a_digits.flatten().tolist()))
@@ -269,8 +276,8 @@ _TAIL_CODES_PAST_INT64 = "2^(4*18) = q^((n-r)(n-1)r) is at least 2^63, too many 
 
 
 @pytest.mark.parametrize("census, args, kwargs, error, message", [
-    # a negative dimension comes first, then primality, the mode, the modulus cap,
-    # the printable report and last the bound
+    # a negative dimension comes first, then a negative bound, primality, the mode,
+    # the modulus cap, the printable report and last the bound
     (census_cc, (-1, 1, 1, 4), {"mode": "guess", "bound": 0}, ValueError, "census dimension m must be non-negative"),
     (census_co, (1, 1, -1, 4), {"bound": 0}, ValueError, "census dimension p must be non-negative"),
     (census_cc, (1, 1, 1, 4), {"mode": "guess", "bound": 0}, ValueError, "field modulus must be prime"),
@@ -301,9 +308,8 @@ _TAIL_CODES_PAST_INT64 = "2^(4*18) = q^((n-r)(n-1)r) is at least 2^63, too many 
     (census_cc, (1, 300, 0, 3), {"bound": 10 ** 5000}, CensusTooLarge, re.escape(_unprintable("3^(300*301)", 300)) + "$"),
     (census_cc, (1, 3000, 0, 3), {"bound": 10 ** 5000}, CensusTooLarge,
      re.escape(_unprintable("3^(3000*3001)", 3000)) + "$"),
-    # a bound past 256 bits is named by the same rule as a count: 10^5000 has 16610 bits
-    (census_cc, (1, 2, 0, 3), {"bound": -10 ** 5000}, CensusTooLarge,
-     r"^90 states exceed the bound less than -2\^16609$"),
+    # (1,2,0,3) enumerates 3^2 matrices B and 1 * 3^4 matrices A, one state past this bound
+    (census_cc, (1, 2, 0, 3), {"bound": 89}, CensusTooLarge, "^90 states exceed the bound 89$"),
     # a report must print: q^(n(n+m+p)) bounds its numbers and may have at most 4300 digits;
     # an exhaustive m = 0 enumerates one state, and no output map is enumerated
     (census_cc, (0, 120, 0, 2), {}, CensusTooLarge, re.escape(_unprintable("2^(120*120)", 120)) + "$"),
@@ -329,6 +335,17 @@ _TAIL_CODES_PAST_INT64 = "2^(4*18) = q^((n-r)(n-1)r) is at least 2^63, too many 
     # but its Krylov tails at r = 3 are 4 x 18 and have 2^72 codes
     (census_cc, (3, 7, 0, 2), {"bound": 1 << 60}, CensusTooLarge, re.escape(_TAIL_CODES_PAST_INT64) + "$"),
     (census_co, (0, 7, 3, 2), {"bound": 1 << 60}, CensusTooLarge, re.escape(_TAIL_CODES_PAST_INT64) + "$"),
+    # a negative bound is refused by name right after a negative dimension, before the modulus
+    # and the mode, and is never read as a size refusal, not even of an n = 0 cell
+    (census_cc, (1, 2, 0, 2), {"bound": -1}, ValueError, "^census bound must be non-negative, got -1$"),
+    (census_cc, (1, 0, 0, 2), {"bound": -1}, ValueError, "^census bound must be non-negative, got -1$"),
+    (census_co, (1, 1, 1, 4), {"bound": -1}, ValueError, "^census bound must be non-negative, got -1$"),
+    (census_cc, (1, 1, 1, BIG_PRIME), {"mode": "guess", "bound": -1}, ValueError,
+     "^census bound must be non-negative, got -1$"),
+    (census_co, (1, 1, -1, 2), {"bound": -1}, ValueError, "^census dimension p must be non-negative, got -1$"),
+    # a bound past 256 bits is named by the same rule as a count: 10^5000 has 16610 bits
+    (census_cc, (1, 2, 0, 3), {"bound": -10 ** 5000}, ValueError,
+     r"^census bound must be non-negative, got less than -2\^16609$"),
 ])
 def test_census_refusals_come_in_order_before_any_work(census, args, kwargs, error, message, monkeypatch):
     from moduli_sys import counting
@@ -374,9 +391,8 @@ def test_census_admits_every_printable_cell_at_its_triple_count(mode, monkeypatc
 def test_exhaustive_census_never_refuses_n_zero():
     for m, p in ((0, 0), (2, 1), (1, 3)):
         for q in (2, BIG_PRIME):
-            for bound in (-1, 0):
-                assert census_cc(m, 0, p, q, bound=bound).csv_row() == f"{m},0,{p},{q},1,1,1,1,true"
-                assert census_co(m, 0, p, q, bound=bound).csv_row() == f"{m},0,{p},{q},1,1,1,1,true"
+            assert census_cc(m, 0, p, q, bound=0).csv_row() == f"{m},0,{p},{q},1,1,1,1,true"
+            assert census_co(m, 0, p, q, bound=0).csv_row() == f"{m},0,{p},{q},1,1,1,1,true"
 
 
 def test_census_mode_validation():
@@ -417,7 +433,7 @@ def test_pair_count_builds_one_inverse_table(monkeypatch):
 
     builds = []
     monkeypatch.setattr(counting, "_inverse_table", lambda q: builds.append(q) or _inverse_table(q))
-    monkeypatch.setattr(counting, "_CHUNK", 8)  # 11 chunks in each of the B pass and the one A pass
+    monkeypatch.setattr(counting, "_CHUNK", 8)  # 14 chunks of at most 2 * 3 matrices in each pass
     assert counting._cc_pair_count.__wrapped__(2, 2, 3) == reference_cc_pair_count(2, 2, 3)
     assert builds == [3]
 
@@ -425,32 +441,58 @@ def test_pair_count_builds_one_inverse_table(monkeypatch):
 def test_pair_count_builds_each_chunk_of_a_once(monkeypatch):
     from moduli_sys import counting
 
-    builds = []
+    decodes, products = [], []
 
-    def spy(indices, q, rows, cols):
-        builds.append((rows, cols))
+    def digits_spy(indices, q, rows, cols):
+        decodes.append((rows, cols))
         return _digit_matrices(indices, q, rows, cols)
 
-    monkeypatch.setattr(counting, "_digit_matrices", spy)
+    def blocks_spy(a, s, q):
+        products.append((len(a), s))
+        return _krylov_blocks(a, s, q)
+
+    monkeypatch.setattr(counting, "_digit_matrices", digits_spy)
+    monkeypatch.setattr(counting, "_krylov_blocks", blocks_spy)
     monkeypatch.setattr(counting, "_CHUNK", 8)
-    # the 3^4 matrices A of (3,2,3) fill 11 chunks, and both r = 1 and r = 2 read each one
+    # the 3^4 matrices A of (3,2,3) fill 14 chunks of 2 * 3, the last one 3: both r = 1 and
+    # r = 2 read the products A E_2 of each chunk, computed once, and no 2 x 2 A is decoded
     assert counting._cc_pair_count.__wrapped__(3, 2, 3) == reference_cc_pair_count(3, 2, 3)
-    assert builds.count((2, 2)) == 11
+    assert products == [(6, 2)] * 13 + [(3, 2)]
+    assert (2, 2) not in decodes
     # without inputs there is no r, so no A is built; the uncached count runs
-    builds.clear()
+    products.clear()
     monkeypatch.setattr(counting, "_cc_pair_count", _cc_pair_count.__wrapped__)
     assert census_cc(0, 3, 1, 2).csv_row() == "0,3,1,2,0,168,0,0,true"
-    assert (3, 3) not in builds
+    assert products == []
 
 
 def test_pair_count_across_chunk_edges(monkeypatch):
-    # 7 is no power of any q: chunk edges split the classes of equal Krylov
-    # tails that the pair count ranks once per chunk, and the last chunk is ragged
+    # at _CHUNK = 7 a chunk is 4 matrices over F_2 and two blocks of 3 over F_3, whose
+    # passes end on a chunk of one block: chunk edges split the classes of equal Krylov
+    # tails that the pair count ranks once per chunk
     from moduli_sys import counting
 
     monkeypatch.setattr(counting, "_CHUNK", 7)
     for m, n, q in ((1, 3, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2)):
         assert counting._cc_pair_count.__wrapped__(m, n, q) == reference_cc_pair_count(m, n, q), (m, n, q)
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 4])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_chunks_enumerate_every_matrix_in_index_order(q, chunk, monkeypatch):
+    # at 7 a chunk holds several blocks and the last one is short; at 4 with q = 5 a
+    # block is one matrix (k = 0); at the default 2^14 a chunk holds every small shape
+    from moduli_sys import counting
+
+    if chunk is not None:
+        monkeypatch.setattr(counting, "_CHUNK", chunk)
+    for rows, cols in ((2, 2), (1, 3), (2, 3), (3, 0)):
+        # the chunks are views of one reused buffer, so each is copied before the next
+        got = [c.copy() for c in _chunks(q, rows, cols)]
+        assert all(0 < len(c) <= counting._CHUNK for c in got), (q, rows, cols)
+        count = q ** (rows * cols)
+        expected = _digit_matrices(np.arange(count, dtype=np.int64), q, rows, cols)
+        assert np.array_equal(np.concatenate(got), expected), (q, chunk, rows, cols)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
